@@ -140,11 +140,22 @@ def sample(p: Categorical, rng_seed: int, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    active = np.flatnonzero(p.support_mask)
-    cdf = np.cumsum(np.exp(p.log_weights[active]))
-    cdf[-1] = 1.0
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    u = rng.random(count)
+    return draw(inverse_cdf(p.log_weights, p.support_mask), rng.random(count))
+
+
+def inverse_cdf(log_weights: np.ndarray, support_mask: np.ndarray):
+    """The unmasked indices and their running mass, the last pinned to 1:
+    the table that :func:`draw` inverts. Masked indices can never be drawn."""
+    active = np.flatnonzero(support_mask)
+    cdf = np.cumsum(np.exp(log_weights[active]))
+    cdf[-1] = 1.0
+    return active, cdf
+
+
+def draw(table, u: np.ndarray) -> np.ndarray:
+    """Map uniforms ``u`` in [0, 1) to indices through an :func:`inverse_cdf` table."""
+    active, cdf = table
     return active[np.searchsorted(cdf, u, side="right")]
 
 

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import mara as mara_mod
-from .dist import Categorical, Scenario, normalize
+from .dist import Categorical, Scenario, _frozen, draw, inverse_cdf, normalize
 from .errors import InfiniteDivergence, NonFiniteGradient
 from .mara import MaraConfig
 from .targets import TargetSpec, analytic_target, forward_kl_target
@@ -30,35 +30,52 @@ class SoftmaxPolicy:
 
     Masked indices are excluded from the softmax and carry zero mass;
     their logits are ignored and their gradients are identically zero.
+
+    Instances and their arrays are immutable. ``logits`` and
+    ``support_mask`` are frozen in place, as :class:`Categorical` does, so
+    an array passed in becomes read-only too. ``log_probs()`` and
+    ``probs()`` are computed once per instance and return the same
+    read-only arrays on every call, so every function handed the policy
+    shares one softmax.
     """
 
     logits: np.ndarray
     support_mask: Optional[np.ndarray] = None
+    _log_probs: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _probs: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         logits = np.asarray(self.logits, dtype=float)
-        if not np.all(np.isfinite(logits)):
+        if not np.isfinite(logits).all():
             raise ValueError("logits must be finite")
         mask = self.support_mask
         mask = np.ones(logits.size, dtype=bool) if mask is None else np.asarray(mask, bool)
-        object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "support_mask", mask)
+        object.__setattr__(self, "logits", _frozen(logits))
+        object.__setattr__(self, "support_mask", _frozen(mask))
 
     @property
     def n(self) -> int:
         return self.logits.size
 
     def log_probs(self) -> np.ndarray:
-        lw = np.where(self.support_mask, self.logits, -np.inf)
-        active = lw[self.support_mask]
-        m = active.max()
-        lw = lw - (m + np.log(np.sum(np.exp(active - m))))
-        return lw
+        if self._log_probs is None:
+            lw = np.where(self.support_mask, self.logits, -np.inf)
+            active = lw[self.support_mask]
+            m = active.max()
+            lw = lw - (m + np.log(np.sum(np.exp(active - m))))
+            object.__setattr__(self, "_log_probs", _frozen(lw))
+        return self._log_probs
 
     def probs(self) -> np.ndarray:
-        p = np.zeros(self.n)
-        p[self.support_mask] = np.exp(self.log_probs()[self.support_mask])
-        return p
+        if self._probs is None:
+            p = np.zeros(self.n)
+            p[self.support_mask] = np.exp(self.log_probs()[self.support_mask])
+            object.__setattr__(self, "_probs", _frozen(p))
+        return self._probs
 
     def distribution(self) -> Categorical:
         return normalize(self.log_probs())
@@ -167,17 +184,21 @@ def score_function_gradient(
 
 
 def sample_policy(policy: SoftmaxPolicy, rng: np.random.Generator, count: int) -> np.ndarray:
-    active = np.flatnonzero(policy.support_mask)
-    cdf = np.cumsum(np.exp(policy.log_probs()[active]))
-    cdf[-1] = 1.0
-    return active[np.searchsorted(cdf, rng.random(count), side="right")]
+    table = inverse_cdf(policy.log_probs(), policy.support_mask)
+    return draw(table, rng.random(count))
 
 
 def reverse_coefficients(
     policy: SoftmaxPolicy, ys: np.ndarray, rewards: np.ndarray,
     ref_logprobs: np.ndarray, beta: float,
 ) -> np.ndarray:
-    """Per-sample coefficient r - beta * log(p(y) / ref(y))."""
+    """Per-sample coefficient r - beta * log(p(y) / ref(y)).
+
+    At beta = 0 the reference plays no part, so samples outside its
+    support are allowed (as in the exact gradient).
+    """
+    if beta == 0:
+        return np.array(rewards, dtype=float)
     if np.any(~np.isfinite(ref_logprobs)):
         raise InfiniteDivergence("sampled index outside the reference support")
     lp = policy.log_probs()
@@ -208,21 +229,34 @@ def mc_gradient_forward(
     k1, k2 = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
     rng = np.random.Generator(np.random.PCG64(k1))
     ys = sample_policy(policy, rng, batch)
-    g = score_function_gradient(policy, ys, s.rewards.values[ys])
-    if beta > 0:
-        p = policy.probs()
-        if sampled_regularizer:
-            from .dist import sample as dist_sample
+    rewards = s.rewards.values[ys]
+    if not beta > 0:
+        return score_function_gradient(policy, ys, rewards)
+    if sampled_regularizer:
+        from .dist import sample as dist_sample
 
-            ws = dist_sample(s.reference, k2, batch)
-            reg = np.zeros(policy.n)
-            np.add.at(reg, ws, 1.0)
-            reg = reg / batch - p
-        else:
-            reg = s.reference.probs - p
-        reg[~policy.support_mask] = 0.0
-        g = g + beta * reg
-    return g
+        ref_mass = _empirical_mass(dist_sample(s.reference, k2, batch), policy.n)
+    else:
+        ref_mass = s.reference.probs
+    return _forward_gradient(policy, ys, rewards, beta, ref_mass)
+
+
+def _empirical_mass(ws: np.ndarray, n: int) -> np.ndarray:
+    counts = np.zeros(n)
+    np.add.at(counts, ws, 1.0)
+    return counts / ws.size
+
+
+def _forward_gradient(
+    policy: SoftmaxPolicy, ys: np.ndarray, rewards: np.ndarray, beta: float,
+    ref_mass: np.ndarray,
+) -> np.ndarray:
+    """Score-function reward term plus the forward-KL regularizer
+    beta * (ref_mass - p), zero off the policy's support."""
+    g = score_function_gradient(policy, ys, rewards)
+    reg = ref_mass - policy.probs()
+    reg[~policy.support_mask] = 0.0
+    return g + beta * reg
 
 
 def matching_step_sft(
@@ -232,10 +266,7 @@ def matching_step_sft(
     grad log p over target samples (maximum likelihood on target draws)."""
     from .dist import sample as dist_sample
 
-    ys = dist_sample(target, seed, batch)
-    counts = np.zeros(policy.n)
-    np.add.at(counts, ys, 1.0)
-    g = policy.probs() - counts / batch
+    g = policy.probs() - _empirical_mass(dist_sample(target, seed, batch), policy.n)
     g[~policy.support_mask] = 0.0
     return g
 
@@ -335,17 +366,21 @@ def _policy_support(s: Scenario, spec: TargetSpec) -> Optional[np.ndarray]:
     return np.asarray(s.reference.support_mask)
 
 
-def _global_threshold(s: Scenario, cfg: MaraConfig) -> float:
+def _resolve_anchor(
+    s: Scenario, cfg: Optional[MaraConfig]
+) -> Tuple[Optional[float], Optional[int]]:
+    """Threshold and anchor over the whole support, or (None, None)
+    without augmentation; the anchor is None when no index qualifies."""
+    if cfg is None:
+        return None, None
     r = s.rewards.values[s.reference.support_mask]
-    return mara_mod.resolve_threshold(cfg.threshold_rule, r)
+    tau = mara_mod.resolve_threshold(cfg.threshold_rule, r)
+    return tau, mara_mod.global_anchor(s, tau, cfg.anchor_tiebreak)
 
 
-def _training_target(s: Scenario, cfg: TrainConfig) -> Categorical:
-    spec = cfg.objective
-    if cfg.mara is None:
-        return analytic_target(s, spec)
-    tau = _global_threshold(s, cfg.mara)
-    anchor = mara_mod.global_anchor(s, tau, cfg.mara.anchor_tiebreak)
+def _training_target(
+    s: Scenario, spec: TargetSpec, tau: Optional[float], anchor: Optional[int]
+) -> Categorical:
     if anchor is None:
         return analytic_target(s, spec)
     if spec.kind == "reverse":
@@ -353,15 +388,13 @@ def _training_target(s: Scenario, cfg: TrainConfig) -> Categorical:
     return forward_kl_target(mara_mod.anchored_scenario(s, tau, anchor), spec.beta).distribution
 
 
-def _exact_train_scenario(s: Scenario, cfg: TrainConfig) -> Scenario:
-    if cfg.mara is None:
-        return s
-    tau = _global_threshold(s, cfg.mara)
-    anchor = mara_mod.global_anchor(s, tau, cfg.mara.anchor_tiebreak)
+def _exact_train_scenario(
+    s: Scenario, spec: TargetSpec, tau: Optional[float], anchor: Optional[int]
+) -> Scenario:
     if anchor is None:
         return s
-    if cfg.objective.kind == "reverse":
-        rewards = mara_mod.augmented_reward_vector(s, cfg.objective.beta, tau, anchor)
+    if spec.kind == "reverse":
+        rewards = mara_mod.augmented_reward_vector(s, spec.beta, tau, anchor)
         return Scenario(s.reference, rewards, name=f"{s.name}__augmented")
     return mara_mod.anchored_scenario(s, tau, anchor)
 
@@ -374,12 +407,12 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
     state = AdamState(np.zeros(s.n), np.zeros(s.n))
     b1, b2, eps = cfg.adam
 
-    target = _training_target(s, cfg)
-    train_scenario = _exact_train_scenario(s, cfg)
-    tau_global = _global_threshold(s, cfg.mara) if cfg.mara is not None else None
-    above_set = (
-        (s.rewards.values >= tau_global) if tau_global is not None else None
-    )
+    # what does not change from step to step is computed once, here
+    tau, global_anchor = _resolve_anchor(s, cfg.mara)
+    target = _training_target(s, spec, tau, global_anchor)
+    target_probs = target.probs
+    train_scenario = _exact_train_scenario(s, spec, tau, global_anchor)
+    above_set = (s.rewards.values >= tau) if tau is not None else None
 
     trace: List[StepRecord] = []
     anchors: List[Optional[int]] = []
@@ -388,22 +421,27 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
     rng = (
         np.random.Generator(np.random.PCG64(cfg.seed)) if mc is not None else None
     )
+    # the MC forward regularizer's reference mass, unless drawn each step
+    ref_probs = s.reference.probs if mc is not None and spec.kind == "forward" else None
 
     for _ in range(cfg.steps):
         if mc is None:
             gradient = exact_gradient(policy, train_scenario, spec)
             if cfg.mara is not None:
-                anchors.append(
-                    mara_mod.global_anchor(s, tau_global, cfg.mara.anchor_tiebreak)
-                )
+                anchors.append(global_anchor)
         else:
             ys = sample_policy(policy, rng, mc.batch)
             if cfg.mara is not None:
                 gradient, anchor = _mc_mara_gradient(policy, s, cfg, mc, ys)
                 anchors.append(anchor)
             elif spec.kind == "forward":
-                gradient = _mc_forward_from_batch(
-                    policy, s, spec.beta, ys, rng, mc.sampled_regularizer
+                if mc.sampled_regularizer:
+                    table = inverse_cdf(s.reference.log_weights, s.reference.support_mask)
+                    ref_mass = _empirical_mass(draw(table, rng.random(ys.size)), s.n)
+                else:
+                    ref_mass = ref_probs
+                gradient = _forward_gradient(
+                    policy, ys, s.rewards.values[ys], spec.beta, ref_mass
                 )
             else:
                 coef = reverse_coefficients(
@@ -426,7 +464,7 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
         trace.append(
             StepRecord(
                 objective_value=exact_objective(policy, train_scenario, spec),
-                tv_to_target=float(0.5 * np.sum(np.abs(p - target.probs))),
+                tv_to_target=float(0.5 * np.sum(np.abs(p - target_probs))),
                 entropy=float(-np.sum(p[active] * lp[active])),
                 above_threshold_mass=(
                     float(np.sum(p[above_set])) if above_set is not None else None
@@ -449,28 +487,11 @@ def _mc_mara_gradient(policy, s, cfg: TrainConfig, mc: MonteCarlo, ys):
         g = score_function_gradient(policy, ys, _apply_baseline(coef, mc.baseline))
         return g, aug.anchor_index
     aug = mara_mod.augment_ref_view(ys, s, cfg.mara)
-    g = score_function_gradient(policy, ys, aug.augmented_rewards)
     if aug.anchor_index is not None:
         ref = mara_mod.anchored_scenario(s, aug.threshold_used, aug.anchor_index).reference
     else:
         ref = s.reference
-    reg = ref.probs - policy.probs()
-    reg[~policy.support_mask] = 0.0
-    return g + spec.beta * reg, aug.anchor_index
-
-
-def _mc_forward_from_batch(policy, s, beta, ys, rng, sampled_regularizer):
-    g = score_function_gradient(policy, ys, s.rewards.values[ys])
-    p = policy.probs()
-    if sampled_regularizer:
-        active = np.flatnonzero(s.reference.support_mask)
-        cdf = np.cumsum(np.exp(s.reference.log_weights[active]))
-        cdf[-1] = 1.0
-        ws = active[np.searchsorted(cdf, rng.random(ys.size), side="right")]
-        reg = np.zeros(policy.n)
-        np.add.at(reg, ws, 1.0)
-        reg = reg / ys.size - p
-    else:
-        reg = s.reference.probs - p
-    reg[~policy.support_mask] = 0.0
-    return g + beta * reg
+    return (
+        _forward_gradient(policy, ys, aug.augmented_rewards, spec.beta, ref.probs),
+        aug.anchor_index,
+    )

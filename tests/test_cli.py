@@ -172,6 +172,16 @@ def test_train_single_step_trace(capsys, tmp_path):
     assert (tmp_path / "two_point_reverse_policy.csv").exists()
 
 
+def test_train_mc_generalized_beta_zero(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "train", "--scenario", "fig2_two_mode", "--kind", "generalized",
+        "--beta", "0", "--eta", "0.1", "--mode", "mc", "--steps", "50",
+        "--out", str(tmp_path),
+    )
+    assert code == 0, err
+    assert "final TV to target" in out
+
+
 def test_kllab_out_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("KLLAB_OUT", str(tmp_path / "env_out"))
     code, _, _ = run(

@@ -2,13 +2,34 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, random_scenario
+from kllab.dist import Scenario
 from kllab.errors import InfiniteDivergence, NonFiniteGradient
-from kllab.mara import Constant, MaraConfig
-from kllab.targets import TargetSpec, forward_kl_target, reverse_kl_target
+from kllab.harness import MARA_TOY_TAU, scenario_by_name
+from kllab.mara import (
+    BatchPercentile,
+    Constant,
+    MaraConfig,
+    anchored_scenario,
+    augment_ref_view,
+    augment_rewards,
+    augmented_reward_vector,
+    global_anchor,
+    mara_target,
+    resolve_threshold,
+)
+from kllab.targets import (
+    TargetSpec,
+    analytic_target,
+    forward_kl_target,
+    generalized_target,
+    reverse_kl_target,
+)
 from kllab.trainer import (
     AdamState,
+    Exact,
     MonteCarlo,
     SoftmaxPolicy,
+    StepRecord,
     TrainConfig,
     _apply_baseline,
     adam_step,
@@ -18,6 +39,9 @@ from kllab.trainer import (
     matching_step_sft,
     mc_gradient_forward,
     mc_gradient_reverse,
+    reverse_coefficients,
+    sample_policy,
+    score_function_gradient,
     train,
     uniform_policy,
 )
@@ -55,6 +79,27 @@ def test_softmax_policy_masks_indices():
 def test_softmax_policy_rejects_non_finite_logits():
     with pytest.raises(ValueError):
         SoftmaxPolicy(np.array([0.0, np.inf]))
+
+
+def test_softmax_policy_arrays_are_computed_once_and_read_only():
+    logits = np.array([0.3, -1.2, 2.0, 0.5])
+    mask = np.array([True, True, False, True])
+    policy = SoftmaxPolicy(logits, mask)
+    lp, p = policy.log_probs(), policy.probs()
+    assert policy.log_probs() is lp and policy.probs() is p
+    # bit-equal to the softmax applied afresh
+    lw = np.where(mask, logits, -np.inf)
+    m = lw[mask].max()
+    expected_lp = lw - (m + np.log(np.sum(np.exp(lw[mask] - m))))
+    expected_p = np.zeros(4)
+    expected_p[mask] = np.exp(expected_lp[mask])
+    np.testing.assert_array_equal(lp, expected_lp)
+    np.testing.assert_array_equal(p, expected_p)
+    # the arrays passed in are frozen in place, so no handle can stale the cache
+    for held in (lp, p, policy.logits, policy.support_mask, logits, mask):
+        with pytest.raises(ValueError):
+            held[0] = 0
+    np.testing.assert_array_equal(policy.log_probs(), expected_lp)
 
 
 # --------------------------------------------------------------------------
@@ -357,3 +402,132 @@ def test_train_mara_reaches_uniform_above_threshold():
     result = train(s, cfg)
     p = result.final_policy.probs
     assert p[0] == pytest.approx(p[1], rel=0.05)
+
+
+def test_train_mc_generalized_beta_zero_allows_masked_reference():
+    # at beta = 0 the reference plays no part, so the policy may sample
+    # indices the reference masks
+    s = scenario_by_name("fig2_two_mode")
+    assert not np.all(s.reference.support_mask)
+    spec = TargetSpec("generalized", 0.0, 0.1)
+    cfg = TrainConfig(spec, gradient_mode=MonteCarlo(batch=32), steps=300,
+                      learning_rate=0.05)
+    result = train(s, cfg)
+    p = result.final_policy.probs
+    assert np.all(np.isfinite(p))
+    tv = 0.5 * np.sum(np.abs(p - generalized_target(s, 0.0, 0.1).probs))
+    assert tv <= 0.05 < result.trace[0].tv_to_target
+
+
+def _reference_train(s, cfg):
+    """``train()`` written out with a fresh SoftmaxPolicy for every call,
+    so that no call shares a softmax or a precomputed value with another.
+    Returns (final distribution, trace, anchor history, target)."""
+    spec = cfg.objective
+    mc = cfg.gradient_mode if isinstance(cfg.gradient_mode, MonteCarlo) else None
+    full = spec.kind == "forward" or (spec.kind == "generalized" and spec.beta == 0)
+    mask = None if full else np.asarray(s.reference.support_mask)
+    logits = np.zeros(s.n)
+
+    def fresh():
+        return SoftmaxPolicy(logits, mask)
+
+    tau = anchor = None
+    if cfg.mara is not None:
+        r = s.rewards.values[s.reference.support_mask]
+        tau = resolve_threshold(cfg.mara.threshold_rule, r)
+        anchor = global_anchor(s, tau, cfg.mara.anchor_tiebreak)
+    if anchor is None:
+        target, scenario = analytic_target(s, spec), s
+    elif spec.kind == "reverse":
+        target = mara_target(s, spec.beta, tau, anchor)
+        scenario = Scenario(s.reference, augmented_reward_vector(s, spec.beta, tau, anchor))
+    else:
+        scenario = anchored_scenario(s, tau, anchor)
+        target = forward_kl_target(scenario, spec.beta).distribution
+
+    rng = np.random.Generator(np.random.PCG64(cfg.seed)) if mc is not None else None
+    state = AdamState(np.zeros(s.n), np.zeros(s.n))
+    trace, anchors = [], []
+    for _ in range(cfg.steps):
+        if mc is None:
+            g = exact_gradient(fresh(), scenario, spec)
+            if cfg.mara is not None:
+                anchors.append(global_anchor(s, tau, cfg.mara.anchor_tiebreak))
+        elif spec.kind == "forward":
+            ys = sample_policy(fresh(), rng, mc.batch)
+            if cfg.mara is not None:
+                aug = augment_ref_view(ys, s, cfg.mara)
+                anchors.append(aug.anchor_index)
+                rewards, ref = aug.augmented_rewards, s.reference
+                if aug.anchor_index is not None:
+                    ref = anchored_scenario(s, aug.threshold_used, aug.anchor_index).reference
+                ref_mass = ref.probs
+            else:
+                rewards, ref_mass = s.rewards.values[ys], s.reference.probs
+                if mc.sampled_regularizer:
+                    active = np.flatnonzero(s.reference.support_mask)
+                    cdf = np.cumsum(np.exp(s.reference.log_weights[active]))
+                    cdf[-1] = 1.0
+                    ws = active[np.searchsorted(cdf, rng.random(ys.size), side="right")]
+                    ref_mass = np.bincount(ws, minlength=s.n) / ys.size
+            reg = ref_mass - fresh().probs()
+            reg[~fresh().support_mask] = 0.0
+            g = score_function_gradient(fresh(), ys, rewards) + spec.beta * reg
+        else:
+            ys = sample_policy(fresh(), rng, mc.batch)
+            rewards, ref_lp = s.rewards.values[ys], s.reference.log_weights[ys]
+            if cfg.mara is not None:
+                aug = augment_rewards(ys, s, cfg.mara)
+                anchors.append(aug.anchor_index)
+                rewards, ref_lp = aug.augmented_rewards, aug.augmented_ref_logprobs
+            coef = reverse_coefficients(fresh(), ys, rewards, ref_lp, spec.beta)
+            if spec.kind == "generalized" and spec.eta > 0:
+                coef = coef - spec.eta * fresh().log_probs()[ys]
+            g = score_function_gradient(fresh(), ys, _apply_baseline(coef, mc.baseline))
+        state, logits = adam_step(state, logits, g, cfg.learning_rate, *cfg.adam)
+        p, lp, active = fresh().probs(), fresh().log_probs(), fresh().support_mask
+        trace.append(StepRecord(
+            objective_value=exact_objective(fresh(), scenario, spec),
+            tv_to_target=float(0.5 * np.sum(np.abs(p - target.probs))),
+            entropy=float(-np.sum(p[active] * lp[active])),
+            above_threshold_mass=(
+                float(np.sum(p[s.rewards.values >= tau])) if tau is not None else None
+            ),
+        ))
+    return fresh().distribution(), trace, anchors, target
+
+
+_MARA = MaraConfig(Constant(MARA_TOY_TAU), beta=0.1)
+
+
+@pytest.mark.parametrize(
+    "scenario,objective,mode,mara",
+    [
+        ("fig2_two_mode", TargetSpec("reverse", 0.1), Exact(), None),
+        ("fig2_two_mode", TargetSpec("forward", 0.1), Exact(), None),
+        ("fig2_two_mode", TargetSpec("generalized", 0.1, 0.05), Exact(), None),
+        ("fig2_two_mode", TargetSpec("reverse", 0.1), MonteCarlo(32, "batch_mean"), None),
+        ("fig2_two_mode", TargetSpec("forward", 0.1), MonteCarlo(32), None),
+        ("fig2_two_mode", TargetSpec("forward", 0.1),
+         MonteCarlo(32, sampled_regularizer=True), None),
+        ("mara_toy", TargetSpec("reverse", 0.1), Exact(), _MARA),
+        ("mara_toy", TargetSpec("reverse", 0.1), MonteCarlo(32), _MARA),
+        ("mara_toy", TargetSpec("forward", 0.1), MonteCarlo(32), _MARA),
+        ("mara_toy", TargetSpec("forward", 0.1), MonteCarlo(32),
+         MaraConfig(BatchPercentile(0.5), beta=0.1)),
+    ],
+    ids=["exact-reverse", "exact-forward", "exact-generalized", "mc-reverse",
+         "mc-forward", "mc-forward-sampled", "exact-mara", "mc-mara-reverse",
+         "mc-mara-forward", "mc-mara-forward-percentile"],
+)
+def test_train_matches_fresh_policy_reference_bit_for_bit(scenario, objective, mode, mara):
+    s = scenario_by_name(scenario)
+    cfg = TrainConfig(objective, gradient_mode=mode, mara=mara, steps=60,
+                      learning_rate=0.05, seed=11)
+    result = train(s, cfg)
+    final, trace, anchors, target = _reference_train(s, cfg)
+    np.testing.assert_array_equal(result.final_policy.log_weights, final.log_weights)
+    np.testing.assert_array_equal(result.target.log_weights, target.log_weights)
+    assert result.trace == trace
+    assert result.anchor_history == anchors
