@@ -47,6 +47,7 @@ from .trainer import (
     exact_gradient,
     exact_objective,
     matching_step_sft,
+    mc_gradient,
     mc_gradient_forward,
     mc_gradient_reverse,
     train,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import io
 import time
 from dataclasses import dataclass, replace
@@ -228,7 +229,9 @@ def _tau_rule_str(cfg: Optional[MaraConfig]) -> str:
     return f"percentile:{rule.q:g}"
 
 
-def _run_cell(args) -> RunRecord:
+def _run_cell(args, modes: Optional[List[np.ndarray]] = None) -> RunRecord:
+    """Train one (scenario, config) cell; ``modes`` may carry the
+    scenario's :func:`mode_sets`, computed once for every cell of a sweep."""
     scenario, cfg = args
     meta = dict(
         scenario=scenario.name,
@@ -251,7 +254,8 @@ def _run_cell(args) -> RunRecord:
             status=f"failed: {type(exc).__name__}: {exc}", **meta,
         )
     wall_ms = int((time.perf_counter() - t0) * 1000)
-    modes = mode_sets(scenario)
+    if modes is None:
+        modes = mode_sets(scenario)
     policy = result.final_policy
     p = policy.probs
     mode_masses = [float(np.sum(p[m])) for m in modes[:2]]
@@ -290,11 +294,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> List[RunRecord]:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cells = list(_sweep_cells(spec))
+    run_cell = functools.partial(_run_cell, modes=mode_sets(spec.scenario))
     if workers == 1 or len(cells) == 1:
-        records = [_run_cell(c) for c in cells]
+        records = [run_cell(c) for c in cells]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_cell, cells))
+            records = list(pool.map(run_cell, cells))
     return sort_records(records)
 
 

@@ -81,18 +81,16 @@ def select_anchor(
     Ties on reference probability go to the earlier batch position
     (lowest_index) or to the higher reward, then earlier position.
     """
-    lref = s.reference.log_weights
+    idx = np.asarray(batch_indices, dtype=int)
     r = s.rewards.values
-    best = None
-    best_key = None
-    for y in batch_indices:
-        y = int(y)
-        if r[y] < threshold or not s.reference.support_mask[y]:
-            continue
-        key = (lref[y], r[y]) if tiebreak == HIGHEST_REWARD else (lref[y],)
-        if best_key is None or key > best_key:
-            best, best_key = y, key
-    return best
+    best = idx[(r[idx] >= threshold) & s.reference.support_mask[idx]]
+    if best.size == 0:
+        return None
+    lref = s.reference.log_weights[best]
+    best = best[lref == lref.max()]
+    if tiebreak == HIGHEST_REWARD:
+        best = best[r[best] == r[best].max()]
+    return int(best[0])
 
 
 def _augment(
@@ -136,6 +134,17 @@ def global_anchor(s: Scenario, tau: float, tiebreak: str = LOWEST_INDEX) -> Opti
     return select_anchor(np.arange(s.n), s, tau, tiebreak)
 
 
+def _anchored_mask(s: Scenario, tau: float, anchor: int) -> np.ndarray:
+    """Mask of the indices that share the anchor's treatment (reward at or
+    above ``tau``, on the reference support), after checking that the
+    anchor is one of them."""
+    if s.rewards.values[anchor] < tau:
+        raise InvalidAnchor("anchor reward below threshold")
+    if not s.reference.support_mask[anchor]:
+        raise InvalidAnchor("anchor has no reference mass")
+    return (s.rewards.values >= tau) & s.reference.support_mask
+
+
 def augmented_reward_vector(
     s: Scenario, beta: float, tau: float, anchor: int
 ) -> RewardVector:
@@ -144,13 +153,9 @@ def augmented_reward_vector(
     Masked indices keep their raw reward; they carry no reference mass,
     so the correction term is undefined (and irrelevant) there.
     """
-    if s.rewards.values[anchor] < tau:
-        raise InvalidAnchor("anchor reward below threshold")
-    if not s.reference.support_mask[anchor]:
-        raise InvalidAnchor("anchor has no reference mass")
+    qualifies = _anchored_mask(s, tau, anchor)
     lref = s.reference.log_weights
     r = s.rewards.values
-    qualifies = (r >= tau) & s.reference.support_mask
     values = np.where(qualifies, r[anchor] + beta * (lref[anchor] - lref), r)
     return RewardVector(values)
 
@@ -162,13 +167,9 @@ def anchored_scenario(s: Scenario, tau: float, anchor: int) -> Scenario:
     the reference is renormalized. This is the whole-support analogue of
     the reference-probability batch view.
     """
-    if s.rewards.values[anchor] < tau:
-        raise InvalidAnchor("anchor reward below threshold")
-    if not s.reference.support_mask[anchor]:
-        raise InvalidAnchor("anchor has no reference mass")
+    qualifies = _anchored_mask(s, tau, anchor)
     lref = s.reference.log_weights
     r = s.rewards.values
-    qualifies = (r >= tau) & s.reference.support_mask
     new_lref = np.where(qualifies, lref[anchor], lref)
     new_r = np.where(qualifies, r[anchor], r)
     return Scenario(
@@ -186,13 +187,9 @@ def mara_target(s: Scenario, beta: float, tau: float, anchor: int) -> Categorica
     """
     if not beta > 0:
         raise InvalidCoefficient("beta must be > 0")
-    if s.rewards.values[anchor] < tau:
-        raise InvalidAnchor("anchor reward below threshold")
-    if not s.reference.support_mask[anchor]:
-        raise InvalidAnchor("anchor has no reference mass")
+    qualifies = _anchored_mask(s, tau, anchor)
     lref = s.reference.log_weights
     r = s.rewards.values
     anchored_mass = lref[anchor] + r[anchor] / beta
-    lw = np.where(r >= tau, anchored_mass, lref + r / beta)
-    lw = np.where(s.reference.support_mask, lw, -np.inf)
-    return normalize(lw)
+    # masked indices keep their -inf reference log-mass
+    return normalize(np.where(qualifies, anchored_mass, lref + r / beta))

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import mara as mara_mod
-from .dist import Categorical, Scenario, _frozen, draw, inverse_cdf, normalize
+from .dist import Categorical, Scenario, _frozen, draw, inverse_cdf, normalize, sample
 from .errors import InfiniteDivergence, NonFiniteGradient
 from .mara import MaraConfig
 from .targets import TargetSpec, analytic_target, forward_kl_target
@@ -156,6 +156,29 @@ def kl_gradient_to_target(policy: SoftmaxPolicy, target: Categorical) -> np.ndar
 BASELINES = ("none", "batch_mean", "leave_one_out")
 
 
+@dataclass(frozen=True)
+class MonteCarlo:
+    """Monte-Carlo gradients from ``batch`` policy samples per step.
+
+    ``baseline`` applies to the reverse and generalized objectives only;
+    forward's reward term takes no baseline. ``sampled_regularizer``
+    estimates forward's reference mass from ``batch`` reference draws
+    instead of reading it exactly.
+    """
+
+    batch: int = 32
+    baseline: str = "batch_mean"
+    sampled_regularizer: bool = False
+
+    def __post_init__(self):
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
+        if self.baseline not in BASELINES:
+            raise ValueError(f"unknown baseline {self.baseline!r}")
+        if self.baseline == "leave_one_out" and self.batch < 2:
+            raise ValueError("leave_one_out needs batch >= 2")
+
+
 def _apply_baseline(coef: np.ndarray, baseline: str) -> np.ndarray:
     if baseline == "none":
         return coef
@@ -176,9 +199,7 @@ def score_function_gradient(
 ) -> np.ndarray:
     """Mean over the batch of coef_i * grad log p(y_i) in logit space."""
     p = policy.probs()
-    g = np.zeros(policy.n)
-    np.add.at(g, ys, coef)
-    g = g / ys.size - p * float(coef.mean())
+    g = np.bincount(ys, coef, policy.n) / ys.size - p * float(coef.mean())
     g[~policy.support_mask] = 0.0
     return g
 
@@ -205,58 +226,78 @@ def reverse_coefficients(
     return rewards - beta * (lp[ys] - ref_logprobs)
 
 
+def _empirical_mass(ws: np.ndarray, n: int) -> np.ndarray:
+    return np.bincount(ws, minlength=n) / ws.size
+
+
+def mc_gradient(
+    policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec, mc: MonteCarlo,
+    rng: np.random.Generator, mara: Optional[MaraConfig] = None,
+    ref_probs: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, Optional[int]]:
+    """Score-function estimate of :func:`exact_gradient` (unbiased without
+    ``mara``) from one batch of ``mc.batch`` policy samples drawn from
+    ``rng``; :func:`train` steps with it.
+
+    Reverse and generalized weight each score by r - beta log(p / ref)
+    (- eta log p), after ``mc.baseline``. Forward adds beta * (ref - p) to
+    the reward term, ref drawn from ``rng`` after the policy batch when
+    ``mc.sampled_regularizer`` is set. ``mara`` applies its batch view:
+    augmented rewards for reverse, the anchored reference for forward.
+    ``ref_probs`` may carry ``s.reference.probs``, computed once by the
+    caller. Returns the gradient and the batch's anchor (None if none).
+    """
+    ys = sample_policy(policy, rng, mc.batch)
+    anchor = None
+    if spec.kind == "forward":
+        rewards, ref = s.rewards.values[ys], s.reference
+        if mara is not None:
+            aug = mara_mod.augment_ref_view(ys, s, mara)
+            rewards, anchor = aug.augmented_rewards, aug.anchor_index
+            if anchor is not None:
+                ref = mara_mod.anchored_scenario(s, aug.threshold_used, anchor).reference
+        if mc.sampled_regularizer:
+            table = inverse_cdf(ref.log_weights, ref.support_mask)
+            ref_mass = _empirical_mass(draw(table, rng.random(ys.size)), s.n)
+        elif ref is s.reference and ref_probs is not None:
+            ref_mass = ref_probs
+        else:
+            ref_mass = ref.probs
+        reg = ref_mass - policy.probs()
+        reg[~policy.support_mask] = 0.0
+        return score_function_gradient(policy, ys, rewards) + spec.beta * reg, anchor
+    rewards, ref_lp = s.rewards.values[ys], s.reference.log_weights[ys]
+    if mara is not None:
+        aug = mara_mod.augment_rewards(ys, s, mara)
+        rewards, ref_lp = aug.augmented_rewards, aug.augmented_ref_logprobs
+        anchor = aug.anchor_index
+    coef = reverse_coefficients(policy, ys, rewards, ref_lp, spec.beta)
+    if spec.kind == "generalized" and spec.eta > 0:
+        coef = coef - spec.eta * policy.log_probs()[ys]
+    return score_function_gradient(policy, ys, _apply_baseline(coef, mc.baseline)), anchor
+
+
 def mc_gradient_reverse(
     policy: SoftmaxPolicy, s: Scenario, beta: float, batch: int,
     baseline: str, seed: int,
 ) -> np.ndarray:
-    """Score-function estimator of the reverse-KL-regularized gradient."""
+    """:func:`mc_gradient` for reverse KL on one batch drawn from ``seed``."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    ys = sample_policy(policy, rng, batch)
-    coef = reverse_coefficients(
-        policy, ys, s.rewards.values[ys], s.reference.log_weights[ys], beta
-    )
-    return score_function_gradient(policy, ys, _apply_baseline(coef, baseline))
+    spec, mc = TargetSpec("reverse", beta), MonteCarlo(batch, baseline)
+    return mc_gradient(policy, s, spec, mc, rng)[0]
 
 
 def mc_gradient_forward(
     policy: SoftmaxPolicy, s: Scenario, beta: float, batch: int, seed: int,
     sampled_regularizer: bool = False,
 ) -> np.ndarray:
-    """Reward term from policy samples; regularizer exact over the
-    reference (the reference is fully known here), or sampled from it
-    when ``sampled_regularizer`` is set."""
-    ss = np.random.SeedSequence(seed)
-    k1, k2 = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
-    rng = np.random.Generator(np.random.PCG64(k1))
-    ys = sample_policy(policy, rng, batch)
-    rewards = s.rewards.values[ys]
-    if not beta > 0:
-        return score_function_gradient(policy, ys, rewards)
-    if sampled_regularizer:
-        from .dist import sample as dist_sample
-
-        ref_mass = _empirical_mass(dist_sample(s.reference, k2, batch), policy.n)
-    else:
-        ref_mass = s.reference.probs
-    return _forward_gradient(policy, ys, rewards, beta, ref_mass)
-
-
-def _empirical_mass(ws: np.ndarray, n: int) -> np.ndarray:
-    counts = np.zeros(n)
-    np.add.at(counts, ws, 1.0)
-    return counts / ws.size
-
-
-def _forward_gradient(
-    policy: SoftmaxPolicy, ys: np.ndarray, rewards: np.ndarray, beta: float,
-    ref_mass: np.ndarray,
-) -> np.ndarray:
-    """Score-function reward term plus the forward-KL regularizer
-    beta * (ref_mass - p), zero off the policy's support."""
-    g = score_function_gradient(policy, ys, rewards)
-    reg = ref_mass - policy.probs()
-    reg[~policy.support_mask] = 0.0
-    return g + beta * reg
+    """:func:`mc_gradient` for forward KL on one batch drawn from ``seed``;
+    the regularizer is exact, or sampled from the same stream when
+    ``sampled_regularizer`` is set."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    spec = TargetSpec("forward", beta)
+    mc = MonteCarlo(batch, sampled_regularizer=sampled_regularizer)
+    return mc_gradient(policy, s, spec, mc, rng)[0]
 
 
 def matching_step_sft(
@@ -264,9 +305,7 @@ def matching_step_sft(
 ) -> np.ndarray:
     """Estimated gradient of KL(target || policy): the negative mean of
     grad log p over target samples (maximum likelihood on target draws)."""
-    from .dist import sample as dist_sample
-
-    g = policy.probs() - _empirical_mass(dist_sample(target, seed, batch), policy.n)
+    g = policy.probs() - _empirical_mass(sample(target, seed, batch), policy.n)
     g[~policy.support_mask] = 0.0
     return g
 
@@ -307,21 +346,6 @@ class Exact:
     pass
 
 
-@dataclass(frozen=True)
-class MonteCarlo:
-    batch: int = 32
-    baseline: str = "batch_mean"
-    sampled_regularizer: bool = False
-
-    def __post_init__(self):
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.baseline not in BASELINES:
-            raise ValueError(f"unknown baseline {self.baseline!r}")
-        if self.baseline == "leave_one_out" and self.batch < 2:
-            raise ValueError("leave_one_out needs batch >= 2")
-
-
 GradientMode = Union[Exact, MonteCarlo]
 
 
@@ -340,6 +364,12 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.mara is not None and self.objective.kind == "generalized":
             raise ValueError("augmentation is defined for reverse and forward only")
+        mode = self.gradient_mode
+        sampled = isinstance(mode, MonteCarlo) and mode.sampled_regularizer
+        if self.mara is not None and self.objective.kind == "forward" and sampled:
+            # the anchored reference is built from the full reference, so
+            # drawing its mass would only add variance
+            raise ValueError("augmentation needs the exact forward regularizer")
 
 
 @dataclass(frozen=True)
@@ -378,25 +408,23 @@ def _resolve_anchor(
     return tau, mara_mod.global_anchor(s, tau, cfg.anchor_tiebreak)
 
 
-def _training_target(
+def _training_problem(
     s: Scenario, spec: TargetSpec, tau: Optional[float], anchor: Optional[int]
-) -> Categorical:
+) -> Tuple[Categorical, Scenario]:
+    """The target ``train()`` converges to, and the scenario its exact
+    gradient and traced objective use: ``s`` itself without an anchor,
+    else the augmented rewards (reverse) or the anchored scenario
+    (forward)."""
     if anchor is None:
-        return analytic_target(s, spec)
-    if spec.kind == "reverse":
-        return mara_mod.mara_target(s, spec.beta, tau, anchor)
-    return forward_kl_target(mara_mod.anchored_scenario(s, tau, anchor), spec.beta).distribution
-
-
-def _exact_train_scenario(
-    s: Scenario, spec: TargetSpec, tau: Optional[float], anchor: Optional[int]
-) -> Scenario:
-    if anchor is None:
-        return s
+        return analytic_target(s, spec), s
     if spec.kind == "reverse":
         rewards = mara_mod.augmented_reward_vector(s, spec.beta, tau, anchor)
-        return Scenario(s.reference, rewards, name=f"{s.name}__augmented")
-    return mara_mod.anchored_scenario(s, tau, anchor)
+        return (
+            mara_mod.mara_target(s, spec.beta, tau, anchor),
+            Scenario(s.reference, rewards, name=f"{s.name}__augmented"),
+        )
+    anchored = mara_mod.anchored_scenario(s, tau, anchor)
+    return forward_kl_target(anchored, spec.beta).distribution, anchored
 
 
 def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
@@ -409,9 +437,8 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
 
     # what does not change from step to step is computed once, here
     tau, global_anchor = _resolve_anchor(s, cfg.mara)
-    target = _training_target(s, spec, tau, global_anchor)
+    target, train_scenario = _training_problem(s, spec, tau, global_anchor)
     target_probs = target.probs
-    train_scenario = _exact_train_scenario(s, spec, tau, global_anchor)
     above_set = (s.rewards.values >= tau) if tau is not None else None
 
     trace: List[StepRecord] = []
@@ -426,33 +453,11 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
 
     for _ in range(cfg.steps):
         if mc is None:
-            gradient = exact_gradient(policy, train_scenario, spec)
-            if cfg.mara is not None:
-                anchors.append(global_anchor)
+            gradient, anchor = exact_gradient(policy, train_scenario, spec), global_anchor
         else:
-            ys = sample_policy(policy, rng, mc.batch)
-            if cfg.mara is not None:
-                gradient, anchor = _mc_mara_gradient(policy, s, cfg, mc, ys)
-                anchors.append(anchor)
-            elif spec.kind == "forward":
-                if mc.sampled_regularizer:
-                    table = inverse_cdf(s.reference.log_weights, s.reference.support_mask)
-                    ref_mass = _empirical_mass(draw(table, rng.random(ys.size)), s.n)
-                else:
-                    ref_mass = ref_probs
-                gradient = _forward_gradient(
-                    policy, ys, s.rewards.values[ys], spec.beta, ref_mass
-                )
-            else:
-                coef = reverse_coefficients(
-                    policy, ys, s.rewards.values[ys],
-                    s.reference.log_weights[ys], spec.beta,
-                )
-                if spec.kind == "generalized" and spec.eta > 0:
-                    coef = coef - spec.eta * policy.log_probs()[ys]
-                gradient = score_function_gradient(
-                    policy, ys, _apply_baseline(coef, mc.baseline)
-                )
+            gradient, anchor = mc_gradient(policy, s, spec, mc, rng, cfg.mara, ref_probs)
+        if cfg.mara is not None:
+            anchors.append(anchor)
         state, logits = adam_step(
             state, policy.logits, gradient, cfg.learning_rate, b1, b2, eps
         )
@@ -476,22 +481,3 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
         anchor_history=anchors, target=target,
     )
 
-
-def _mc_mara_gradient(policy, s, cfg: TrainConfig, mc: MonteCarlo, ys):
-    spec = cfg.objective
-    if spec.kind == "reverse":
-        aug = mara_mod.augment_rewards(ys, s, cfg.mara)
-        coef = reverse_coefficients(
-            policy, ys, aug.augmented_rewards, aug.augmented_ref_logprobs, spec.beta
-        )
-        g = score_function_gradient(policy, ys, _apply_baseline(coef, mc.baseline))
-        return g, aug.anchor_index
-    aug = mara_mod.augment_ref_view(ys, s, cfg.mara)
-    if aug.anchor_index is not None:
-        ref = mara_mod.anchored_scenario(s, aug.threshold_used, aug.anchor_index).reference
-    else:
-        ref = s.reference
-    return (
-        _forward_gradient(policy, ys, aug.augmented_rewards, spec.beta, ref.probs),
-        aug.anchor_index,
-    )

@@ -68,6 +68,42 @@ def test_select_anchor_tiebreaks():
     assert select_anchor([0, 1], s, 0.5, tiebreak="highest_reward") == 1
 
 
+def _select_anchor_loop(batch_indices, s, threshold, tiebreak):
+    """Reference for select_anchor: one pass over the batch, keeping the
+    first member with the strictly best (log ref[, reward]) key."""
+    lref = s.reference.log_weights
+    r = s.rewards.values
+    best = best_key = None
+    for y in batch_indices:
+        y = int(y)
+        if r[y] < threshold or not s.reference.support_mask[y]:
+            continue
+        key = (lref[y], r[y]) if tiebreak == "highest_reward" else (lref[y],)
+        if best_key is None or key > best_key:
+            best, best_key = y, key
+    return best
+
+
+def test_select_anchor_matches_reference_loop():
+    # few distinct masses and rewards, so reference and reward ties are
+    # common; zero masses are masked indices
+    rng = np.random.Generator(np.random.PCG64(74))
+    anchors = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 13))
+        masses = rng.choice([0.0, 1.0, 2.0, 3.0], size=n)
+        masses[rng.integers(n)] = 1.0
+        s = make_scenario(masses, rng.choice([0.0, 0.5, 1.0], size=n))
+        batches = [rng.integers(0, n, size=int(rng.integers(1, 20))), np.arange(n)]
+        for batch in batches:
+            for tau in (0.0, 0.5, 1.0, 2.0):
+                for tiebreak in ("lowest_index", "highest_reward"):
+                    expected = _select_anchor_loop(batch, s, tau, tiebreak)
+                    assert select_anchor(batch, s, tau, tiebreak) == expected
+                    anchors.add(expected)
+    assert None in anchors and len(anchors) > 5
+
+
 def test_augment_rewards_hand_example():
     s = hand_scenario()
     batch = augment_rewards([0, 1, 2], s, CFG)

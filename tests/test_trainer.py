@@ -37,6 +37,7 @@ from kllab.trainer import (
     exact_objective,
     kl_gradient_to_target,
     matching_step_sft,
+    mc_gradient,
     mc_gradient_forward,
     mc_gradient_reverse,
     reverse_coefficients,
@@ -286,6 +287,31 @@ def test_mc_forward_regularizer_variants():
     assert np.all(np.isfinite(exact_reg))
 
 
+@pytest.mark.parametrize(
+    "spec,mc",
+    [
+        (TargetSpec("reverse", 0.5), MonteCarlo(16, "batch_mean")),
+        (TargetSpec("forward", 0.5), MonteCarlo(16)),
+        (TargetSpec("forward", 0.5), MonteCarlo(16, sampled_regularizer=True)),
+        (TargetSpec("generalized", 0.5, 0.3), MonteCarlo(16, "leave_one_out")),
+    ],
+    ids=["reverse", "forward", "forward-sampled", "generalized"],
+)
+def test_mc_gradient_is_unbiased(spec, mc):
+    # one stream for every batch, as train() draws them
+    rng = np.random.Generator(np.random.PCG64(910))
+    s = make_scenario(rng.uniform(0.5, 2.0, 10), rng.uniform(-1, 1, 10))
+    policy = SoftmaxPolicy(rng.uniform(-1, 1, 10))
+    trials = 20_000
+    grads = np.empty((trials, s.n))
+    for i in range(trials):
+        grads[i], anchor = mc_gradient(policy, s, spec, mc, rng)
+        assert anchor is None
+    se = grads.std(axis=0, ddof=1) / np.sqrt(trials)
+    z = np.abs(grads.mean(axis=0) - exact_gradient(policy, s, spec)) / se
+    assert np.all(z <= 3.5), z
+
+
 def test_matching_step_sft_point_mass_target():
     target = make_scenario([0.0, 1.0], [0, 0]).reference
     policy = uniform_policy(2)
@@ -346,6 +372,11 @@ def test_train_config_validation():
         MonteCarlo(batch=1, baseline="leave_one_out")
     with pytest.raises(ValueError):
         MonteCarlo(baseline="oracle")
+    # augmentation anchors the full reference, so forward keeps the exact regularizer
+    with pytest.raises(ValueError):
+        TrainConfig(TargetSpec("forward", 0.5),
+                    gradient_mode=MonteCarlo(sampled_regularizer=True),
+                    mara=MaraConfig(Constant(0.5), beta=0.5))
 
 
 def test_train_trace_length_matches_steps(two_point):
