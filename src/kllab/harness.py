@@ -121,6 +121,35 @@ def builtin_scenarios() -> List[Scenario]:
     ]
 
 
+# every peak's run is first searched this deep on each side in one gather;
+# the few runs that reach further are finished one peak at a time
+_RUN_WINDOW = 16
+_RUN_STEPS = np.array([[-1], [1]]) * np.arange(1, _RUN_WINDOW + 1)
+
+
+def _run_reach(padded: np.ndarray, peaks: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """How many indices left and right of each peak stay above its cut.
+
+    ``padded`` carries ``_RUN_WINDOW`` entries of ``-inf`` on each side,
+    so every run stops inside it. A run longer than the window is
+    searched in windows that double, so a peak costs in proportion to
+    its run's length, not to the size of the array.
+    """
+    stops = padded[peaks[:, None, None] + _RUN_STEPS] <= cut[:, None, None]
+    reach = np.argmax(stops, axis=2)
+    for k, side in np.argwhere(~stops.any(axis=2)):
+        p = peaks[k]
+        beyond = padded[p + 1:] if side else padded[p - 1::-1]
+        width = _RUN_WINDOW
+        while True:
+            width *= 2
+            below = np.flatnonzero(beyond[:width] <= cut[k])
+            if below.size:
+                reach[k, side] = below[0]
+                break
+    return reach
+
+
 def mode_sets(s: Scenario, floor_frac: float = 0.3) -> List[np.ndarray]:
     """Index sets of the reward modes, in index order.
 
@@ -130,30 +159,21 @@ def mode_sets(s: Scenario, floor_frac: float = 0.3) -> List[np.ndarray]:
     """
     r = s.rewards.values
     floor = floor_frac * float(np.max(r))
-    peaks = []
-    for i in range(r.size):
-        left = r[i - 1] if i > 0 else -np.inf
-        right = r[i + 1] if i < r.size - 1 else -np.inf
-        if r[i] >= floor and r[i] >= left and r[i] > right:
-            peaks.append(i)
-    sets = []
-    for p in peaks:
-        cut = 0.5 * r[p]
-        lo = p
-        while lo > 0 and r[lo - 1] > cut:
-            lo -= 1
-        hi = p
-        while hi < r.size - 1 and r[hi + 1] > cut:
-            hi += 1
-        sets.append(np.arange(lo, hi + 1))
-    # merge overlapping runs (plateaus produce duplicate peaks)
-    merged: List[np.ndarray] = []
-    for run in sets:
-        if merged and run[0] <= merged[-1][-1]:
-            merged[-1] = np.arange(merged[-1][0], max(merged[-1][-1], run[-1]) + 1)
-        else:
-            merged.append(run)
-    return merged
+    w = _RUN_WINDOW
+    pad = np.full(w, -np.inf)
+    padded = np.concatenate((pad, r, pad))
+    left, right = padded[w - 1:w - 1 + r.size], padded[w + 1:w + 1 + r.size]
+    peaks = np.flatnonzero((r >= floor) & (r >= left) & (r > right))
+    if peaks.size == 0:
+        return []
+    reach = _run_reach(padded, peaks + w, 0.5 * r[peaks])
+    lo, hi = peaks - reach[:, 0], peaks + reach[:, 1]
+    # merge overlapping runs (plateaus produce duplicate peaks): a run
+    # opens a new set when it starts past the end of every earlier run
+    past = lo[1:] > np.maximum.accumulate(hi)[:-1]
+    opens = np.flatnonzero(np.concatenate(([True], past)))
+    ends = np.maximum.reduceat(hi, opens)
+    return [np.arange(a, b + 1) for a, b in zip(lo[opens].tolist(), ends.tolist())]
 
 
 def answer_entropy(policy: Categorical, partition: Sequence[np.ndarray]) -> float:

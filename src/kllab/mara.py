@@ -107,7 +107,9 @@ def _augment(
         return AugmentedBatch(idx, raw, raw.copy(), None, tau, lref.copy())
     lref_z = s.reference.log_weights[anchor]
     r_z = s.rewards.values[anchor]
-    qualifies = raw >= tau
+    # as in anchored_scenario: indices off the reference support keep
+    # their raw reward
+    qualifies = (raw >= tau) & s.reference.support_mask[idx]
     if ref_view:
         aug_r = np.where(qualifies, r_z, raw)
         aug_lref = np.where(qualifies, lref_z, lref)

@@ -103,20 +103,37 @@ def _on_support_mass(lam: float, beta: float, ref_probs, rewards) -> float:
 
 
 def _solve_lambda(beta: float, ref_probs, rewards, lower: float) -> float:
-    """Bisect for the multiplier on the strictly decreasing mass map.
+    """Root of the on-support mass map ``F(lam) = sum(beta * ref / (lam - R))``
+    above ``lower``, by safeguarded Newton.
 
     ``lower`` is the infimum of admissible multipliers (mass -> inf or
     already >= 1 there); the bracket ceiling ``lower + beta + 1`` always
-    has mass < 1 because the reference masses sum to 1.
+    has mass < 1 because the reference masses sum to 1. At an open lower
+    end the bracket steps inside until F >= 1 and never evaluates F at
+    ``lower`` itself, where it is infinite.
+
+    F is convex and strictly decreasing on ``(lower, inf)``, so
+    ``g = 1/F - 1`` is concave and increasing there: Newton on g started
+    at the lower bracket end climbs monotonically to the root. An iterate
+    that leaves the bracket or is not finite is replaced by a bisection
+    step. Every evaluation narrows the bracket ``F(lo) > 1 >= F(hi)``;
+    once Newton stops moving, steps of ``np.nextafter`` (doubling in
+    length where F is flat over several floats) close it to adjacent
+    floats. The result ``0.5 * (lo + hi)`` is therefore the
+    float that bisecting the same bracket to the end returns, since the
+    computed F is monotone in ``lam``.
     """
+    w = beta * ref_probs
     lo = lower
     hi = lower + beta + 1.0
     eps = 1e-12 * max(1.0, abs(lower))
-    if np.any(rewards >= lower):
-        # open lower end (mass diverges at lower): step inside until >= 1
+    open_end = bool(np.any(rewards >= lower))
+    if open_end:
+        # mass diverges at lower: step inside until >= 1
         lo = lower + eps
         tries = 0
-        while _on_support_mass(lo, beta, ref_probs, rewards) < 1.0:
+        while lo > lower and _on_support_mass(lo, beta, ref_probs, rewards) < 1.0:
+            hi = lo  # F < 1 here as well: a closer ceiling
             eps *= 0.25
             lo = lower + eps
             tries += 1
@@ -129,15 +146,50 @@ def _solve_lambda(beta: float, ref_probs, rewards, lower: float) -> float:
             tries += 1
             if tries > 60:
                 raise SolverFailure("could not bracket the multiplier from above")
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _on_support_mass(mid, beta, ref_probs, rewards) > 1.0:
-            lo = mid
+    # Newton cannot start where F is infinite; a bisection step comes first
+    x = None if open_end and lo == lower else lo
+    crawl = 0
+    while np.nextafter(lo, hi) < hi:
+        if x is None:
+            x = 0.5 * (lo + hi)
+        gap = x - rewards
+        q = w / gap
+        f = float(np.sum(q))
+        # x is lo only at the start, which stays the bracket's lower end
+        # even where F(lo) is exactly 1
+        if x > lo:
+            if f > 1.0:
+                lo = x
+            else:
+                hi = x
+        nxt = x + f * (f - 1.0) / float(np.sum(q / gap))
+        if nxt == x:
+            # Newton has stopped moving (F is flat to the last bit here):
+            # step toward the open side, one float and then twice as far
+            # each time, until the bracket closes
+            ulp = np.nextafter(x, hi if x == lo else lo) - x
+            nxt = x + ulp * 2.0 ** crawl
+            crawl += 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            crawl = 0
+        x = nxt if lo < nxt < hi else None
+    return float(0.5 * (lo + hi))
+
+
+def _on_support_masses(lam: float, beta: float, ref_probs, rewards) -> np.ndarray:
+    """``beta * ref / (lam - R)``. Indices where ``lam - R`` rounds to 0
+    (``lam`` within a float of the best reward) share the mass the others
+    leave, in proportion to their reference mass."""
+    gap = lam - rewards
+    tied = gap == 0.0
+    if not np.any(tied):
+        return beta * ref_probs / gap
+    masses = np.zeros(gap.size)
+    free = ~tied
+    masses[free] = beta * ref_probs[free] / gap[free]
+    leftover = max(0.0, 1.0 - float(np.sum(masses)))
+    masses[tied] = leftover * ref_probs[tied] / np.sum(ref_probs[tied])
+    return masses
 
 
 def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
@@ -169,14 +221,14 @@ def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
             boundary = True
             off_mass = 1.0 - z_out
             argmax_out = off & (s.rewards.values == r_max_out)
-            masses[mask] = beta * ref_probs / (lam - r_on)
+            masses[mask] = _on_support_masses(lam, beta, ref_probs, r_on)
             masses[argmax_out] = off_mass / np.count_nonzero(argmax_out)
         else:
             lam = _solve_lambda(beta, ref_probs, r_on, r_max_out)
-            masses[mask] = beta * ref_probs / (lam - r_on)
+            masses[mask] = _on_support_masses(lam, beta, ref_probs, r_on)
     else:
         lam = _solve_lambda(beta, ref_probs, r_on, r_max_in)
-        masses[mask] = beta * ref_probs / (lam - r_on)
+        masses[mask] = _on_support_masses(lam, beta, ref_probs, r_on)
 
     with np.errstate(divide="ignore"):
         dist = normalize(np.log(masses))

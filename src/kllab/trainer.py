@@ -89,8 +89,14 @@ def uniform_policy(n: int, support_mask=None) -> SoftmaxPolicy:
 # exact objective and gradients
 
 
-def exact_objective(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> float:
-    """Expected reward minus the exact regularizer, by full summation."""
+def exact_objective(
+    policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec,
+    ref_probs: Optional[np.ndarray] = None,
+) -> float:
+    """Expected reward minus the exact regularizer, by full summation.
+
+    ``ref_probs`` may carry ``s.reference.probs``, computed once by the
+    caller (forward KL reads it)."""
     p = policy.probs()
     lp = policy.log_probs()
     lref = s.reference.log_weights
@@ -108,12 +114,19 @@ def exact_objective(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> flo
         if np.any(s.reference.support_mask & ~policy.support_mask):
             raise InfiniteDivergence("reference mass outside the policy support")
         m = s.reference.support_mask
-        value -= spec.beta * float(np.sum(np.exp(lref[m]) * (lref[m] - lp[m])))
+        ref = s.reference.probs if ref_probs is None else ref_probs
+        value -= spec.beta * float(np.sum(ref[m] * (lref[m] - lp[m])))
     return value
 
 
-def exact_gradient(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> np.ndarray:
-    """Analytic gradient of the objective with respect to the logits."""
+def exact_gradient(
+    policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec,
+    ref_probs: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Analytic gradient of the objective with respect to the logits.
+
+    ``ref_probs`` may carry ``s.reference.probs``, computed once by the
+    caller (forward KL reads it)."""
     p = policy.probs()
     lp = policy.log_probs()
     lref = s.reference.log_weights
@@ -124,7 +137,8 @@ def exact_gradient(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> np.n
         if np.any(s.reference.support_mask & ~m):
             raise InfiniteDivergence("reference mass outside the policy support")
         g[m] = p[m] * (r[m] - float(np.sum(p * r)))
-        g[m] += spec.beta * (s.reference.probs[m] - p[m])
+        ref = s.reference.probs if ref_probs is None else ref_probs
+        g[m] += spec.beta * (ref[m] - p[m])
         return g
     if spec.beta > 0 and np.any(m & ~s.reference.support_mask):
         raise InfiniteDivergence("policy mass outside the reference support")
@@ -448,14 +462,22 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
     rng = (
         np.random.Generator(np.random.PCG64(cfg.seed)) if mc is not None else None
     )
-    # the MC forward regularizer's reference mass, unless drawn each step
-    ref_probs = s.reference.probs if mc is not None and spec.kind == "forward" else None
+    # forward KL's reference mass: the training scenario's (anchored under
+    # MARA) for the exact gradient and the traced objective, the raw
+    # scenario's for the MC regularizer, whose batches pick their own anchor
+    ref_probs = mc_ref_probs = None
+    if spec.kind == "forward":
+        ref_probs = train_scenario.reference.probs
+        mc_ref_probs = ref_probs if train_scenario is s else s.reference.probs
 
     for _ in range(cfg.steps):
         if mc is None:
-            gradient, anchor = exact_gradient(policy, train_scenario, spec), global_anchor
+            gradient = exact_gradient(policy, train_scenario, spec, ref_probs)
+            anchor = global_anchor
         else:
-            gradient, anchor = mc_gradient(policy, s, spec, mc, rng, cfg.mara, ref_probs)
+            gradient, anchor = mc_gradient(
+                policy, s, spec, mc, rng, cfg.mara, mc_ref_probs
+            )
         if cfg.mara is not None:
             anchors.append(anchor)
         state, logits = adam_step(
@@ -468,7 +490,9 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
         active = policy.support_mask
         trace.append(
             StepRecord(
-                objective_value=exact_objective(policy, train_scenario, spec),
+                objective_value=exact_objective(
+                    policy, train_scenario, spec, ref_probs
+                ),
                 tv_to_target=float(0.5 * np.sum(np.abs(p - target_probs))),
                 entropy=float(-np.sum(p[active] * lp[active])),
                 above_threshold_mass=(

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from conftest import make_scenario
 from kllab.errors import InvalidPartition
 from kllab.harness import (
     CSV_COLUMNS,
+    SCENARIO_CONFIGS,
     EXACT_SEED,
     RunRecord,
     SweepSpec,
@@ -21,6 +23,7 @@ from kllab.harness import (
     scenario_by_name,
     summary_checks,
 )
+from kllab.scenario_io import scenario_from_dict
 from kllab.targets import TargetSpec, flip_beta
 from kllab.trainer import Exact, MonteCarlo, TrainConfig
 
@@ -68,6 +71,85 @@ def test_mode_sets_are_disjoint_index_runs():
     assert len(modes) == 2
     assert 18 in modes[0] and 38 in modes[1]
     assert not set(modes[0].tolist()) & set(modes[1].tolist())
+
+
+def _loop_mode_sets(s, floor_frac=0.3):
+    """The per-index loop that mode_sets replaced, kept as its oracle."""
+    r = s.rewards.values
+    floor = floor_frac * float(np.max(r))
+    peaks = []
+    for i in range(r.size):
+        left = r[i - 1] if i > 0 else -np.inf
+        right = r[i + 1] if i < r.size - 1 else -np.inf
+        if r[i] >= floor and r[i] >= left and r[i] > right:
+            peaks.append(i)
+    sets = []
+    for p in peaks:
+        cut = 0.5 * r[p]
+        lo = p
+        while lo > 0 and r[lo - 1] > cut:
+            lo -= 1
+        hi = p
+        while hi < r.size - 1 and r[hi + 1] > cut:
+            hi += 1
+        sets.append(np.arange(lo, hi + 1))
+    merged = []
+    for run in sets:
+        if merged and run[0] <= merged[-1][-1]:
+            merged[-1] = np.arange(merged[-1][0], max(merged[-1][-1], run[-1]) + 1)
+        else:
+            merged.append(run)
+    return merged
+
+
+def _assert_same_sets(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def test_mode_sets_matches_reference_loop():
+    rng = np.random.Generator(np.random.PCG64(4))
+    seen = {"no modes": 0, "three or more": 0, "edge peak": 0, "run over 32": 0}
+    for trial in range(3000):
+        n = int(rng.integers(1, 61))
+        kind = trial % 5
+        if kind == 0:  # integers: plateaus and ties
+            r = rng.integers(-2, 5, size=n).astype(float)
+        elif kind == 1:  # runs of repeated values
+            r = np.repeat(rng.integers(-1, 4, size=n), rng.integers(1, 6, size=n))
+            r = r[:n].astype(float)
+        elif kind == 2:  # smooth bumps, wide or wholly negative ones too
+            r = np.sin(np.arange(n) / rng.uniform(0.3, 20.0)) * rng.uniform(0.1, 5.0)
+            r += rng.uniform(-6.0, 6.0)
+        elif kind == 3:
+            r = rng.normal(size=n) - rng.uniform(0.0, 2.0)
+        else:  # positive noise: runs of low peaks that swallow higher ones
+            r = rng.random(size=n)
+        if rng.random() < 0.2:
+            r[0] = r[-1] = np.max(r) + 1.0
+        s = make_scenario(np.full(n, 1.0 / n), r)
+        expected = _loop_mode_sets(s)
+        _assert_same_sets(mode_sets(s), expected)
+        seen["no modes"] += not expected
+        seen["three or more"] += len(expected) >= 3
+        seen["edge peak"] += any(m[0] == 0 or m[-1] == n - 1 for m in expected)
+        seen["run over 32"] += any(m.size > 32 for m in expected)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_mode_sets_matches_reference_loop_on_wide_fig2():
+    cfg = copy.deepcopy(SCENARIO_CONFIGS["fig2_two_mode"])
+    k = 32768 / cfg["n"]
+    cfg["n"] = 32768
+    cfg["reference"]["decay"] /= k
+    for key in ("centers", "widths"):
+        cfg["rewards"][key] = [x * k for x in cfg["rewards"][key]]
+    s = scenario_from_dict(cfg)
+    modes = mode_sets(s)
+    assert len(modes) == 2 and min(m.size for m in modes) > 1000
+    _assert_same_sets(modes, _loop_mode_sets(s))
 
 
 def test_answer_entropy_values():

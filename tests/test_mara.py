@@ -4,6 +4,7 @@ import pytest
 from conftest import make_scenario, random_scenario
 from kllab.dist import RewardVector, Scenario, normalize
 from kllab.errors import InvalidAnchor, InvalidCoefficient
+from kllab.harness import scenario_by_name
 from kllab.mara import (
     BatchPercentile,
     Constant,
@@ -135,6 +136,22 @@ def test_below_threshold_transparency():
     batch = augment_rewards([0, 1, 2, 3], s, cfg)
     assert batch.anchor_index is None
     np.testing.assert_array_equal(batch.augmented_rewards, batch.raw_rewards)
+
+
+def test_augment_leaves_off_support_members_raw():
+    # index 68 of fwd_off_support has reward 0.726 >= tau but no reference
+    # mass; like anchored_scenario, both batch views keep its raw reward
+    s = scenario_by_name("fwd_off_support")
+    assert not s.reference.support_mask[68]
+    assert s.rewards.values[68] == pytest.approx(0.726, abs=5e-4)
+    cfg = MaraConfig(Constant(0.5), beta=0.1)
+    ref_batch = augment_ref_view([18, 68], s, cfg)
+    assert ref_batch.anchor_index == 18
+    assert ref_batch.augmented_rewards[1] == s.rewards.values[68]
+    assert ref_batch.augmented_ref_logprobs[1] == -np.inf
+    assert augment_rewards([18, 68], s, cfg).augmented_rewards[1] == s.rewards.values[68]
+    anchored = anchored_scenario(s, 0.5, 18)
+    assert anchored.rewards.values[68] == ref_batch.augmented_rewards[1]
 
 
 def test_augment_duplicates_share_anchor():

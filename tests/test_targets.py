@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario, random_scenario
-from kllab.errors import InvalidCoefficient, NoFiniteFlip, UndefinedRatio
+from kllab.dist import RewardVector, Scenario, from_probs, normalize
+from kllab.errors import InvalidCoefficient, NoFiniteFlip, SolverFailure, UndefinedRatio
 from kllab.targets import (
     TargetSpec,
     analytic_target,
@@ -153,6 +156,128 @@ def test_forward_stationarity_random():
         assert sol.lam > np.max(s.rewards.values[m])
         checked += 1
     assert checked >= 50
+
+
+def test_forward_lambda_within_a_float_of_the_best_reward():
+    # beta * ref at the best reward is 1e-16, so lam - R rounds to 0 there:
+    # that index takes the mass the others leave
+    s = Scenario(from_probs([0.5, 0.5, 1e-12]), RewardVector([0.0, 0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = forward_kl_target(s, beta=1e-4)
+    g = sol.distribution.probs
+    assert g.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(g, [5e-5, 5e-5, 0.9999], rtol=1e-9)
+    stat = s.rewards.values[:2] + 1e-4 * s.reference.probs[:2] / g[:2]
+    np.testing.assert_allclose(stat, sol.lam, rtol=0, atol=1e-8)
+
+
+def _mass(lam, beta, ref_probs, rewards):
+    return float(np.sum(beta * ref_probs / (lam - rewards)))
+
+
+def _bisect_lambda(beta, ref_probs, rewards, lower):
+    """The bisection that the Newton solver replaced, kept as its oracle."""
+    lo = lower
+    hi = lower + beta + 1.0
+    eps = 1e-12 * max(1.0, abs(lower))
+    if np.any(rewards >= lower):
+        lo = lower + eps
+        tries = 0
+        while _mass(lo, beta, ref_probs, rewards) < 1.0:
+            eps *= 0.25
+            lo = lower + eps
+            tries += 1
+            if tries > 60:
+                raise SolverFailure("could not bracket the multiplier from below")
+    if _mass(hi, beta, ref_probs, rewards) >= 1.0:
+        tries = 0
+        while _mass(hi, beta, ref_probs, rewards) >= 1.0:
+            hi = lower + (hi - lower) * 2.0
+            tries += 1
+            if tries > 60:
+                raise SolverFailure("could not bracket the multiplier from above")
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if _mass(mid, beta, ref_probs, rewards) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _multiplier_problem(s, beta):
+    """``(ref_probs, rewards, lower)`` of the multiplier solve, or None in
+    the boundary regime, where the multiplier is pinned."""
+    m = s.reference.support_mask
+    ref_probs, r_on = s.reference.probs[m], s.rewards.values[m]
+    r_out = np.max(s.rewards.values[~m], initial=-np.inf)
+    if r_out <= np.max(r_on):
+        return ref_probs, r_on, float(np.max(r_on))
+    if _mass(r_out, beta, ref_probs, r_on) < 1.0:
+        return None
+    return ref_probs, r_on, float(r_out)
+
+
+def _forward_case(rng):
+    n = 1 if rng.random() < 0.05 else int(rng.integers(2, 40))
+    lw = rng.uniform(-30.0 if rng.random() < 0.3 else -4.0, 2.0, size=n)
+    if n > 1 and rng.random() < 0.5:
+        lw[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = -np.inf
+    rewards = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.uniform(-2.0, 4.0)
+    if rng.random() < 0.3:
+        rewards = np.round(rewards)  # ties
+    beta = float(10.0 ** rng.uniform(-4.0, 3.0))
+    s = Scenario(normalize(lw), RewardVector(rewards))
+    off = np.flatnonzero(~s.reference.support_mask)
+    if off.size and rng.random() < 0.5:
+        # put the best off-support reward at the on-support multiplier,
+        # give or take a little: the boundary/interior switch
+        on_only = Scenario(s.reference, RewardVector(np.where(
+            s.reference.support_mask, rewards, np.min(rewards) - 1.0)))
+        lam = forward_kl_target(on_only, beta).lam
+        rewards = rewards.copy()
+        rewards[off[0]] = lam + lam * 1e-15 * float(rng.integers(-3, 4))
+        s = Scenario(s.reference, RewardVector(rewards))
+    return s, beta
+
+
+def test_forward_lambda_matches_bisection_and_brentq():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.Generator(np.random.PCG64(17))
+    counts = {"interior": 0, "solved above an off-support reward": 0, "boundary": 0}
+    for _ in range(1500):
+        s, beta = _forward_case(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = forward_kl_target(s, beta)
+        assert sol.distribution.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        problem = _multiplier_problem(s, beta)
+        if problem is None:
+            assert sol.boundary_case
+            counts["boundary"] += 1
+            continue
+        ref_probs, rewards, lower = problem
+        assert not sol.boundary_case
+        open_end = np.any(rewards >= lower)
+
+        def g(lam):
+            # 1/F - 1 stays finite: -1 where F is infinite, at an open end
+            if open_end and lam == lower:
+                return -1.0
+            return 1.0 / _mass(lam, beta, ref_probs, rewards) - 1.0
+
+        root = optimize.brentq(g, lower, lower + beta + 1.0, xtol=1e-300,
+                               rtol=4 * np.finfo(float).eps)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = _bisect_lambda(beta, ref_probs, rewards, lower)
+        assert sol.lam == expected
+        assert sol.lam == pytest.approx(root, rel=1e-12)
+        counts["interior" if lower == np.max(rewards) else
+               "solved above an off-support reward"] += 1
+    assert min(counts.values()) >= 50, counts
 
 
 def test_log_prob_ratio_extreme_is_exact(two_point):

@@ -543,13 +543,15 @@ _MARA = MaraConfig(Constant(MARA_TOY_TAU), beta=0.1)
         ("fig2_two_mode", TargetSpec("forward", 0.1),
          MonteCarlo(32, sampled_regularizer=True), None),
         ("mara_toy", TargetSpec("reverse", 0.1), Exact(), _MARA),
+        ("mara_toy", TargetSpec("forward", 0.1), Exact(), _MARA),
         ("mara_toy", TargetSpec("reverse", 0.1), MonteCarlo(32), _MARA),
         ("mara_toy", TargetSpec("forward", 0.1), MonteCarlo(32), _MARA),
         ("mara_toy", TargetSpec("forward", 0.1), MonteCarlo(32),
          MaraConfig(BatchPercentile(0.5), beta=0.1)),
     ],
     ids=["exact-reverse", "exact-forward", "exact-generalized", "mc-reverse",
-         "mc-forward", "mc-forward-sampled", "exact-mara", "mc-mara-reverse",
+         "mc-forward", "mc-forward-sampled", "exact-mara", "exact-mara-forward",
+         "mc-mara-reverse",
          "mc-mara-forward", "mc-mara-forward-percentile"],
 )
 def test_train_matches_fresh_policy_reference_bit_for_bit(scenario, objective, mode, mara):
