@@ -53,6 +53,17 @@ from .trainer import (
     train,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Categorical", "RewardVector", "Scenario", "entropy", "from_probs", "kl",
+    "normalize", "sample", "tv_distance",
+    "AugmentedBatch", "BatchPercentile", "Constant", "MaraConfig",
+    "augment_ref_view", "augment_rewards", "mara_target", "select_anchor",
+    "ForwardSolution", "TargetSpec", "analytic_target", "flip_beta",
+    "forward_kl_target", "generalized_target", "log_prob_ratio",
+    "reverse_kl_target",
+    "Exact", "MonteCarlo", "SoftmaxPolicy", "TrainConfig", "TrainResult",
+    "adam_step", "exact_gradient", "exact_objective", "matching_step_sft",
+    "mc_gradient", "mc_gradient_forward", "mc_gradient_reverse", "train",
+]
 
 __version__ = "0.1.0"

@@ -69,9 +69,7 @@ def _mara_from_args(args):
 
 def _print_distribution(dist, rewards=None):
     print("index,mass,log_mass" + (",reward" if rewards is not None else ""))
-    for i in range(dist.n):
-        mass = dist.probs[i]
-        lw = dist.log_weights[i]
+    for i, (mass, lw) in enumerate(zip(dist.probs, dist.log_weights)):
         row = f"{i},{mass:.12g},{lw:.12g}"
         if rewards is not None:
             row += f",{rewards[i]:.12g}"
@@ -96,7 +94,7 @@ def cmd_target(args) -> int:
         chart = Chart(f"{s.name} / {args.kind} beta={args.beta:g}", "index", "mass")
         xs = list(range(s.n))
         chart.add_bars("target", xs, dist.probs.tolist())
-        chart.add_line("reference", xs, s.reference.probs.tolist())
+        chart.add_line("reference", xs, s.reference_probs.tolist())
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(chart.render())

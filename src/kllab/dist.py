@@ -8,6 +8,7 @@ indices are exact (log-mass ``-inf``), never a tiny epsilon.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -180,7 +181,11 @@ class RewardVector:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A (reference distribution, reward vector) problem instance."""
+    """A (reference distribution, reward vector) problem instance.
+
+    ``reference_probs`` is the reference's mass, exponentiated on first
+    read and then kept, read-only, for the scenario's lifetime.
+    """
 
     reference: Categorical
     rewards: RewardVector
@@ -195,3 +200,7 @@ class Scenario:
     @property
     def n(self) -> int:
         return self.reference.n
+
+    @cached_property
+    def reference_probs(self) -> np.ndarray:
+        return _frozen(self.reference.probs)

@@ -205,7 +205,6 @@ class SweepSpec:
     betas: Sequence[float]
     seeds: Sequence[int]
     train: TrainConfig
-    mara: Optional[MaraConfig] = None
 
     def __post_init__(self):
         if not self.objectives or not self.betas or not self.seeds:
@@ -298,11 +297,9 @@ def _sweep_cells(spec: SweepSpec):
     for objective in spec.objectives:
         for beta in spec.betas:
             obj = replace(objective, beta=float(beta))
-            mara = (
-                replace(spec.mara, beta=float(beta))
-                if spec.mara is not None
-                else None
-            )
+            mara = spec.train.mara
+            if mara is not None:
+                mara = replace(mara, beta=float(beta))
             for seed in spec.seeds:
                 cfg = replace(spec.train, objective=obj, seed=int(seed), mara=mara)
                 yield (spec.scenario, cfg)
@@ -449,7 +446,7 @@ def summary_checks(records: Sequence[RunRecord]) -> List[SummaryCheck]:
     if eq:
         s = scenario_by_name("equal_reward_unequal_support")
         modes = mode_sets(s)
-        ref = s.reference.probs
+        ref = s.reference_probs
         ref_ratio = float(np.sum(ref[modes[0]]) / np.sum(ref[modes[1]]))
         worst = max(
             abs(r.mode1_mass / r.mode2_mass - ref_ratio) / ref_ratio for r in eq
@@ -586,7 +583,7 @@ def paper_sweeps() -> List[SweepSpec]:
         SweepSpec(scenario_by_name("mara_toy"), both, [0.1], [EXACT_SEED],
                   exact_cfg),
         SweepSpec(scenario_by_name("mara_toy"), both, [0.1], [EXACT_SEED],
-                  exact_cfg, mara=mara),
+                  replace(exact_cfg, mara=mara)),
     ]
     return sweeps
 

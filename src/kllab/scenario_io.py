@@ -122,7 +122,7 @@ def dump_scenario(s: Scenario, path) -> None:
     cfg = {
         "name": s.name,
         "n": s.n,
-        "reference": s.reference.probs.tolist(),
+        "reference": s.reference_probs.tolist(),
         "rewards": s.rewards.values.tolist(),
     }
     Path(path).write_text(json.dumps(cfg, indent=2) + "\n")

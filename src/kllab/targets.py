@@ -1,11 +1,12 @@
 """Exact optimal distributions for regularized reward maximization.
 
-Three families:
+Two families:
 
-* reverse-KL penalty -> exponential tilt of the reference,
+* generalized (reverse-KL beta plus entropy eta) -> tempered-reference
+  tilt ``ref^(beta/(beta+eta)) * exp(R/(beta+eta))``; the reverse-KL
+  optimum is its eta = 0 member,
 * forward-KL penalty -> rational form with a normalization multiplier
-  found by root-finding (plus the off-support leftover-mass regime),
-* generalized (KL + entropy) -> tempered-reference tilt.
+  found by root-finding (plus the off-support leftover-mass regime).
 
 Also the closed-form log probability ratio between two indices under the
 reverse-KL optimum, and the coefficient at which two indices trade places.
@@ -30,7 +31,10 @@ KINDS = ("reverse", "forward", "generalized")
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Which regularized objective, and with which coefficients."""
+    """Which regularized objective, and with which coefficients.
+
+    ``eta`` (the entropy coefficient) belongs to ``generalized`` only;
+    reverse and forward reject a nonzero one."""
 
     kind: str
     beta: float
@@ -39,6 +43,8 @@ class TargetSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidCoefficient(f"unknown kind {self.kind!r}")
+        if self.kind != "generalized" and self.eta != 0:
+            raise InvalidCoefficient(f"{self.kind} takes no eta")
         if self.kind in ("reverse", "forward") and not self.beta > 0:
             raise InvalidCoefficient(f"{self.kind} requires beta > 0")
         if self.kind == "generalized" and not self.beta + self.eta > 0:
@@ -65,16 +71,12 @@ def reverse_kl_target(s: Scenario, beta: float) -> Categorical:
     """Optimum of reward maximization with a reverse-KL penalty.
 
     Proportional to ``reference * exp(R / beta)``; masked wherever the
-    reference is masked.
+    reference is masked. This is :func:`generalized_target` at eta = 0,
+    bit for bit (``beta / beta`` is exactly 1).
     """
     if not beta > 0:
         raise InvalidCoefficient("beta must be > 0")
-    lw = np.where(
-        s.reference.support_mask,
-        s.reference.log_weights + s.rewards.values / beta,
-        -np.inf,
-    )
-    return normalize(lw)
+    return generalized_target(s, beta, 0.0)
 
 
 def generalized_target(s: Scenario, beta: float, eta: float) -> Categorical:
@@ -98,13 +100,13 @@ def generalized_target(s: Scenario, beta: float, eta: float) -> Categorical:
     return normalize(lw)
 
 
-def _on_support_mass(lam: float, beta: float, ref_probs, rewards) -> float:
-    return float(np.sum(beta * ref_probs / (lam - rewards)))
+def _on_support_mass(lam: float, w, rewards) -> float:
+    return float(np.sum(w / (lam - rewards)))
 
 
-def _solve_lambda(beta: float, ref_probs, rewards, lower: float) -> float:
-    """Root of the on-support mass map ``F(lam) = sum(beta * ref / (lam - R))``
-    above ``lower``, by safeguarded Newton.
+def _solve_lambda(beta: float, w, rewards, lower: float) -> float:
+    """Root of the on-support mass map ``F(lam) = sum(w / (lam - R))``,
+    ``w = beta * ref``, above ``lower``, by safeguarded Newton.
 
     ``lower`` is the infimum of admissible multipliers (mass -> inf or
     already >= 1 there); the bracket ceiling ``lower + beta + 1`` always
@@ -123,7 +125,6 @@ def _solve_lambda(beta: float, ref_probs, rewards, lower: float) -> float:
     float that bisecting the same bracket to the end returns, since the
     computed F is monotone in ``lam``.
     """
-    w = beta * ref_probs
     lo = lower
     hi = lower + beta + 1.0
     eps = 1e-12 * max(1.0, abs(lower))
@@ -132,16 +133,16 @@ def _solve_lambda(beta: float, ref_probs, rewards, lower: float) -> float:
         # mass diverges at lower: step inside until >= 1
         lo = lower + eps
         tries = 0
-        while lo > lower and _on_support_mass(lo, beta, ref_probs, rewards) < 1.0:
+        while lo > lower and _on_support_mass(lo, w, rewards) < 1.0:
             hi = lo  # F < 1 here as well: a closer ceiling
             eps *= 0.25
             lo = lower + eps
             tries += 1
             if tries > 60:
                 raise SolverFailure("could not bracket the multiplier from below")
-    if _on_support_mass(hi, beta, ref_probs, rewards) >= 1.0:
+    if _on_support_mass(hi, w, rewards) >= 1.0:
         tries = 0
-        while _on_support_mass(hi, beta, ref_probs, rewards) >= 1.0:
+        while _on_support_mass(hi, w, rewards) >= 1.0:
             hi = lower + (hi - lower) * 2.0
             tries += 1
             if tries > 60:
@@ -176,17 +177,17 @@ def _solve_lambda(beta: float, ref_probs, rewards, lower: float) -> float:
     return float(0.5 * (lo + hi))
 
 
-def _on_support_masses(lam: float, beta: float, ref_probs, rewards) -> np.ndarray:
-    """``beta * ref / (lam - R)``. Indices where ``lam - R`` rounds to 0
-    (``lam`` within a float of the best reward) share the mass the others
-    leave, in proportion to their reference mass."""
+def _on_support_masses(lam: float, w, ref_probs, rewards) -> np.ndarray:
+    """``w / (lam - R)``, ``w = beta * ref``. Indices where ``lam - R``
+    rounds to 0 (``lam`` within a float of the best reward) share the mass
+    the others leave, in proportion to their reference mass."""
     gap = lam - rewards
     tied = gap == 0.0
     if not np.any(tied):
-        return beta * ref_probs / gap
+        return w / gap
     masses = np.zeros(gap.size)
     free = ~tied
-    masses[free] = beta * ref_probs[free] / gap[free]
+    masses[free] = w[free] / gap[free]
     leftover = max(0.0, 1.0 - float(np.sum(masses)))
     masses[tied] = leftover * ref_probs[tied] / np.sum(ref_probs[tied])
     return masses
@@ -206,6 +207,7 @@ def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
         raise InvalidCoefficient("beta must be > 0")
     mask = s.reference.support_mask
     ref_probs = np.exp(s.reference.log_weights[mask])
+    w = beta * ref_probs
     r_on = s.rewards.values[mask]
     r_max_in = float(np.max(r_on))
     off = ~mask
@@ -215,20 +217,20 @@ def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
     off_mass = 0.0
     masses = np.zeros(s.n)
     if r_max_out > r_max_in:
-        z_out = _on_support_mass(r_max_out, beta, ref_probs, r_on)
+        z_out = _on_support_mass(r_max_out, w, r_on)
         if z_out < 1.0:
             lam = r_max_out
             boundary = True
             off_mass = 1.0 - z_out
             argmax_out = off & (s.rewards.values == r_max_out)
-            masses[mask] = _on_support_masses(lam, beta, ref_probs, r_on)
+            masses[mask] = _on_support_masses(lam, w, ref_probs, r_on)
             masses[argmax_out] = off_mass / np.count_nonzero(argmax_out)
         else:
-            lam = _solve_lambda(beta, ref_probs, r_on, r_max_out)
-            masses[mask] = _on_support_masses(lam, beta, ref_probs, r_on)
+            lam = _solve_lambda(beta, w, r_on, r_max_out)
+            masses[mask] = _on_support_masses(lam, w, ref_probs, r_on)
     else:
-        lam = _solve_lambda(beta, ref_probs, r_on, r_max_in)
-        masses[mask] = _on_support_masses(lam, beta, ref_probs, r_on)
+        lam = _solve_lambda(beta, w, r_on, r_max_in)
+        masses[mask] = _on_support_masses(lam, w, ref_probs, r_on)
 
     with np.errstate(divide="ignore"):
         dist = normalize(np.log(masses))
@@ -275,9 +277,8 @@ def flip_beta(s: Scenario, i: int, j: int) -> float:
 
 
 def analytic_target(s: Scenario, spec: TargetSpec) -> Categorical:
-    """Dispatch to the right target family; forward returns its distribution."""
-    if spec.kind == "reverse":
-        return reverse_kl_target(s, spec.beta)
+    """The optimum of ``spec``'s objective: the forward-KL distribution, or
+    the tempered tilt (reverse KL is its eta = 0 member)."""
     if spec.kind == "forward":
         return forward_kl_target(s, spec.beta).distribution
     return generalized_target(s, spec.beta, spec.eta)

@@ -89,44 +89,31 @@ def uniform_policy(n: int, support_mask=None) -> SoftmaxPolicy:
 # exact objective and gradients
 
 
-def exact_objective(
-    policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec,
-    ref_probs: Optional[np.ndarray] = None,
-) -> float:
-    """Expected reward minus the exact regularizer, by full summation.
-
-    ``ref_probs`` may carry ``s.reference.probs``, computed once by the
-    caller (forward KL reads it)."""
+def exact_objective(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> float:
+    """Expected reward minus the exact regularizer, by full summation."""
     p = policy.probs()
     lp = policy.log_probs()
     lref = s.reference.log_weights
     r = s.rewards.values
     value = float(np.sum(p * r))
-    if spec.kind in ("reverse", "generalized") and spec.beta > 0:
-        if np.any(policy.support_mask & ~s.reference.support_mask):
-            raise InfiniteDivergence("policy mass outside the reference support")
-        m = policy.support_mask
-        value -= spec.beta * float(np.sum(p[m] * (lp[m] - lref[m])))
-    if spec.kind == "generalized" and spec.eta > 0:
-        m = policy.support_mask
-        value += spec.eta * float(-np.sum(p[m] * lp[m]))
     if spec.kind == "forward":
         if np.any(s.reference.support_mask & ~policy.support_mask):
             raise InfiniteDivergence("reference mass outside the policy support")
         m = s.reference.support_mask
-        ref = s.reference.probs if ref_probs is None else ref_probs
-        value -= spec.beta * float(np.sum(ref[m] * (lref[m] - lp[m])))
+        ref = s.reference_probs
+        return value - spec.beta * float(np.sum(ref[m] * (lref[m] - lp[m])))
+    m = policy.support_mask
+    if spec.beta > 0:
+        if np.any(m & ~s.reference.support_mask):
+            raise InfiniteDivergence("policy mass outside the reference support")
+        value -= spec.beta * float(np.sum(p[m] * (lp[m] - lref[m])))
+    if spec.eta > 0:
+        value += spec.eta * float(-np.sum(p[m] * lp[m]))
     return value
 
 
-def exact_gradient(
-    policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec,
-    ref_probs: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Analytic gradient of the objective with respect to the logits.
-
-    ``ref_probs`` may carry ``s.reference.probs``, computed once by the
-    caller (forward KL reads it)."""
+def exact_gradient(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> np.ndarray:
+    """Analytic gradient of the objective with respect to the logits."""
     p = policy.probs()
     lp = policy.log_probs()
     lref = s.reference.log_weights
@@ -137,15 +124,14 @@ def exact_gradient(
         if np.any(s.reference.support_mask & ~m):
             raise InfiniteDivergence("reference mass outside the policy support")
         g[m] = p[m] * (r[m] - float(np.sum(p * r)))
-        ref = s.reference.probs if ref_probs is None else ref_probs
-        g[m] += spec.beta * (ref[m] - p[m])
+        g[m] += spec.beta * (s.reference_probs[m] - p[m])
         return g
     if spec.beta > 0 and np.any(m & ~s.reference.support_mask):
         raise InfiniteDivergence("policy mass outside the reference support")
     coef = r[m].astype(float).copy()
     if spec.beta > 0:
         coef -= spec.beta * (lp[m] - lref[m])
-    if spec.kind == "generalized" and spec.eta > 0:
+    if spec.eta > 0:
         coef -= spec.eta * lp[m]
     g[m] = p[m] * (coef - float(np.sum(p[m] * coef)))
     return g
@@ -247,7 +233,6 @@ def _empirical_mass(ws: np.ndarray, n: int) -> np.ndarray:
 def mc_gradient(
     policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec, mc: MonteCarlo,
     rng: np.random.Generator, mara: Optional[MaraConfig] = None,
-    ref_probs: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[int]]:
     """Score-function estimate of :func:`exact_gradient` (unbiased without
     ``mara``) from one batch of ``mc.batch`` policy samples drawn from
@@ -258,25 +243,23 @@ def mc_gradient(
     the reward term, ref drawn from ``rng`` after the policy batch when
     ``mc.sampled_regularizer`` is set. ``mara`` applies its batch view:
     augmented rewards for reverse, the anchored reference for forward.
-    ``ref_probs`` may carry ``s.reference.probs``, computed once by the
-    caller. Returns the gradient and the batch's anchor (None if none).
+    Returns the gradient and the batch's anchor (None if none).
     """
     ys = sample_policy(policy, rng, mc.batch)
     anchor = None
     if spec.kind == "forward":
-        rewards, ref = s.rewards.values[ys], s.reference
+        rewards, ref_s = s.rewards.values[ys], s
         if mara is not None:
             aug = mara_mod.augment_ref_view(ys, s, mara)
             rewards, anchor = aug.augmented_rewards, aug.anchor_index
             if anchor is not None:
-                ref = mara_mod.anchored_scenario(s, aug.threshold_used, anchor).reference
+                ref_s = mara_mod.anchored_scenario(s, aug.threshold_used, anchor)
         if mc.sampled_regularizer:
+            ref = ref_s.reference
             table = inverse_cdf(ref.log_weights, ref.support_mask)
             ref_mass = _empirical_mass(draw(table, rng.random(ys.size)), s.n)
-        elif ref is s.reference and ref_probs is not None:
-            ref_mass = ref_probs
         else:
-            ref_mass = ref.probs
+            ref_mass = ref_s.reference_probs
         reg = ref_mass - policy.probs()
         reg[~policy.support_mask] = 0.0
         return score_function_gradient(policy, ys, rewards) + spec.beta * reg, anchor
@@ -286,7 +269,7 @@ def mc_gradient(
         rewards, ref_lp = aug.augmented_rewards, aug.augmented_ref_logprobs
         anchor = aug.anchor_index
     coef = reverse_coefficients(policy, ys, rewards, ref_lp, spec.beta)
-    if spec.kind == "generalized" and spec.eta > 0:
+    if spec.eta > 0:
         coef = coef - spec.eta * policy.log_probs()[ys]
     return score_function_gradient(policy, ys, _apply_baseline(coef, mc.baseline)), anchor
 
@@ -378,6 +361,9 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.mara is not None and self.objective.kind == "generalized":
             raise ValueError("augmentation is defined for reverse and forward only")
+        if self.mara is not None and self.mara.beta != self.objective.beta:
+            # the augmented rewards and the target must tilt by one beta
+            raise ValueError("augmentation beta must equal the objective's beta")
         mode = self.gradient_mode
         sampled = isinstance(mode, MonteCarlo) and mode.sampled_regularizer
         if self.mara is not None and self.objective.kind == "forward" and sampled:
@@ -403,9 +389,7 @@ class TrainResult:
 
 
 def _policy_support(s: Scenario, spec: TargetSpec) -> Optional[np.ndarray]:
-    if spec.kind == "forward":
-        return None
-    if spec.kind == "generalized" and spec.beta == 0:
+    if spec.kind == "forward" or spec.beta == 0:
         return None
     return np.asarray(s.reference.support_mask)
 
@@ -431,14 +415,14 @@ def _training_problem(
     (forward)."""
     if anchor is None:
         return analytic_target(s, spec), s
-    if spec.kind == "reverse":
-        rewards = mara_mod.augmented_reward_vector(s, spec.beta, tau, anchor)
-        return (
-            mara_mod.mara_target(s, spec.beta, tau, anchor),
-            Scenario(s.reference, rewards, name=f"{s.name}__augmented"),
-        )
-    anchored = mara_mod.anchored_scenario(s, tau, anchor)
-    return forward_kl_target(anchored, spec.beta).distribution, anchored
+    if spec.kind == "forward":
+        anchored = mara_mod.anchored_scenario(s, tau, anchor)
+        return forward_kl_target(anchored, spec.beta).distribution, anchored
+    rewards = mara_mod.augmented_reward_vector(s, spec.beta, tau, anchor)
+    return (
+        mara_mod.mara_target(s, spec.beta, tau, anchor),
+        Scenario(s.reference, rewards, name=f"{s.name}__augmented"),
+    )
 
 
 def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
@@ -462,22 +446,13 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
     rng = (
         np.random.Generator(np.random.PCG64(cfg.seed)) if mc is not None else None
     )
-    # forward KL's reference mass: the training scenario's (anchored under
-    # MARA) for the exact gradient and the traced objective, the raw
-    # scenario's for the MC regularizer, whose batches pick their own anchor
-    ref_probs = mc_ref_probs = None
-    if spec.kind == "forward":
-        ref_probs = train_scenario.reference.probs
-        mc_ref_probs = ref_probs if train_scenario is s else s.reference.probs
 
     for _ in range(cfg.steps):
         if mc is None:
-            gradient = exact_gradient(policy, train_scenario, spec, ref_probs)
+            gradient = exact_gradient(policy, train_scenario, spec)
             anchor = global_anchor
         else:
-            gradient, anchor = mc_gradient(
-                policy, s, spec, mc, rng, cfg.mara, mc_ref_probs
-            )
+            gradient, anchor = mc_gradient(policy, s, spec, mc, rng, cfg.mara)
         if cfg.mara is not None:
             anchors.append(anchor)
         state, logits = adam_step(
@@ -490,9 +465,7 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
         active = policy.support_mask
         trace.append(
             StepRecord(
-                objective_value=exact_objective(
-                    policy, train_scenario, spec, ref_probs
-                ),
+                objective_value=exact_objective(policy, train_scenario, spec),
                 tv_to_target=float(0.5 * np.sum(np.abs(p - target_probs))),
                 entropy=float(-np.sum(p[active] * lp[active])),
                 above_threshold_mass=(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kllab.cli import main
+from kllab.dist import Categorical
 from kllab.harness import scenario_by_name, mode_sets
 
 
@@ -56,6 +57,43 @@ def test_generalized_eta_zero_matches_reverse(capsys):
     )
     assert code_g == code_r == 0
     assert out_g == out_r
+
+
+@pytest.mark.parametrize("kind", ["reverse", "forward"])
+def test_target_eta_outside_generalized_is_usage_error(capsys, kind):
+    code, _, err = run(
+        capsys, "target", "--scenario", "two_point", "--kind", kind,
+        "--beta", "1", "--eta", "0.5",
+    )
+    assert code == 2
+    assert "eta" in err
+
+
+def test_target_reads_masses_a_fixed_number_of_times(
+    capsys, tmp_path, monkeypatch
+):
+    reads = []
+    probs = Categorical.probs
+    monkeypatch.setattr(
+        Categorical, "probs",
+        property(lambda self: reads.append(self.n) or probs.fget(self)),
+    )
+    counts = []
+    for n in (10, 300):
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps({
+            "name": f"n{n}", "n": n, "reference": [1.0] * n,
+            "rewards": np.linspace(0.0, 1.0, n).tolist(),
+        }))
+        reads.clear()
+        code, out, _ = run(
+            capsys, "target", "--scenario", str(path), "--kind", "reverse",
+            "--beta", "1", "--out", str(tmp_path / f"n{n}.svg"),
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == n + 1
+        counts.append(len(reads))
+    assert counts[0] == counts[1]
 
 
 def test_ratio_extreme_value(capsys):

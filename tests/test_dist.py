@@ -148,6 +148,20 @@ def test_reward_vector_rejects_non_finite():
         RewardVector(np.array([0.0, np.inf]))
 
 
+def test_scenario_reference_probs_is_cached_and_read_only():
+    ref = normalize(np.array([0.0, -np.inf, -1.0, -3.0]))
+    s = Scenario(ref, RewardVector(np.zeros(4)))
+    p = s.reference_probs
+    assert p.tobytes() == s.reference.probs.tobytes()
+    assert s.reference_probs is p
+    assert not p.flags.writeable
+    with pytest.raises(ValueError):
+        p[0] = 0.5
+    with pytest.raises(AttributeError):
+        s.reference_probs = np.zeros(4)
+    assert s.reference_probs is p
+
+
 def test_scenario_length_mismatch():
     with pytest.raises(ValueError):
         Scenario(from_probs([0.5, 0.5]), RewardVector(np.zeros(3)))

@@ -23,6 +23,7 @@ from kllab.harness import (
     scenario_by_name,
     summary_checks,
 )
+from kllab.mara import Constant, MaraConfig
 from kllab.scenario_io import scenario_from_dict
 from kllab.targets import TargetSpec, flip_beta
 from kllab.trainer import Exact, MonteCarlo, TrainConfig
@@ -176,6 +177,20 @@ def test_sweep_spec_validation(two_point):
         SweepSpec(two_point, [TargetSpec("reverse", 1.0)], [0.5], [], cfg)
     with pytest.raises(ValueError):
         SweepSpec(two_point, [TargetSpec("reverse", 1.0)], [0.0], [0], cfg)
+
+
+def test_sweep_cells_take_mara_from_the_train_config(two_point):
+    cfg = TrainConfig(
+        TargetSpec("reverse", 1.0), mara=MaraConfig(Constant(0.5), beta=1.0),
+        steps=2,
+    )
+    spec = SweepSpec(
+        two_point, [TargetSpec("reverse", 1.0)], [0.25, 0.5], [EXACT_SEED], cfg
+    )
+    records = run_sweep(spec)
+    assert [r.beta for r in records] == [0.25, 0.5]
+    assert all(r.status == "ok" for r in records)
+    assert all(r.mara_enabled and r.tau_rule == "constant:0.5" for r in records)
 
 
 def _tiny_spec(two_point):

@@ -33,6 +33,14 @@ def test_target_spec_validation():
     TargetSpec("generalized", 0.0, 1.0)  # entropy-only is admissible
 
 
+@pytest.mark.parametrize("kind", ["reverse", "forward"])
+def test_target_spec_rejects_eta_outside_generalized(kind):
+    # reverse KL is the generalized family at eta = 0; forward has no eta
+    with pytest.raises(InvalidCoefficient):
+        TargetSpec(kind, 0.5, 0.1)
+    TargetSpec("generalized", 0.5, 0.1)
+
+
 def test_reverse_two_point(two_point):
     g = reverse_kl_target(two_point, beta=1.0)
     np.testing.assert_allclose(g.probs, [1.0 - SIG1, SIG1], atol=1e-12)
@@ -73,6 +81,25 @@ def test_generalized_eta_zero_is_reverse():
             a = generalized_target(s, beta, 0.0)
             b = reverse_kl_target(s, beta)
             np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
+
+
+def test_reverse_is_generalized_at_eta_zero_bit_for_bit():
+    rng = np.random.Generator(np.random.PCG64(23))
+    scenarios = [make_scenario([1.0], [0.7])]
+    for _ in range(60):
+        s = random_scenario(rng, n_max=40)
+        scale = 10.0 ** rng.integers(-2, 4)
+        rewards = RewardVector(s.rewards.values * scale)
+        scenarios.append(Scenario(s.reference, rewards))
+    masked = 0
+    for s in scenarios:
+        masked += not s.reference.support_mask.all()
+        for beta in np.geomspace(1e-4, 1e3, 8):
+            a = reverse_kl_target(s, beta)
+            b = generalized_target(s, beta, 0.0)
+            assert a.log_weights.tobytes() == b.log_weights.tobytes()
+            np.testing.assert_array_equal(a.support_mask, b.support_mask)
+    assert masked >= 10
 
 
 def test_generalized_beta_zero_is_full_support_softmax():

@@ -377,6 +377,9 @@ def test_train_config_validation():
         TrainConfig(TargetSpec("forward", 0.5),
                     gradient_mode=MonteCarlo(sampled_regularizer=True),
                     mara=MaraConfig(Constant(0.5), beta=0.5))
+    # the augmented rewards and the target tilt by one beta
+    with pytest.raises(ValueError):
+        TrainConfig(TargetSpec("reverse", 0.1), mara=MaraConfig(Constant(0.5), beta=1.0))
 
 
 def test_train_trace_length_matches_steps(two_point):
