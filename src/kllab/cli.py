@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 usage or config parse error, 3 domain-negative
-result (e.g. no finite flip coefficient), 1 internal failure.
+Exit codes: 0 success, 1 internal failure or a file error, 2 usage or config
+parse error, 3 domain-negative result (e.g. no finite flip coefficient).
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from .errors import InvalidCoefficient, KllabError, NoFiniteFlip, UndefinedRatio
 from .mara import BatchPercentile, Constant, MaraConfig, augment_rewards
 from .scenario_io import ScenarioFormatError, load_scenario
 from .targets import (
+    KINDS,
     TargetSpec,
     analytic_target,
     flip_beta,
     forward_kl_target,
     log_prob_ratio,
 )
-from .trainer import Exact, MonteCarlo, TrainConfig, train
+from .trainer import BASELINES, Exact, MonteCarlo, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -211,10 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True,
                        help="builtin scenario name or config file path")
 
+    def add_threshold(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--tau", type=float)
+        group.add_argument("--percentile", type=float)
+
     p = sub.add_parser("target", help="print an analytic target distribution")
     add_common(p)
-    p.add_argument("--kind", choices=["reverse", "forward", "generalized"],
-                   required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--out", help="optional SVG output path")
@@ -236,26 +241,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="augment a batch of sampled indices")
     add_common(p)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--percentile", type=float)
+    add_threshold(p)
     p.add_argument("--indices", required=True, help="comma-separated indices")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("train", help="train a policy and write its trace")
     add_common(p)
-    p.add_argument("--kind", choices=["reverse", "forward", "generalized"],
-                   default="reverse")
+    p.add_argument("--kind", choices=KINDS, default="reverse")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--baseline", choices=["none", "batch_mean", "leave_one_out"],
-                   default="batch_mean")
+    p.add_argument("--baseline", choices=BASELINES, default="batch_mean")
     p.add_argument("--steps", type=int, default=3000)
     p.add_argument("--lr", type=float, default=5e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--percentile", type=float)
+    add_threshold(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_train)
 
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
     except (NoFiniteFlip, UndefinedRatio) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except KllabError as exc:
+    except (KllabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

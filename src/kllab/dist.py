@@ -7,7 +7,7 @@ indices are exact (log-mass ``-inf``), never a tiny epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +22,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     a.setflags(write=False)
     return a
+
+
+def _reduce_through_init(self):
+    """Pickle a dataclass as a call of its constructor, so that unpickling
+    validates and freezes its arrays again."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -65,6 +71,8 @@ class Categorical:
             raise InvalidDistribution(f"masses sum to {total!r}, not 1")
         object.__setattr__(self, "log_weights", _frozen(lw))
         object.__setattr__(self, "support_mask", _frozen(mask))
+
+    __reduce__ = _reduce_through_init
 
     @property
     def n(self) -> int:
@@ -174,6 +182,8 @@ class RewardVector:
             raise ValueError("rewards must be finite")
         object.__setattr__(self, "values", _frozen(v))
 
+    __reduce__ = _reduce_through_init
+
     @property
     def n(self) -> int:
         return self.values.size
@@ -196,6 +206,9 @@ class Scenario:
             raise ValueError(
                 f"reference has {self.reference.n} entries, rewards {self.rewards.n}"
             )
+
+    # the cached reference_probs is no field: a copy recomputes it
+    __reduce__ = _reduce_through_init
 
     @property
     def n(self) -> int:

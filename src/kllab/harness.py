@@ -121,6 +121,8 @@ def builtin_scenarios() -> List[Scenario]:
     ]
 
 
+MODE_FLOOR_FRAC = 0.3
+
 # every peak's run is first searched this deep on each side in one gather;
 # the few runs that reach further are finished one peak at a time
 _RUN_WINDOW = 16
@@ -150,15 +152,15 @@ def _run_reach(padded: np.ndarray, peaks: np.ndarray, cut: np.ndarray) -> np.nda
     return reach
 
 
-def mode_sets(s: Scenario, floor_frac: float = 0.3) -> List[np.ndarray]:
+def mode_sets(s: Scenario) -> List[np.ndarray]:
     """Index sets of the reward modes, in index order.
 
-    A mode is a local reward maximum at or above ``floor_frac`` of the
-    global maximum; membership is the contiguous run around the peak
+    A mode is a local reward maximum at or above ``MODE_FLOOR_FRAC`` of
+    the global maximum; membership is the contiguous run around the peak
     where the reward exceeds half the peak height.
     """
     r = s.rewards.values
-    floor = floor_frac * float(np.max(r))
+    floor = MODE_FLOOR_FRAC * float(np.max(r))
     w = _RUN_WINDOW
     pad = np.full(w, -np.inf)
     padded = np.concatenate((pad, r, pad))

@@ -3,14 +3,15 @@
 Batch-level reward transformation that replaces above-threshold rewards
 with the anchor's reward plus a reference-probability correction, so the
 induced reverse-KL optimum puts equal mass on every above-threshold
-index. Two equivalent batch views exist: augment the rewards, or keep
-the anchor's reward and swap in the anchor's reference probability.
+index. Two equivalent views exist: augment the rewards, or keep the
+anchor's reward and swap in the anchor's reference probability. A batch
+and the whole support (index ``slice(None)``) reach each view the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,21 +35,15 @@ class BatchPercentile:
 
 ThresholdRule = Union[Constant, BatchPercentile]
 
-LOWEST_INDEX = "lowest_index"
-HIGHEST_REWARD = "highest_reward"
-
 
 @dataclass(frozen=True)
 class MaraConfig:
     threshold_rule: ThresholdRule
     beta: float
-    anchor_tiebreak: str = LOWEST_INDEX
 
     def __post_init__(self):
         if not self.beta > 0:
             raise InvalidCoefficient("beta must be > 0")
-        if self.anchor_tiebreak not in (LOWEST_INDEX, HIGHEST_REWARD):
-            raise ValueError(f"unknown tiebreak {self.anchor_tiebreak!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +59,12 @@ class AugmentedBatch:
     augmented_ref_logprobs: np.ndarray
 
 
+def _treated(s: Scenario, tau: float, idx) -> np.ndarray:
+    """Which of ``idx`` take the anchor's treatment: reward at or above
+    ``tau`` and on the reference support."""
+    return (s.rewards.values[idx] >= tau) & s.reference.support_mask[idx]
+
+
 def resolve_threshold(rule: ThresholdRule, raw_rewards: np.ndarray) -> float:
     """Constant value, or the linear-interpolated batch quantile."""
     if isinstance(rule, Constant):
@@ -72,25 +73,45 @@ def resolve_threshold(rule: ThresholdRule, raw_rewards: np.ndarray) -> float:
 
 
 def select_anchor(
-    batch_indices: Sequence[int], s: Scenario, threshold: float,
-    tiebreak: str = LOWEST_INDEX,
+    batch_indices: Sequence[int], s: Scenario, threshold: float
 ) -> Optional[int]:
     """Pick the batch member with maximal reference probability among
     those at or above the threshold; None when no member qualifies.
 
-    Ties on reference probability go to the earlier batch position
-    (lowest_index) or to the higher reward, then earlier position.
+    Ties on reference probability go to the earliest batch position.
     """
     idx = np.asarray(batch_indices, dtype=int)
-    r = s.rewards.values
-    best = idx[(r[idx] >= threshold) & s.reference.support_mask[idx]]
+    best = idx[_treated(s, threshold, idx)]
     if best.size == 0:
         return None
-    lref = s.reference.log_weights[best]
-    best = best[lref == lref.max()]
-    if tiebreak == HIGHEST_REWARD:
-        best = best[r[best] == r[best].max()]
-    return int(best[0])
+    return int(best[np.argmax(s.reference.log_weights[best])])
+
+
+def resolve_anchor(idx, s: Scenario, cfg: MaraConfig) -> Tuple[float, Optional[int]]:
+    """Threshold over the rewards at ``idx`` and the anchor among ``idx``:
+    a sampled batch, or the reference support for a whole-support run."""
+    tau = resolve_threshold(cfg.threshold_rule, s.rewards.values[idx])
+    return tau, select_anchor(idx, s, tau)
+
+
+def global_anchor(s: Scenario, tau: float) -> Optional[int]:
+    """Anchor over the whole support rather than a sampled batch."""
+    return select_anchor(np.arange(s.n), s, tau)
+
+
+def _reward_view(s: Scenario, beta: float, tau: float, anchor: int, idx) -> np.ndarray:
+    """Rewards at ``idx``, where treated the anchor's plus beta times the
+    log reference ratio to the anchor."""
+    r, lref = s.rewards.values, s.reference.log_weights
+    bonus = r[anchor] + beta * (lref[anchor] - lref[idx])
+    return np.where(_treated(s, tau, idx), bonus, r[idx])
+
+
+def _ref_view(s: Scenario, tau: float, anchor: int, idx) -> Tuple[np.ndarray, np.ndarray]:
+    """Rewards and reference log-masses at ``idx``, the anchor's where treated."""
+    treated = _treated(s, tau, idx)
+    r, lref = s.rewards.values, s.reference.log_weights
+    return np.where(treated, r[anchor], r[idx]), np.where(treated, lref[anchor], lref[idx])
 
 
 def _augment(
@@ -100,22 +121,14 @@ def _augment(
     if idx.size == 0:
         raise ValueError("batch must be nonempty")
     raw = s.rewards.values[idx]
-    tau = resolve_threshold(cfg.threshold_rule, raw)
-    anchor = select_anchor(idx, s, tau, cfg.anchor_tiebreak)
     lref = s.reference.log_weights[idx]
+    tau, anchor = resolve_anchor(idx, s, cfg)
     if anchor is None:
-        return AugmentedBatch(idx, raw, raw.copy(), None, tau, lref.copy())
-    lref_z = s.reference.log_weights[anchor]
-    r_z = s.rewards.values[anchor]
-    # as in anchored_scenario: indices off the reference support keep
-    # their raw reward
-    qualifies = (raw >= tau) & s.reference.support_mask[idx]
+        return AugmentedBatch(idx, raw, raw.copy(), None, tau, lref)
     if ref_view:
-        aug_r = np.where(qualifies, r_z, raw)
-        aug_lref = np.where(qualifies, lref_z, lref)
+        aug_r, aug_lref = _ref_view(s, tau, anchor, idx)
     else:
-        aug_r = np.where(qualifies, r_z + cfg.beta * (lref_z - lref), raw)
-        aug_lref = lref.copy()
+        aug_r, aug_lref = _reward_view(s, cfg.beta, tau, anchor, idx), lref
     return AugmentedBatch(idx, raw, aug_r, anchor, tau, aug_lref)
 
 
@@ -131,20 +144,12 @@ def augment_ref_view(batch_indices, s: Scenario, cfg: MaraConfig) -> AugmentedBa
     return _augment(batch_indices, s, cfg, ref_view=True)
 
 
-def global_anchor(s: Scenario, tau: float, tiebreak: str = LOWEST_INDEX) -> Optional[int]:
-    """Anchor over the whole support rather than a sampled batch."""
-    return select_anchor(np.arange(s.n), s, tau, tiebreak)
-
-
-def _anchored_mask(s: Scenario, tau: float, anchor: int) -> np.ndarray:
-    """Mask of the indices that share the anchor's treatment (reward at or
-    above ``tau``, on the reference support), after checking that the
-    anchor is one of them."""
+def _check_anchor(s: Scenario, tau: float, anchor: int) -> None:
+    """Raise unless ``anchor`` takes the treatment it hands out."""
     if s.rewards.values[anchor] < tau:
         raise InvalidAnchor("anchor reward below threshold")
     if not s.reference.support_mask[anchor]:
         raise InvalidAnchor("anchor has no reference mass")
-    return (s.rewards.values >= tau) & s.reference.support_mask
 
 
 def augmented_reward_vector(
@@ -155,11 +160,8 @@ def augmented_reward_vector(
     Masked indices keep their raw reward; they carry no reference mass,
     so the correction term is undefined (and irrelevant) there.
     """
-    qualifies = _anchored_mask(s, tau, anchor)
-    lref = s.reference.log_weights
-    r = s.rewards.values
-    values = np.where(qualifies, r[anchor] + beta * (lref[anchor] - lref), r)
-    return RewardVector(values)
+    _check_anchor(s, tau, anchor)
+    return RewardVector(_reward_view(s, beta, tau, anchor, slice(None)))
 
 
 def anchored_scenario(s: Scenario, tau: float, anchor: int) -> Scenario:
@@ -169,15 +171,10 @@ def anchored_scenario(s: Scenario, tau: float, anchor: int) -> Scenario:
     the reference is renormalized. This is the whole-support analogue of
     the reference-probability batch view.
     """
-    qualifies = _anchored_mask(s, tau, anchor)
-    lref = s.reference.log_weights
-    r = s.rewards.values
-    new_lref = np.where(qualifies, lref[anchor], lref)
-    new_r = np.where(qualifies, r[anchor], r)
+    _check_anchor(s, tau, anchor)
+    r, lref = _ref_view(s, tau, anchor, slice(None))
     return Scenario(
-        reference=normalize(new_lref),
-        rewards=RewardVector(new_r),
-        name=f"{s.name}__anchored",
+        reference=normalize(lref), rewards=RewardVector(r), name=f"{s.name}__anchored"
     )
 
 
@@ -189,9 +186,8 @@ def mara_target(s: Scenario, beta: float, tau: float, anchor: int) -> Categorica
     """
     if not beta > 0:
         raise InvalidCoefficient("beta must be > 0")
-    qualifies = _anchored_mask(s, tau, anchor)
-    lref = s.reference.log_weights
-    r = s.rewards.values
+    _check_anchor(s, tau, anchor)
+    r, lref = s.rewards.values, s.reference.log_weights
     anchored_mass = lref[anchor] + r[anchor] / beta
     # masked indices keep their -inf reference log-mass
-    return normalize(np.where(qualifies, anchored_mass, lref + r / beta))
+    return normalize(np.where(_treated(s, tau, slice(None)), anchored_mass, lref + r / beta))

@@ -175,23 +175,20 @@ class MonteCarlo:
             raise ValueError("batch must be >= 1")
         if self.baseline not in BASELINES:
             raise ValueError(f"unknown baseline {self.baseline!r}")
-        if self.baseline == "leave_one_out" and self.batch < 2:
-            raise ValueError("leave_one_out needs batch >= 2")
+        if self.baseline != "none" and self.batch < 2:
+            raise ValueError(f"{self.baseline} needs batch >= 2")
 
 
 def _apply_baseline(coef: np.ndarray, baseline: str) -> np.ndarray:
+    """``batch_mean`` and ``leave_one_out`` are one estimator, since
+    (c_i - mean c) b/(b-1) = c_i - (sum c - c_i)/(b-1); mean subtraction
+    shrinks the expectation by (b-1)/b, and the b/(b-1) factor restores it."""
     if baseline == "none":
         return coef
     b = coef.size
     if b < 2:
         raise ValueError("batch must be >= 2 for a batch-derived baseline")
-    if baseline == "batch_mean":
-        # mean subtraction shrinks the expectation by (b-1)/b; the b/(b-1)
-        # factor restores unbiasedness
-        return (coef - coef.mean()) * (b / (b - 1.0))
-    if baseline == "leave_one_out":
-        return coef - (coef.sum() - coef) / (b - 1.0)
-    raise ValueError(f"unknown baseline {baseline!r}")
+    return (coef - coef.mean()) * (b / (b - 1.0))
 
 
 def score_function_gradient(
@@ -248,12 +245,14 @@ def mc_gradient(
     ys = sample_policy(policy, rng, mc.batch)
     anchor = None
     if spec.kind == "forward":
-        rewards, ref_s = s.rewards.values[ys], s
+        # under augmentation the anchored scenario gives both the batch's
+        # rewards and the regularizer's reference
+        ref_s = s
         if mara is not None:
-            aug = mara_mod.augment_ref_view(ys, s, mara)
-            rewards, anchor = aug.augmented_rewards, aug.anchor_index
+            tau, anchor = mara_mod.resolve_anchor(ys, s, mara)
             if anchor is not None:
-                ref_s = mara_mod.anchored_scenario(s, aug.threshold_used, anchor)
+                ref_s = mara_mod.anchored_scenario(s, tau, anchor)
+        rewards = ref_s.rewards.values[ys]
         if mc.sampled_regularizer:
             ref = ref_s.reference
             table = inverse_cdf(ref.log_weights, ref.support_mask)
@@ -353,7 +352,6 @@ class TrainConfig:
     mara: Optional[MaraConfig] = None
     steps: int = 3000
     learning_rate: float = 5e-3
-    adam: Tuple[float, float, float] = (0.9, 0.999, 1e-8)
     seed: int = 0
 
     def __post_init__(self):
@@ -394,18 +392,6 @@ def _policy_support(s: Scenario, spec: TargetSpec) -> Optional[np.ndarray]:
     return np.asarray(s.reference.support_mask)
 
 
-def _resolve_anchor(
-    s: Scenario, cfg: Optional[MaraConfig]
-) -> Tuple[Optional[float], Optional[int]]:
-    """Threshold and anchor over the whole support, or (None, None)
-    without augmentation; the anchor is None when no index qualifies."""
-    if cfg is None:
-        return None, None
-    r = s.rewards.values[s.reference.support_mask]
-    tau = mara_mod.resolve_threshold(cfg.threshold_rule, r)
-    return tau, mara_mod.global_anchor(s, tau, cfg.anchor_tiebreak)
-
-
 def _training_problem(
     s: Scenario, spec: TargetSpec, tau: Optional[float], anchor: Optional[int]
 ) -> Tuple[Categorical, Scenario]:
@@ -428,13 +414,15 @@ def _training_problem(
 def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
     """Run the optimization loop; deterministic for a given config."""
     spec = cfg.objective
-    support = _policy_support(s, spec)
-    policy = uniform_policy(s.n, support)
+    policy = uniform_policy(s.n, _policy_support(s, spec))
     state = AdamState(np.zeros(s.n), np.zeros(s.n))
-    b1, b2, eps = cfg.adam
 
-    # what does not change from step to step is computed once, here
-    tau, global_anchor = _resolve_anchor(s, cfg.mara)
+    # what does not change from step to step is computed once, here; the
+    # anchor is None when no index qualifies
+    tau = global_anchor = None
+    if cfg.mara is not None:
+        support = np.flatnonzero(s.reference.support_mask)
+        tau, global_anchor = mara_mod.resolve_anchor(support, s, cfg.mara)
     target, train_scenario = _training_problem(s, spec, tau, global_anchor)
     target_probs = target.probs
     above_set = (s.rewards.values >= tau) if tau is not None else None
@@ -455,9 +443,7 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
             gradient, anchor = mc_gradient(policy, s, spec, mc, rng, cfg.mara)
         if cfg.mara is not None:
             anchors.append(anchor)
-        state, logits = adam_step(
-            state, policy.logits, gradient, cfg.learning_rate, b1, b2, eps
-        )
+        state, logits = adam_step(state, policy.logits, gradient, cfg.learning_rate)
         policy = SoftmaxPolicy(logits, policy.support_mask)
 
         p = policy.probs()

@@ -199,6 +199,21 @@ def test_augment_without_threshold_is_usage_error(capsys):
     assert "--tau or --percentile" in err
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("train", ["--steps", "1"]),
+    ("augment", ["--indices", "0,1"]),
+], ids=["train", "augment"])
+def test_tau_and_percentile_are_exclusive(capsys, tmp_path, monkeypatch, command, extra):
+    # a run that wrongly went ahead would write below the working directory
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(
+        capsys, command, "--scenario", "two_point", "--beta", "1", "--tau", "0.5",
+        "--percentile", "0.3", *extra,
+    )
+    assert code == 2
+    assert "not allowed with" in err
+
+
 def test_train_single_step_trace(capsys, tmp_path):
     code, out, _ = run(
         capsys, "train", "--scenario", "two_point", "--kind", "reverse",
@@ -228,3 +243,23 @@ def test_kllab_out_env_var(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "env_out" / "two_point_reverse_trace.csv").exists()
+
+
+def test_report_missing_records_exits_1(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "report", "--records", str(tmp_path / "missing.csv"),
+        "--out", str(tmp_path / "report"),
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_train_out_below_a_file_exits_1(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run(
+        capsys, "train", "--scenario", "two_point", "--beta", "1", "--steps", "1",
+        "--out", str(blocker / "out"),
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +162,22 @@ def test_scenario_reference_probs_is_cached_and_read_only():
     with pytest.raises(AttributeError):
         s.reference_probs = np.zeros(4)
     assert s.reference_probs is p
+
+
+def test_unpickled_scenario_arrays_stay_read_only():
+    ref = normalize(np.array([0.0, -np.inf, -1.0, -3.0]))
+    s = Scenario(ref, RewardVector(np.array([0.5, 1.0, -2.0, 0.0])), name="pickled")
+    s.reference_probs  # cached before pickling; the copy recomputes it
+    t = pickle.loads(pickle.dumps(s))
+    assert t.name == "pickled"
+    for before, after in [
+        (s.reference.log_weights, t.reference.log_weights),
+        (s.reference.support_mask, t.reference.support_mask),
+        (s.rewards.values, t.rewards.values),
+        (s.reference_probs, t.reference_probs),
+    ]:
+        assert after.tobytes() == before.tobytes() and after.dtype == before.dtype
+        assert not after.flags.writeable
 
 
 def test_scenario_length_mismatch():

@@ -15,6 +15,7 @@ from kllab.mara import (
     augmented_reward_vector,
     global_anchor,
     mara_target,
+    resolve_anchor,
     resolve_threshold,
     select_anchor,
 )
@@ -41,8 +42,6 @@ def test_config_validation():
     with pytest.raises(InvalidCoefficient):
         MaraConfig(Constant(0.5), beta=0.0)
     with pytest.raises(ValueError):
-        MaraConfig(Constant(0.5), beta=1.0, anchor_tiebreak="coin_flip")
-    with pytest.raises(ValueError):
         BatchPercentile(1.0)
 
 
@@ -64,14 +63,13 @@ def test_select_anchor_prefers_reference_mass():
 
 def test_select_anchor_tiebreaks():
     s = make_scenario([0.4, 0.4, 0.2], [0.6, 0.9, 0.1])
-    assert select_anchor([0, 1], s, 0.5, tiebreak="lowest_index") == 0
-    assert select_anchor([1, 0], s, 0.5, tiebreak="lowest_index") == 1
-    assert select_anchor([0, 1], s, 0.5, tiebreak="highest_reward") == 1
+    assert select_anchor([0, 1], s, 0.5) == 0
+    assert select_anchor([1, 0], s, 0.5) == 1
 
 
-def _select_anchor_loop(batch_indices, s, threshold, tiebreak):
+def _select_anchor_loop(batch_indices, s, threshold):
     """Reference for select_anchor: one pass over the batch, keeping the
-    first member with the strictly best (log ref[, reward]) key."""
+    first member with the strictly best log ref."""
     lref = s.reference.log_weights
     r = s.rewards.values
     best = best_key = None
@@ -79,9 +77,8 @@ def _select_anchor_loop(batch_indices, s, threshold, tiebreak):
         y = int(y)
         if r[y] < threshold or not s.reference.support_mask[y]:
             continue
-        key = (lref[y], r[y]) if tiebreak == "highest_reward" else (lref[y],)
-        if best_key is None or key > best_key:
-            best, best_key = y, key
+        if best_key is None or lref[y] > best_key:
+            best, best_key = y, lref[y]
     return best
 
 
@@ -98,10 +95,9 @@ def test_select_anchor_matches_reference_loop():
         batches = [rng.integers(0, n, size=int(rng.integers(1, 20))), np.arange(n)]
         for batch in batches:
             for tau in (0.0, 0.5, 1.0, 2.0):
-                for tiebreak in ("lowest_index", "highest_reward"):
-                    expected = _select_anchor_loop(batch, s, tau, tiebreak)
-                    assert select_anchor(batch, s, tau, tiebreak) == expected
-                    anchors.add(expected)
+                expected = _select_anchor_loop(batch, s, tau)
+                assert select_anchor(batch, s, tau) == expected
+                anchors.add(expected)
     assert None in anchors and len(anchors) > 5
 
 
@@ -227,3 +223,34 @@ def test_estimator_views_agree_per_sample():
             policy, ys, a2.augmented_rewards, a2.augmented_ref_logprobs, beta
         )
         np.testing.assert_allclose(c1, c2, atol=1e-12)
+
+
+def test_batch_views_are_the_full_support_views_at_the_batch():
+    # few distinct masses and rewards, so ties are common; zero masses are
+    # masked indices
+    rng = np.random.Generator(np.random.PCG64(31))
+    anchored = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 41))
+        masses = rng.choice([0.0, 1.0, 2.0, 3.0], size=n)
+        masses[rng.integers(n)] = 1.0
+        s = make_scenario(masses, rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], size=n))
+        rule = (Constant(float(rng.choice([0.0, 0.5, 1.0]))) if rng.random() < 0.5
+                else BatchPercentile(float(rng.uniform(0.05, 0.95))))
+        cfg = MaraConfig(rule, beta=float(rng.choice([0.05, 0.5, 3.0])))
+        ys = rng.integers(0, n, size=int(rng.integers(1, 24)))
+        by_rewards = augment_rewards(ys, s, cfg)
+        by_ref = augment_ref_view(ys, s, cfg)
+        tau, anchor = by_rewards.threshold_used, by_rewards.anchor_index
+        assert (tau, anchor) == (by_ref.threshold_used, by_ref.anchor_index)
+        assert resolve_anchor(ys, s, cfg) == (tau, anchor)
+        if anchor is not None:
+            anchored += 1
+            full = augmented_reward_vector(s, cfg.beta, tau, anchor).values
+            assert by_rewards.augmented_rewards.tobytes() == full[ys].tobytes()
+            full = anchored_scenario(s, tau, anchor).rewards.values
+            assert by_ref.augmented_rewards.tobytes() == full[ys].tobytes()
+        support = np.flatnonzero(s.reference.support_mask)
+        tau_s = resolve_threshold(rule, s.rewards.values[s.reference.support_mask])
+        assert resolve_anchor(support, s, cfg) == (tau_s, global_anchor(s, tau_s))
+    assert 100 < anchored < 300

@@ -371,6 +371,8 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         MonteCarlo(batch=1, baseline="leave_one_out")
     with pytest.raises(ValueError):
+        MonteCarlo(batch=1)
+    with pytest.raises(ValueError):
         MonteCarlo(baseline="oracle")
     # augmentation anchors the full reference, so forward keeps the exact regularizer
     with pytest.raises(ValueError):
@@ -470,7 +472,7 @@ def _reference_train(s, cfg):
     if cfg.mara is not None:
         r = s.rewards.values[s.reference.support_mask]
         tau = resolve_threshold(cfg.mara.threshold_rule, r)
-        anchor = global_anchor(s, tau, cfg.mara.anchor_tiebreak)
+        anchor = global_anchor(s, tau)
     if anchor is None:
         target, scenario = analytic_target(s, spec), s
     elif spec.kind == "reverse":
@@ -487,7 +489,7 @@ def _reference_train(s, cfg):
         if mc is None:
             g = exact_gradient(fresh(), scenario, spec)
             if cfg.mara is not None:
-                anchors.append(global_anchor(s, tau, cfg.mara.anchor_tiebreak))
+                anchors.append(global_anchor(s, tau))
         elif spec.kind == "forward":
             ys = sample_policy(fresh(), rng, mc.batch)
             if cfg.mara is not None:
@@ -519,7 +521,7 @@ def _reference_train(s, cfg):
             if spec.kind == "generalized" and spec.eta > 0:
                 coef = coef - spec.eta * fresh().log_probs()[ys]
             g = score_function_gradient(fresh(), ys, _apply_baseline(coef, mc.baseline))
-        state, logits = adam_step(state, logits, g, cfg.learning_rate, *cfg.adam)
+        state, logits = adam_step(state, logits, g, cfg.learning_rate)
         p, lp, active = fresh().probs(), fresh().log_probs(), fresh().support_mask
         trace.append(StepRecord(
             objective_value=exact_objective(fresh(), scenario, spec),
