@@ -103,8 +103,17 @@ def cmd_target(args) -> int:
     return EXIT_OK
 
 
+def _check_indices(s, indices) -> None:
+    """Reject an index outside 0..n-1, a negative one included (numpy
+    would wrap it around to the end)."""
+    for i in indices:
+        if not 0 <= i < s.n:
+            raise ValueError(f"index {i} out of range for a scenario of n = {s.n}")
+
+
 def cmd_ratio(args) -> int:
     s = _resolve_scenario(args.scenario)
+    _check_indices(s, (args.i, args.j))
     value = log_prob_ratio(s, args.beta, args.i, args.j)
     print(f"log_ratio {value:.12g}")
     return EXIT_OK
@@ -112,6 +121,7 @@ def cmd_ratio(args) -> int:
 
 def cmd_flip_beta(args) -> int:
     s = _resolve_scenario(args.scenario)
+    _check_indices(s, (args.i, args.j))
     if args.i == args.j:
         print("no finite flip: identical indices", file=sys.stderr)
         return EXIT_DOMAIN
@@ -131,6 +141,7 @@ def cmd_augment(args) -> int:
         print("augment requires --tau or --percentile", file=sys.stderr)
         return EXIT_USAGE
     indices = [int(tok) for tok in args.indices.split(",") if tok.strip()]
+    _check_indices(s, indices)
     batch = augment_rewards(indices, s, cfg)
     print(f"# threshold = {batch.threshold_used:.12g}")
     print(f"# anchor = {batch.anchor_index}")

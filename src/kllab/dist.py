@@ -157,7 +157,13 @@ def inverse_cdf(log_weights: np.ndarray, support_mask: np.ndarray):
     """The unmasked indices and their running mass, the last pinned to 1:
     the table that :func:`draw` inverts. Masked indices can never be drawn."""
     active = np.flatnonzero(support_mask)
-    cdf = np.cumsum(np.exp(log_weights[active]))
+    return cdf_table(active, np.exp(log_weights[active]))
+
+
+def cdf_table(active: np.ndarray, masses: np.ndarray):
+    """The :func:`draw` table of ``masses`` at the indices ``active``: their
+    running sum, the last entry pinned to 1."""
+    cdf = np.cumsum(masses)
     cdf[-1] = 1.0
     return active, cdf
 

@@ -100,8 +100,15 @@ def generalized_target(s: Scenario, beta: float, eta: float) -> Categorical:
     return normalize(lw)
 
 
+def _mass_terms(lam: float, w, rewards):
+    """``F(lam)`` with the terms Newton reuses: ``w / (lam - R)`` and ``lam - R``."""
+    gap = lam - rewards
+    q = w / gap
+    return float(np.sum(q)), q, gap
+
+
 def _on_support_mass(lam: float, w, rewards) -> float:
-    return float(np.sum(w / (lam - rewards)))
+    return _mass_terms(lam, w, rewards)[0]
 
 
 def _solve_lambda(beta: float, w, rewards, lower: float) -> float:
@@ -129,33 +136,38 @@ def _solve_lambda(beta: float, w, rewards, lower: float) -> float:
     hi = lower + beta + 1.0
     eps = 1e-12 * max(1.0, abs(lower))
     open_end = bool(np.any(rewards >= lower))
+    # F and its Newton terms at lo, when the bracket search evaluated them
+    at_lo = None
     if open_end:
         # mass diverges at lower: step inside until >= 1
         lo = lower + eps
         tries = 0
-        while lo > lower and _on_support_mass(lo, w, rewards) < 1.0:
+        while lo > lower:
+            at_lo = _mass_terms(lo, w, rewards)
+            if at_lo[0] >= 1.0:
+                break
+            at_lo = None
             hi = lo  # F < 1 here as well: a closer ceiling
             eps *= 0.25
             lo = lower + eps
             tries += 1
             if tries > 60:
                 raise SolverFailure("could not bracket the multiplier from below")
-    if _on_support_mass(hi, w, rewards) >= 1.0:
-        tries = 0
-        while _on_support_mass(hi, w, rewards) >= 1.0:
-            hi = lower + (hi - lower) * 2.0
-            tries += 1
-            if tries > 60:
-                raise SolverFailure("could not bracket the multiplier from above")
+    tries = 0
+    while _on_support_mass(hi, w, rewards) >= 1.0:
+        hi = lower + (hi - lower) * 2.0
+        tries += 1
+        if tries > 60:
+            raise SolverFailure("could not bracket the multiplier from above")
     # Newton cannot start where F is infinite; a bisection step comes first
     x = None if open_end and lo == lower else lo
     crawl = 0
     while np.nextafter(lo, hi) < hi:
         if x is None:
             x = 0.5 * (lo + hi)
-        gap = x - rewards
-        q = w / gap
-        f = float(np.sum(q))
+        # Newton's start is the bracket search's last lower point
+        f, q, gap = at_lo if at_lo is not None else _mass_terms(x, w, rewards)
+        at_lo = None
         # x is lo only at the start, which stays the bracket's lower end
         # even where F(lo) is exactly 1
         if x > lo:

@@ -4,20 +4,254 @@ Supports exact (full-enumeration) gradients, which serve as the oracle,
 and Monte-Carlo score-function estimators with optional baselines. The
 augmentation hooks plug in at the batch level for Monte-Carlo runs and
 at the reward-vector level for exact runs.
+
+Layering: public wrapper -> kernel. Each formula is one private kernel
+that works on rows over the policy's support columns, the k <= n indices
+that carry mass: the softmax (``_softmax``), the exact gradient and
+objective of each family (``_gradient``, ``_objective``), the Monte-Carlo
+coefficients and score function (``_mc_gradient``) and the trace fields
+(``_record``). A ``_Problem`` holds what stays fixed while the logits
+move: the support columns and the rewards and reference restricted to
+them. The public functions (``SoftmaxPolicy.log_probs``/``probs``,
+``exact_gradient``, ``exact_objective``, ``mc_gradient`` and its seeded
+forms) check their inputs, compress them to the columns, call the
+kernels and scatter the result back to length n. ``train()`` computes its
+run invariants once (the columns and ``_Problem``, the support checks,
+the target mass, the sampled regularizer's reference table) and then
+steps on the rows alone, so no check that cannot change within a run is
+repeated and no policy object is built per step.
+
+A reduction runs over the same elements in the same order as written
+over all n: sums that range over all n (E_p[r], TV) still do, masked sums
+run over the contiguous support row. So a row and a full-length
+computation agree bit for bit (Higham 1993, "The accuracy of floating
+point summation").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import mara as mara_mod
-from .dist import Categorical, Scenario, _frozen, draw, inverse_cdf, normalize, sample
+from .dist import (
+    Categorical, Scenario, _frozen, cdf_table, draw, inverse_cdf, normalize, sample,
+)
 from .errors import InfiniteDivergence, NonFiniteGradient
 from .mara import MaraConfig
 from .targets import TargetSpec, analytic_target, forward_kl_target
+
+# np.sum's pairwise sum without its Python wrapper, which costs more than
+# summing a hundred floats
+_sum = np.add.reduce
+
+
+# --------------------------------------------------------------------------
+# kernels: rows over the policy's support columns
+
+
+def _softmax(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Log-probabilities and probabilities of the logits row ``x``."""
+    m = np.maximum.reduce(x, axis=-1)
+    lp = x - (m + np.log(_sum(np.exp(x - m), axis=-1)))
+    return lp, np.exp(lp)
+
+
+def _check_logits(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError("logits must be finite")
+
+
+def _columns(mask: np.ndarray) -> Optional[np.ndarray]:
+    """The support columns of ``mask``, or None when the support is full."""
+    return None if mask.all() else np.flatnonzero(mask)
+
+
+def _to_n(row: np.ndarray, cols: Optional[np.ndarray], n: int, fill: float = 0.0):
+    """A row over the support columns as a length-n vector, ``fill``
+    elsewhere; the row itself when the support is full (``cols`` None)."""
+    if cols is None:
+        return row
+    out = np.full(n, fill)
+    out[cols] = row
+    return out
+
+
+def _coefficients(r, lp, log_ratio, beta: float, eta: float) -> np.ndarray:
+    """r - beta log(p / ref) - eta log p, per column or per sample;
+    ``log_ratio`` is log(p / ref), unused at beta = 0."""
+    coef = r - beta * log_ratio if beta > 0 else np.array(r, dtype=float)
+    return coef - eta * lp if eta > 0 else coef
+
+
+def _centered(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Logit gradient of E_p[c] with c held fixed: p (c - E_p[c])."""
+    return p * (c - _sum(p * c, axis=-1))
+
+
+def _forward_gradient(reward_term, ref, p, beta: float) -> np.ndarray:
+    """Forward KL's logit gradient: the reward term plus beta (ref - p)."""
+    return reward_term + beta * (ref - p)
+
+
+def _score(pos: np.ndarray, coef: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Mean over the batch of coef_i * grad log p(y_i), sample i at column
+    ``pos[i]``; each column adds its samples in batch order."""
+    b = pos.size
+    return np.bincount(pos, coef, p.size) / b - p * (_sum(coef) / b)
+
+
+def _sample_coefficients(lp_ys, rewards, ref_lp, beta: float, eta: float):
+    """:func:`_coefficients` at sampled indices; at beta = 0 the reference
+    plays no part, so samples outside its support are allowed (as in the
+    exact gradient)."""
+    if beta > 0 and not np.isfinite(ref_lp).all():
+        raise InfiniteDivergence("sampled index outside the reference support")
+    return _coefficients(rewards, lp_ys, lp_ys - ref_lp if beta > 0 else None, beta, eta)
+
+
+def _apply_baseline(coef: np.ndarray, baseline: str) -> np.ndarray:
+    """``batch_mean`` and ``leave_one_out`` are one estimator, since
+    (c_i - mean c) b/(b-1) = c_i - (sum c - c_i)/(b-1); mean subtraction
+    shrinks the expectation by (b-1)/b, and the b/(b-1) factor restores it."""
+    if baseline == "none":
+        return coef
+    b = coef.size
+    if b < 2:
+        raise ValueError("batch must be >= 2 for a batch-derived baseline")
+    return (coef - _sum(coef) / b) * (b / (b - 1.0))
+
+
+class _Problem:
+    """A scenario and objective on the policy's support columns ``cols``
+    (None when the support is full): what stays fixed while the logits
+    move. Each piece is computed on first use and then kept."""
+
+    def __init__(self, s: Scenario, spec: TargetSpec, cols: Optional[np.ndarray]):
+        self.s, self.spec, self.cols, self.n = s, spec, cols, s.n
+        self.r = s.rewards.values
+        self.forward = spec.kind == "forward"
+        # the generalized family carries a reverse-KL term at beta > 0
+        self.kl_term = not self.forward and spec.beta > 0
+
+    def at_cols(self, a: np.ndarray) -> np.ndarray:
+        return a if self.cols is None else a[self.cols]
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        return np.arange(self.n if self.cols is None else self.cols.size)
+
+    @cached_property
+    def r_k(self) -> np.ndarray:
+        return self.at_cols(self.r)
+
+    @cached_property
+    def lref_k(self) -> np.ndarray:
+        return self.at_cols(self.s.reference.log_weights)
+
+    @cached_property
+    def ref_k(self) -> np.ndarray:
+        return self.at_cols(self.s.reference_probs)
+
+    @cached_property
+    def ref_table(self):
+        ref = self.s.reference
+        return inverse_cdf(ref.log_weights, ref.support_mask)
+
+    @cached_property
+    def reference_terms(self):
+        """Forward's regularizer sums over the reference support: the
+        reference mass and log-mass there, and the columns it occupies
+        (None when it occupies all of them)."""
+        m = self.s.reference.support_mask
+        at = m if self.cols is None else m[self.cols]
+        ref_cols = None if at.all() else np.flatnonzero(at)
+        return self.s.reference_probs[m], self.s.reference.log_weights[m], ref_cols
+
+    def shared(self, lp: np.ndarray, full_p: np.ndarray):
+        """What the exact gradient, the objective and the trace share at one
+        policy: E_p[r] over all n, and log(p / ref) on the columns when
+        there is a reverse-KL term (else None)."""
+        mean_reward = float(_sum(full_p * self.r, axis=-1))
+        return mean_reward, (lp - self.lref_k if self.kl_term else None)
+
+
+def _check_support(s: Scenario, spec: TargetSpec, mask: np.ndarray) -> None:
+    """Raise unless the exact objective is finite: forward needs the
+    reference support inside the policy's, a reverse-KL term the policy's
+    inside the reference's."""
+    ref = s.reference.support_mask
+    if spec.kind == "forward":
+        if np.any(ref & ~mask):
+            raise InfiniteDivergence("reference mass outside the policy support")
+    elif spec.beta > 0 and np.any(mask & ~ref):
+        raise InfiniteDivergence("policy mass outside the reference support")
+
+
+def _gradient(prob: _Problem, lp, p, mean_reward: float, log_ratio) -> np.ndarray:
+    """Exact logit gradient of the objective."""
+    spec = prob.spec
+    if prob.forward:
+        return _forward_gradient(p * (prob.r_k - mean_reward), prob.ref_k, p, spec.beta)
+    return _centered(p, _coefficients(prob.r_k, lp, log_ratio, spec.beta, spec.eta))
+
+
+def _objective(prob: _Problem, lp, p, mean_reward: float, log_ratio,
+               entropy: float) -> float:
+    """Expected reward minus the exact regularizer."""
+    spec = prob.spec
+    if prob.forward:
+        ref, lref, ref_cols = prob.reference_terms
+        lp_ref = lp if ref_cols is None else lp[ref_cols]
+        return mean_reward - spec.beta * float(_sum(ref * (lref - lp_ref), axis=-1))
+    value = mean_reward
+    if spec.beta > 0:
+        value -= spec.beta * float(_sum(p * log_ratio, axis=-1))
+    if spec.eta > 0:
+        value += spec.eta * entropy
+    return value
+
+
+def _entropy(lp: np.ndarray, p: np.ndarray) -> float:
+    return float(-_sum(p * lp, axis=-1))
+
+
+def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rng: np.random.Generator,
+                 mara: Optional[MaraConfig]):
+    """One batch's estimate on the support columns and the batch's anchor;
+    see :func:`mc_gradient`."""
+    spec, s = prob.spec, prob.s
+    pos = draw(cdf_table(prob.positions, p), rng.random(mc.batch))
+    ys = pos if prob.cols is None else prob.cols[pos]
+    anchor = None
+    if prob.forward:
+        # under augmentation the anchored scenario gives both the batch's
+        # rewards and the regularizer's reference
+        ref_s = s
+        if mara is not None:
+            tau, anchor = mara_mod.resolve_anchor(ys, s, mara)
+            if anchor is not None:
+                ref_s = mara_mod.anchored_scenario(s, tau, anchor)
+        rewards = ref_s.rewards.values[ys]
+        if mc.sampled_regularizer:
+            ref = ref_s.reference
+            table = (prob.ref_table if ref_s is s
+                     else inverse_cdf(ref.log_weights, ref.support_mask))
+            ref_mass = _empirical_mass(draw(table, rng.random(ys.size)), s.n)
+            ref_mass = prob.at_cols(ref_mass)
+        else:
+            ref_mass = prob.ref_k if ref_s is s else prob.at_cols(ref_s.reference_probs)
+        return _forward_gradient(_score(pos, rewards, p), ref_mass, p, spec.beta), anchor
+    rewards, ref_lp = s.rewards.values[ys], s.reference.log_weights[ys]
+    if mara is not None:
+        aug = mara_mod.augment_rewards(ys, s, mara)
+        rewards, ref_lp = aug.augmented_rewards, aug.augmented_ref_logprobs
+        anchor = aug.anchor_index
+    coef = _sample_coefficients(lp[pos], rewards, ref_lp, spec.beta, spec.eta)
+    return _score(pos, _apply_baseline(coef, mc.baseline), p), anchor
 
 
 # --------------------------------------------------------------------------
@@ -33,14 +267,16 @@ class SoftmaxPolicy:
 
     Instances and their arrays are immutable. ``logits`` and
     ``support_mask`` are frozen in place, as :class:`Categorical` does, so
-    an array passed in becomes read-only too. ``log_probs()`` and
-    ``probs()`` are computed once per instance and return the same
+    an array passed in becomes read-only too. The softmax is computed once
+    per instance; ``log_probs()`` and ``probs()`` return the same
     read-only arrays on every call, so every function handed the policy
     shares one softmax.
     """
 
     logits: np.ndarray
     support_mask: Optional[np.ndarray] = None
+    # (support columns or None, log-probs, probs) over the columns
+    _rows: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _log_probs: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -50,8 +286,7 @@ class SoftmaxPolicy:
 
     def __post_init__(self):
         logits = np.asarray(self.logits, dtype=float)
-        if not np.isfinite(logits).all():
-            raise ValueError("logits must be finite")
+        _check_logits(logits)
         mask = self.support_mask
         mask = np.ones(logits.size, dtype=bool) if mask is None else np.asarray(mask, bool)
         object.__setattr__(self, "logits", _frozen(logits))
@@ -61,20 +296,23 @@ class SoftmaxPolicy:
     def n(self) -> int:
         return self.logits.size
 
+    def _support_rows(self):
+        if self._rows is None:
+            cols = _columns(self.support_mask)
+            x = self.logits if cols is None else self.logits[cols]
+            object.__setattr__(self, "_rows", (cols, *_softmax(x)))
+        return self._rows
+
     def log_probs(self) -> np.ndarray:
         if self._log_probs is None:
-            lw = np.where(self.support_mask, self.logits, -np.inf)
-            active = lw[self.support_mask]
-            m = active.max()
-            lw = lw - (m + np.log(np.sum(np.exp(active - m))))
-            object.__setattr__(self, "_log_probs", _frozen(lw))
+            cols, lp, _ = self._support_rows()
+            object.__setattr__(self, "_log_probs", _frozen(_to_n(lp, cols, self.n, -np.inf)))
         return self._log_probs
 
     def probs(self) -> np.ndarray:
         if self._probs is None:
-            p = np.zeros(self.n)
-            p[self.support_mask] = np.exp(self.log_probs()[self.support_mask])
-            object.__setattr__(self, "_probs", _frozen(p))
+            cols, _, p = self._support_rows()
+            object.__setattr__(self, "_probs", _frozen(_to_n(p, cols, self.n)))
         return self._probs
 
     def distribution(self) -> Categorical:
@@ -89,65 +327,33 @@ def uniform_policy(n: int, support_mask=None) -> SoftmaxPolicy:
 # exact objective and gradients
 
 
+def _exact_inputs(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec):
+    """Check the supports, then the kernels' inputs for ``policy``."""
+    _check_support(s, spec, policy.support_mask)
+    cols, lp, p = policy._support_rows()
+    prob = _Problem(s, spec, cols)
+    return (prob, lp, p, *prob.shared(lp, policy.probs()))
+
+
 def exact_objective(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> float:
     """Expected reward minus the exact regularizer, by full summation."""
-    p = policy.probs()
-    lp = policy.log_probs()
-    lref = s.reference.log_weights
-    r = s.rewards.values
-    value = float(np.sum(p * r))
-    if spec.kind == "forward":
-        if np.any(s.reference.support_mask & ~policy.support_mask):
-            raise InfiniteDivergence("reference mass outside the policy support")
-        m = s.reference.support_mask
-        ref = s.reference_probs
-        return value - spec.beta * float(np.sum(ref[m] * (lref[m] - lp[m])))
-    m = policy.support_mask
-    if spec.beta > 0:
-        if np.any(m & ~s.reference.support_mask):
-            raise InfiniteDivergence("policy mass outside the reference support")
-        value -= spec.beta * float(np.sum(p[m] * (lp[m] - lref[m])))
-    if spec.eta > 0:
-        value += spec.eta * float(-np.sum(p[m] * lp[m]))
-    return value
+    prob, lp, p, mean_reward, log_ratio = _exact_inputs(policy, s, spec)
+    return _objective(prob, lp, p, mean_reward, log_ratio, _entropy(lp, p))
 
 
 def exact_gradient(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> np.ndarray:
     """Analytic gradient of the objective with respect to the logits."""
-    p = policy.probs()
-    lp = policy.log_probs()
-    lref = s.reference.log_weights
-    r = s.rewards.values
-    m = policy.support_mask
-    g = np.zeros(policy.n)
-    if spec.kind == "forward":
-        if np.any(s.reference.support_mask & ~m):
-            raise InfiniteDivergence("reference mass outside the policy support")
-        g[m] = p[m] * (r[m] - float(np.sum(p * r)))
-        g[m] += spec.beta * (s.reference_probs[m] - p[m])
-        return g
-    if spec.beta > 0 and np.any(m & ~s.reference.support_mask):
-        raise InfiniteDivergence("policy mass outside the reference support")
-    coef = r[m].astype(float).copy()
-    if spec.beta > 0:
-        coef -= spec.beta * (lp[m] - lref[m])
-    if spec.eta > 0:
-        coef -= spec.eta * lp[m]
-    g[m] = p[m] * (coef - float(np.sum(p[m] * coef)))
-    return g
+    prob, lp, p, mean_reward, log_ratio = _exact_inputs(policy, s, spec)
+    return _to_n(_gradient(prob, lp, p, mean_reward, log_ratio), prob.cols, policy.n)
 
 
 def kl_gradient_to_target(policy: SoftmaxPolicy, target: Categorical) -> np.ndarray:
     """Gradient of KL(policy || target) with respect to the logits."""
     if np.any(policy.support_mask & ~target.support_mask):
         raise InfiniteDivergence("policy mass outside the target support")
-    p = policy.probs()
-    lp = policy.log_probs()
-    m = policy.support_mask
-    d = lp[m] - target.log_weights[m]
-    g = np.zeros(policy.n)
-    g[m] = p[m] * (d - float(np.sum(p[m] * d)))
-    return g
+    cols, lp, p = policy._support_rows()
+    log_target = target.log_weights if cols is None else target.log_weights[cols]
+    return _to_n(_centered(p, lp - log_target), cols, policy.n)
 
 
 # --------------------------------------------------------------------------
@@ -179,31 +385,19 @@ class MonteCarlo:
             raise ValueError(f"{self.baseline} needs batch >= 2")
 
 
-def _apply_baseline(coef: np.ndarray, baseline: str) -> np.ndarray:
-    """``batch_mean`` and ``leave_one_out`` are one estimator, since
-    (c_i - mean c) b/(b-1) = c_i - (sum c - c_i)/(b-1); mean subtraction
-    shrinks the expectation by (b-1)/b, and the b/(b-1) factor restores it."""
-    if baseline == "none":
-        return coef
-    b = coef.size
-    if b < 2:
-        raise ValueError("batch must be >= 2 for a batch-derived baseline")
-    return (coef - coef.mean()) * (b / (b - 1.0))
-
-
 def score_function_gradient(
     policy: SoftmaxPolicy, ys: np.ndarray, coef: np.ndarray
 ) -> np.ndarray:
     """Mean over the batch of coef_i * grad log p(y_i) in logit space."""
-    p = policy.probs()
-    g = np.bincount(ys, coef, policy.n) / ys.size - p * float(coef.mean())
+    g = _score(ys, coef, policy.probs())
     g[~policy.support_mask] = 0.0
     return g
 
 
 def sample_policy(policy: SoftmaxPolicy, rng: np.random.Generator, count: int) -> np.ndarray:
-    table = inverse_cdf(policy.log_probs(), policy.support_mask)
-    return draw(table, rng.random(count))
+    cols, _, p = policy._support_rows()
+    active = np.arange(policy.n) if cols is None else cols
+    return draw(cdf_table(active, p), rng.random(count))
 
 
 def reverse_coefficients(
@@ -215,12 +409,7 @@ def reverse_coefficients(
     At beta = 0 the reference plays no part, so samples outside its
     support are allowed (as in the exact gradient).
     """
-    if beta == 0:
-        return np.array(rewards, dtype=float)
-    if np.any(~np.isfinite(ref_logprobs)):
-        raise InfiniteDivergence("sampled index outside the reference support")
-    lp = policy.log_probs()
-    return rewards - beta * (lp[ys] - ref_logprobs)
+    return _sample_coefficients(policy.log_probs()[ys], rewards, ref_logprobs, beta, 0.0)
 
 
 def _empirical_mass(ws: np.ndarray, n: int) -> np.ndarray:
@@ -233,7 +422,7 @@ def mc_gradient(
 ) -> Tuple[np.ndarray, Optional[int]]:
     """Score-function estimate of :func:`exact_gradient` (unbiased without
     ``mara``) from one batch of ``mc.batch`` policy samples drawn from
-    ``rng``; :func:`train` steps with it.
+    ``rng``; :func:`train` steps with the same kernel.
 
     Reverse and generalized weight each score by r - beta log(p / ref)
     (- eta log p), after ``mc.baseline``. Forward adds beta * (ref - p) to
@@ -242,35 +431,9 @@ def mc_gradient(
     augmented rewards for reverse, the anchored reference for forward.
     Returns the gradient and the batch's anchor (None if none).
     """
-    ys = sample_policy(policy, rng, mc.batch)
-    anchor = None
-    if spec.kind == "forward":
-        # under augmentation the anchored scenario gives both the batch's
-        # rewards and the regularizer's reference
-        ref_s = s
-        if mara is not None:
-            tau, anchor = mara_mod.resolve_anchor(ys, s, mara)
-            if anchor is not None:
-                ref_s = mara_mod.anchored_scenario(s, tau, anchor)
-        rewards = ref_s.rewards.values[ys]
-        if mc.sampled_regularizer:
-            ref = ref_s.reference
-            table = inverse_cdf(ref.log_weights, ref.support_mask)
-            ref_mass = _empirical_mass(draw(table, rng.random(ys.size)), s.n)
-        else:
-            ref_mass = ref_s.reference_probs
-        reg = ref_mass - policy.probs()
-        reg[~policy.support_mask] = 0.0
-        return score_function_gradient(policy, ys, rewards) + spec.beta * reg, anchor
-    rewards, ref_lp = s.rewards.values[ys], s.reference.log_weights[ys]
-    if mara is not None:
-        aug = mara_mod.augment_rewards(ys, s, mara)
-        rewards, ref_lp = aug.augmented_rewards, aug.augmented_ref_logprobs
-        anchor = aug.anchor_index
-    coef = reverse_coefficients(policy, ys, rewards, ref_lp, spec.beta)
-    if spec.eta > 0:
-        coef = coef - spec.eta * policy.log_probs()[ys]
-    return score_function_gradient(policy, ys, _apply_baseline(coef, mc.baseline)), anchor
+    cols, lp, p = policy._support_rows()
+    g, anchor = _mc_gradient(_Problem(s, spec, cols), lp, p, mc, rng, mara)
+    return _to_n(g, cols, policy.n), anchor
 
 
 def mc_gradient_reverse(
@@ -317,14 +480,18 @@ class AdamState:
     t: int = 0
 
 
+def _check_gradient(gradient: np.ndarray) -> None:
+    if not np.isfinite(gradient).all():
+        bad = np.flatnonzero(~np.isfinite(gradient))
+        raise NonFiniteGradient(f"non-finite gradient at coordinates {bad[:8].tolist()}")
+
+
 def adam_step(
     state: AdamState, params: np.ndarray, gradient: np.ndarray, lr: float,
     beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
 ) -> Tuple[AdamState, np.ndarray]:
     """One bias-corrected ascent step; returns (new state, new params)."""
-    if not np.all(np.isfinite(gradient)):
-        bad = np.flatnonzero(~np.isfinite(gradient))
-        raise NonFiniteGradient(f"non-finite gradient at coordinates {bad[:8].tolist()}")
+    _check_gradient(gradient)
     t = state.t + 1
     m = beta1 * state.m + (1 - beta1) * gradient
     v = beta2 * state.v + (1 - beta2) * gradient**2
@@ -386,6 +553,19 @@ class TrainResult:
     target: Categorical
 
 
+def _record(prob: _Problem, lp, p, full_p, mean_reward: float, log_ratio,
+            target_probs: np.ndarray, above: Optional[np.ndarray]) -> StepRecord:
+    """The trace fields of one policy; ``above`` lists the indices at or
+    above the augmentation threshold (None without augmentation)."""
+    entropy = _entropy(lp, p)
+    return StepRecord(
+        objective_value=_objective(prob, lp, p, mean_reward, log_ratio, entropy),
+        tv_to_target=float(0.5 * _sum(np.abs(full_p - target_probs), axis=-1)),
+        entropy=entropy,
+        above_threshold_mass=None if above is None else float(_sum(full_p[above])),
+    )
+
+
 def _policy_support(s: Scenario, spec: TargetSpec) -> Optional[np.ndarray]:
     if spec.kind == "forward" or spec.beta == 0:
         return None
@@ -414,8 +594,10 @@ def _training_problem(
 def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
     """Run the optimization loop; deterministic for a given config."""
     spec = cfg.objective
-    policy = uniform_policy(s.n, _policy_support(s, spec))
-    state = AdamState(np.zeros(s.n), np.zeros(s.n))
+    n = s.n
+    mask = _policy_support(s, spec)
+    mask = np.ones(n, dtype=bool) if mask is None else mask
+    cols = _columns(mask)
 
     # what does not change from step to step is computed once, here; the
     # anchor is None when no index qualifies
@@ -424,8 +606,12 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
         support = np.flatnonzero(s.reference.support_mask)
         tau, global_anchor = mara_mod.resolve_anchor(support, s, cfg.mara)
     target, train_scenario = _training_problem(s, spec, tau, global_anchor)
+    _check_support(train_scenario, spec, mask)
+    prob = _Problem(train_scenario, spec, cols)
+    # the Monte-Carlo batch sees the raw scenario and applies the batch view
+    mc_prob = prob if train_scenario is s else _Problem(s, spec, cols)
     target_probs = target.probs
-    above_set = (s.rewards.values >= tau) if tau is not None else None
+    above = np.flatnonzero(s.rewards.values >= tau) if tau is not None else None
 
     trace: List[StepRecord] = []
     anchors: List[Optional[int]] = []
@@ -435,32 +621,33 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
         np.random.Generator(np.random.PCG64(cfg.seed)) if mc is not None else None
     )
 
+    x = np.zeros(n if cols is None else cols.size)
+    state = AdamState(np.zeros(x.size), np.zeros(x.size))
+    lp, p = _softmax(x)
+    mean_reward, log_ratio = prob.shared(lp, _to_n(p, cols, n))
     for _ in range(cfg.steps):
         if mc is None:
-            gradient = exact_gradient(policy, train_scenario, spec)
+            gradient = _gradient(prob, lp, p, mean_reward, log_ratio)
             anchor = global_anchor
         else:
-            gradient, anchor = mc_gradient(policy, s, spec, mc, rng, cfg.mara)
+            gradient, anchor = _mc_gradient(mc_prob, lp, p, mc, rng, cfg.mara)
         if cfg.mara is not None:
             anchors.append(anchor)
-        state, logits = adam_step(state, policy.logits, gradient, cfg.learning_rate)
-        policy = SoftmaxPolicy(logits, policy.support_mask)
+        try:
+            state, x = adam_step(state, x, gradient, cfg.learning_rate)
+        except NonFiniteGradient:
+            # name the coordinates over all n, not over the support columns
+            _check_gradient(_to_n(gradient, cols, n))
+            raise
+        _check_logits(x)
 
-        p = policy.probs()
-        lp = policy.log_probs()
-        active = policy.support_mask
-        trace.append(
-            StepRecord(
-                objective_value=exact_objective(policy, train_scenario, spec),
-                tv_to_target=float(0.5 * np.sum(np.abs(p - target_probs))),
-                entropy=float(-np.sum(p[active] * lp[active])),
-                above_threshold_mass=(
-                    float(np.sum(p[above_set])) if above_set is not None else None
-                ),
-            )
-        )
+        lp, p = _softmax(x)
+        full_p = _to_n(p, cols, n)
+        mean_reward, log_ratio = prob.shared(lp, full_p)
+        trace.append(_record(prob, lp, p, full_p, mean_reward, log_ratio,
+                             target_probs, above))
+    policy = SoftmaxPolicy(_to_n(x, cols, n), mask)
     return TrainResult(
         final_policy=policy.distribution(), trace=trace,
         anchor_history=anchors, target=target,
     )
-

@@ -199,6 +199,29 @@ def test_augment_without_threshold_is_usage_error(capsys):
     assert "--tau or --percentile" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ratio", "--scenario", "two_point", "--beta", "1", "--i", "5", "--j", "0"),
+        ("ratio", "--scenario", "two_point", "--beta", "1", "--i", "0", "--j", "-1"),
+        ("flip-beta", "--scenario", "fig2_two_mode", "--i", "18", "--j", "100"),
+        ("flip-beta", "--scenario", "fig2_two_mode", "--i", "-63", "--j", "18"),
+        ("augment", "--scenario", "mara_toy", "--beta", "0.1", "--tau", "0.5",
+         "--indices", "12,100"),
+        ("augment", "--scenario", "mara_toy", "--beta", "0.1", "--tau", "0.5",
+         "--indices=-1,12"),
+    ],
+    ids=["ratio-high", "ratio-negative", "flip-beta-high", "flip-beta-negative",
+         "augment-high", "augment-negative"],
+)
+def test_index_out_of_range_is_usage_error(capsys, argv):
+    # a negative index would otherwise wrap around to the end of the vector
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: index ") and "out of range" in err
+
+
 @pytest.mark.parametrize("command,extra", [
     ("train", ["--steps", "1"]),
     ("augment", ["--indices", "0,1"]),

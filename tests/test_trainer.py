@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, random_scenario
-from kllab.dist import Scenario
+from kllab.dist import RewardVector, Scenario, normalize
 from kllab.errors import InfiniteDivergence, NonFiniteGradient
 from kllab.harness import MARA_TOY_TAU, scenario_by_name
 from kllab.mara import (
@@ -455,18 +455,138 @@ def test_train_mc_generalized_beta_zero_allows_masked_reference():
     assert tv <= 0.05 < result.trace[0].tv_to_target
 
 
+# --------------------------------------------------------------------------
+# the bit-for-bit oracle: the formulas of the full-length implementation
+# that the support-column kernels replaced, written out here so that the
+# oracle shares no code with the trainer
+
+
+def _oracle_softmax(logits, mask):
+    lw = np.where(mask, logits, -np.inf)
+    active = lw[mask]
+    m = active.max()
+    lp = lw - (m + np.log(np.sum(np.exp(active - m))))
+    p = np.zeros(logits.size)
+    p[mask] = np.exp(lp[mask])
+    return lp, p
+
+
+def _oracle_objective(lp, p, mask, s, spec):
+    lref, r = s.reference.log_weights, s.rewards.values
+    value = float(np.sum(p * r))
+    if spec.kind == "forward":
+        if np.any(s.reference.support_mask & ~mask):
+            raise InfiniteDivergence("reference mass outside the policy support")
+        m = s.reference.support_mask
+        ref = s.reference.probs
+        return value - spec.beta * float(np.sum(ref[m] * (lref[m] - lp[m])))
+    m = mask
+    if spec.beta > 0:
+        if np.any(m & ~s.reference.support_mask):
+            raise InfiniteDivergence("policy mass outside the reference support")
+        value -= spec.beta * float(np.sum(p[m] * (lp[m] - lref[m])))
+    if spec.eta > 0:
+        value += spec.eta * float(-np.sum(p[m] * lp[m]))
+    return value
+
+
+def _oracle_gradient(lp, p, mask, s, spec):
+    lref, r, m = s.reference.log_weights, s.rewards.values, mask
+    g = np.zeros(p.size)
+    if spec.kind == "forward":
+        if np.any(s.reference.support_mask & ~m):
+            raise InfiniteDivergence("reference mass outside the policy support")
+        g[m] = p[m] * (r[m] - float(np.sum(p * r)))
+        g[m] += spec.beta * (s.reference.probs[m] - p[m])
+        return g
+    if spec.beta > 0 and np.any(m & ~s.reference.support_mask):
+        raise InfiniteDivergence("policy mass outside the reference support")
+    coef = r[m].astype(float).copy()
+    if spec.beta > 0:
+        coef -= spec.beta * (lp[m] - lref[m])
+    if spec.eta > 0:
+        coef -= spec.eta * lp[m]
+    g[m] = p[m] * (coef - float(np.sum(p[m] * coef)))
+    return g
+
+
+def _oracle_draw(log_weights, mask, u):
+    active = np.flatnonzero(mask)
+    cdf = np.cumsum(np.exp(log_weights[active]))
+    cdf[-1] = 1.0
+    return active[np.searchsorted(cdf, u, side="right")]
+
+
+def _oracle_coefficients(lp, ys, rewards, ref_lp, beta):
+    if beta == 0:
+        return np.array(rewards, dtype=float)
+    if np.any(~np.isfinite(ref_lp)):
+        raise InfiniteDivergence("sampled index outside the reference support")
+    return rewards - beta * (lp[ys] - ref_lp)
+
+
+def _oracle_baseline(coef, baseline):
+    if baseline == "none":
+        return coef
+    b = coef.size
+    return (coef - coef.mean()) * (b / (b - 1.0))
+
+
+def _oracle_score(p, mask, ys, coef):
+    g = np.bincount(ys, coef, p.size) / ys.size - p * float(coef.mean())
+    g[~mask] = 0.0
+    return g
+
+
+def _oracle_mc_gradient(lp, p, mask, s, spec, mc, rng, mara):
+    """One batch's estimate and anchor, as the full-length estimator made it."""
+    ys = _oracle_draw(lp, mask, rng.random(mc.batch))
+    anchor = None
+    if spec.kind == "forward":
+        ref_s = s
+        if mara is not None:
+            aug = augment_ref_view(ys, s, mara)
+            anchor = aug.anchor_index
+            if anchor is not None:
+                ref_s = anchored_scenario(s, aug.threshold_used, anchor)
+        rewards = ref_s.rewards.values[ys]
+        if mc.sampled_regularizer:
+            ref = ref_s.reference
+            ws = _oracle_draw(ref.log_weights, ref.support_mask, rng.random(ys.size))
+            ref_mass = np.bincount(ws, minlength=s.n) / ws.size
+        else:
+            ref_mass = ref_s.reference.probs
+        reg = ref_mass - p
+        reg[~mask] = 0.0
+        return _oracle_score(p, mask, ys, rewards) + spec.beta * reg, anchor
+    rewards, ref_lp = s.rewards.values[ys], s.reference.log_weights[ys]
+    if mara is not None:
+        aug = augment_rewards(ys, s, mara)
+        rewards, ref_lp = aug.augmented_rewards, aug.augmented_ref_logprobs
+        anchor = aug.anchor_index
+    coef = _oracle_coefficients(lp, ys, rewards, ref_lp, spec.beta)
+    if spec.eta > 0:
+        coef = coef - spec.eta * lp[ys]
+    return _oracle_score(p, mask, ys, _oracle_baseline(coef, mc.baseline)), anchor
+
+
+def _oracle_adam(m, v, t, params, g, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    t += 1
+    m = beta1 * m + (1 - beta1) * g
+    v = beta2 * v + (1 - beta2) * g**2
+    m_hat = m / (1 - beta1**t)
+    v_hat = v / (1 - beta2**t)
+    return m, v, t, params + lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def _reference_train(s, cfg):
-    """``train()`` written out with a fresh SoftmaxPolicy for every call,
-    so that no call shares a softmax or a precomputed value with another.
+    """``train()`` written out over all n with the oracle formulas above.
     Returns (final distribution, trace, anchor history, target)."""
     spec = cfg.objective
     mc = cfg.gradient_mode if isinstance(cfg.gradient_mode, MonteCarlo) else None
     full = spec.kind == "forward" or (spec.kind == "generalized" and spec.beta == 0)
-    mask = None if full else np.asarray(s.reference.support_mask)
+    mask = np.ones(s.n, bool) if full else np.asarray(s.reference.support_mask)
     logits = np.zeros(s.n)
-
-    def fresh():
-        return SoftmaxPolicy(logits, mask)
 
     tau = anchor = None
     if cfg.mara is not None:
@@ -483,58 +603,39 @@ def _reference_train(s, cfg):
         target = forward_kl_target(scenario, spec.beta).distribution
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed)) if mc is not None else None
-    state = AdamState(np.zeros(s.n), np.zeros(s.n))
+    m, v, t = np.zeros(s.n), np.zeros(s.n), 0
     trace, anchors = [], []
+    lp, p = _oracle_softmax(logits, mask)
     for _ in range(cfg.steps):
         if mc is None:
-            g = exact_gradient(fresh(), scenario, spec)
+            g = _oracle_gradient(lp, p, mask, scenario, spec)
             if cfg.mara is not None:
                 anchors.append(global_anchor(s, tau))
-        elif spec.kind == "forward":
-            ys = sample_policy(fresh(), rng, mc.batch)
-            if cfg.mara is not None:
-                aug = augment_ref_view(ys, s, cfg.mara)
-                anchors.append(aug.anchor_index)
-                rewards, ref = aug.augmented_rewards, s.reference
-                if aug.anchor_index is not None:
-                    ref = anchored_scenario(s, aug.threshold_used, aug.anchor_index).reference
-                ref_mass = ref.probs
-            else:
-                rewards, ref_mass = s.rewards.values[ys], s.reference.probs
-                if mc.sampled_regularizer:
-                    active = np.flatnonzero(s.reference.support_mask)
-                    cdf = np.cumsum(np.exp(s.reference.log_weights[active]))
-                    cdf[-1] = 1.0
-                    ws = active[np.searchsorted(cdf, rng.random(ys.size), side="right")]
-                    ref_mass = np.bincount(ws, minlength=s.n) / ys.size
-            reg = ref_mass - fresh().probs()
-            reg[~fresh().support_mask] = 0.0
-            g = score_function_gradient(fresh(), ys, rewards) + spec.beta * reg
         else:
-            ys = sample_policy(fresh(), rng, mc.batch)
-            rewards, ref_lp = s.rewards.values[ys], s.reference.log_weights[ys]
+            g, batch_anchor = _oracle_mc_gradient(lp, p, mask, s, spec, mc, rng, cfg.mara)
             if cfg.mara is not None:
-                aug = augment_rewards(ys, s, cfg.mara)
-                anchors.append(aug.anchor_index)
-                rewards, ref_lp = aug.augmented_rewards, aug.augmented_ref_logprobs
-            coef = reverse_coefficients(fresh(), ys, rewards, ref_lp, spec.beta)
-            if spec.kind == "generalized" and spec.eta > 0:
-                coef = coef - spec.eta * fresh().log_probs()[ys]
-            g = score_function_gradient(fresh(), ys, _apply_baseline(coef, mc.baseline))
-        state, logits = adam_step(state, logits, g, cfg.learning_rate)
-        p, lp, active = fresh().probs(), fresh().log_probs(), fresh().support_mask
+                anchors.append(batch_anchor)
+        assert np.all(np.isfinite(g))
+        m, v, t, logits = _oracle_adam(m, v, t, logits, g, cfg.learning_rate)
+        lp, p = _oracle_softmax(logits, mask)
         trace.append(StepRecord(
-            objective_value=exact_objective(fresh(), scenario, spec),
+            objective_value=_oracle_objective(lp, p, mask, scenario, spec),
             tv_to_target=float(0.5 * np.sum(np.abs(p - target.probs))),
-            entropy=float(-np.sum(p[active] * lp[active])),
+            entropy=float(-np.sum(p[mask] * lp[mask])),
             above_threshold_mass=(
                 float(np.sum(p[s.rewards.values >= tau])) if tau is not None else None
             ),
         ))
-    return fresh().distribution(), trace, anchors, target
+    return normalize(lp), trace, anchors, target
 
 
 _MARA = MaraConfig(Constant(MARA_TOY_TAU), beta=0.1)
+
+
+def _oracle_scenario(name):
+    if name == "one_point":
+        return make_scenario([1.0], [0.3], name="one_point")
+    return scenario_by_name(name)
 
 
 @pytest.mark.parametrize(
@@ -553,14 +654,24 @@ _MARA = MaraConfig(Constant(MARA_TOY_TAU), beta=0.1)
         ("mara_toy", TargetSpec("forward", 0.1), MonteCarlo(32), _MARA),
         ("mara_toy", TargetSpec("forward", 0.1), MonteCarlo(32),
          MaraConfig(BatchPercentile(0.5), beta=0.1)),
+        ("fig2_two_mode", TargetSpec("generalized", 0.1, 0.05),
+         MonteCarlo(32, "leave_one_out"), None),
+        ("fig2_two_mode", TargetSpec("generalized", 0.0, 0.1), Exact(), None),
+        ("fig2_two_mode", TargetSpec("reverse", 0.1), MonteCarlo(32, "none"), None),
+        ("mara_toy", TargetSpec("reverse", 0.1), MonteCarlo(32),
+         MaraConfig(BatchPercentile(0.5), beta=0.1)),
+        ("one_point", TargetSpec("reverse", 0.1), Exact(), None),
+        ("one_point", TargetSpec("reverse", 0.1), MonteCarlo(8), None),
     ],
     ids=["exact-reverse", "exact-forward", "exact-generalized", "mc-reverse",
          "mc-forward", "mc-forward-sampled", "exact-mara", "exact-mara-forward",
          "mc-mara-reverse",
-         "mc-mara-forward", "mc-mara-forward-percentile"],
+         "mc-mara-forward", "mc-mara-forward-percentile",
+         "mc-generalized-leave-one-out", "exact-generalized-beta-zero",
+         "mc-reverse-none", "mc-mara-reverse-percentile", "n1-exact", "n1-mc"],
 )
 def test_train_matches_fresh_policy_reference_bit_for_bit(scenario, objective, mode, mara):
-    s = scenario_by_name(scenario)
+    s = _oracle_scenario(scenario)
     cfg = TrainConfig(objective, gradient_mode=mode, mara=mara, steps=60,
                       learning_rate=0.05, seed=11)
     result = train(s, cfg)
@@ -569,3 +680,77 @@ def test_train_matches_fresh_policy_reference_bit_for_bit(scenario, objective, m
     np.testing.assert_array_equal(result.target.log_weights, target.log_weights)
     assert result.trace == trace
     assert result.anchor_history == anchors
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except InfiniteDivergence as exc:
+        return f"InfiniteDivergence: {exc}"
+
+
+def _same(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_public_functions_equal_the_full_length_formulas_byte_for_byte():
+    # random policies and scenarios with masked supports on either side,
+    # n = 1..40, every objective family; each public function compresses to
+    # the support columns, so each must give the full-length formula's bytes
+    rng = np.random.Generator(np.random.PCG64(2024))
+    checked = raised = 0
+    for case in range(300):
+        n = int(rng.integers(1, 41))
+        lw = rng.uniform(-4.0, 2.0, n)
+        if n > 1 and rng.random() < 0.5:
+            lw[rng.choice(n, int(rng.integers(1, n)), replace=False)] = -np.inf
+        s = Scenario(normalize(lw), RewardVector(rng.uniform(-2.0, 2.0, n)))
+        mask = np.ones(n, bool)
+        pick = rng.random()
+        if pick < 0.35:
+            mask = np.array(s.reference.support_mask)
+        elif pick < 0.7 and n > 1:
+            mask = rng.random(n) < 0.6
+            mask[int(rng.integers(n))] = True
+        policy = SoftmaxPolicy(rng.uniform(-3.0, 3.0, n), mask)
+        lp, p = _oracle_softmax(policy.logits, mask)
+        assert _same(policy.log_probs(), lp) and _same(policy.probs(), p)
+        beta = float(rng.choice([0.0, 0.05, 0.5, 2.0]))
+        eta = float(rng.choice([0.0, 0.3]))
+        specs = [TargetSpec("generalized", beta, eta)] if beta + eta > 0 else []
+        if beta > 0:
+            specs += [TargetSpec("reverse", beta), TargetSpec("forward", beta)]
+        for spec in specs:
+            for public, oracle in ((exact_gradient, _oracle_gradient),
+                                   (exact_objective, _oracle_objective)):
+                got = _outcome(public, policy, s, spec)
+                want = _outcome(oracle, lp, p, mask, s, spec)
+                assert _same(got, want), (case, spec, public.__name__)
+                checked += 1
+                raised += isinstance(want, str)
+            for mc in (MonteCarlo(6, "none"), MonteCarlo(6, "leave_one_out"),
+                       MonteCarlo(6, sampled_regularizer=True)):
+                got = _outcome(mc_gradient, policy, s, spec, mc,
+                               np.random.Generator(np.random.PCG64(case)))
+                want = _outcome(_oracle_mc_gradient, lp, p, mask, s, spec, mc,
+                                np.random.Generator(np.random.PCG64(case)), None)
+                if isinstance(got, tuple):
+                    assert got[1] is None and not isinstance(want, str)
+                    got, want = got[0], want[0]
+                assert _same(got, want), (case, spec, mc)
+        ys = sample_policy(policy, np.random.Generator(np.random.PCG64(case)), 7)
+        want_ys = _oracle_draw(lp, mask, np.random.Generator(np.random.PCG64(case)).random(7))
+        assert _same(ys, want_ys)
+        coef = rng.normal(size=ys.size)
+        assert _same(score_function_gradient(policy, ys, coef),
+                     _oracle_score(p, mask, ys, coef))
+        if beta > 0:
+            r, lref = s.rewards.values[ys], s.reference.log_weights[ys]
+            assert _same(_outcome(reverse_coefficients, policy, ys, r, lref, beta),
+                         _outcome(_oracle_coefficients, lp, ys, r, lref, beta))
+    # both outcomes occur: values and the support checks' raises
+    assert checked > 500 and 20 < raised < checked
