@@ -189,13 +189,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
-    if args.preset == "paper":
-        records = harness.run_paper_preset(workers=args.workers)
-    else:
-        print("only --preset paper is available", file=sys.stderr)
-        return EXIT_USAGE
-    manifest = harness.emit_report(records, out)
+    records = harness.run_sweep(*harness.paper_sweeps(), workers=args.workers)
+    manifest = harness.emit_report(records, _out_dir(args))
     for path in manifest:
         print(f"wrote {path}")
     checks = harness.summary_checks(records)
@@ -272,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="run a sweep preset and emit its report")
-    p.add_argument("--preset", default="paper")
+    p.add_argument("--preset", choices=["paper"], default="paper")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

@@ -42,7 +42,3 @@ class InvalidPartition(KllabError):
 
 class NonFiniteGradient(KllabError):
     """A gradient contained NaN or inf; the run is halted."""
-
-
-class IoFailure(KllabError):
-    """Report output directory is not writable."""

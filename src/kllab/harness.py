@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-import functools
 import io
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from .dist import Categorical, Scenario
-from .errors import InvalidPartition, IoFailure
+from .errors import InvalidPartition
 from .mara import Constant, MaraConfig
 from .scenario_io import scenario_from_dict
 from .targets import TargetSpec, analytic_target, flip_beta
@@ -234,11 +233,9 @@ class RunRecord:
     status: str = "ok"
 
 
-CSV_COLUMNS = [
-    "scenario", "objective", "beta", "eta", "seed", "mara_enabled", "tau_rule",
-    "final_tv", "answer_entropy", "mode1_mass", "mode2_mass", "anchor_churn",
-    "steps", "wall_ms", "status",
-]
+# the records.csv header, and the type each column is written and read as
+CSV_COLUMNS = [f.name for f in fields(RunRecord)]
+_COLUMN_TYPES = get_type_hints(RunRecord)
 
 
 def _tau_rule_str(cfg: Optional[MaraConfig]) -> str:
@@ -250,33 +247,35 @@ def _tau_rule_str(cfg: Optional[MaraConfig]) -> str:
     return f"percentile:{rule.q:g}"
 
 
-def _run_cell(args, modes: Optional[List[np.ndarray]] = None) -> RunRecord:
-    """Train one (scenario, config) cell; ``modes`` may carry the
-    scenario's :func:`mode_sets`, computed once for every cell of a sweep."""
-    scenario, cfg = args
-    meta = dict(
-        scenario=scenario.name,
-        objective=cfg.objective.kind,
-        beta=cfg.objective.beta,
-        eta=cfg.objective.eta,
-        seed=cfg.seed,
-        mara_enabled=cfg.mara is not None,
-        tau_rule=_tau_rule_str(cfg.mara),
-        steps=cfg.steps,
+def _cell_record(cell, wall_ms: int, **outcome) -> RunRecord:
+    scenario, cfg = cell
+    return RunRecord(
+        scenario=scenario.name, objective=cfg.objective.kind,
+        beta=cfg.objective.beta, eta=cfg.objective.eta, seed=cfg.seed,
+        mara_enabled=cfg.mara is not None, tau_rule=_tau_rule_str(cfg.mara),
+        steps=cfg.steps, wall_ms=wall_ms, **outcome,
     )
+
+
+def _failed_record(cell, exc: BaseException, wall_ms: int) -> RunRecord:
+    """The record of a cell whose training raised or whose worker died."""
+    return _cell_record(
+        cell, wall_ms, final_tv=float("inf"), answer_entropy=0.0,
+        mode1_mass=0.0, mode2_mass=0.0, anchor_churn=0,
+        status=f"failed: {type(exc).__name__}: {exc}",
+    )
+
+
+def _run_cell(cell) -> RunRecord:
+    """Train one (scenario, config) cell and measure it."""
+    scenario, cfg = cell
     t0 = time.perf_counter()
     try:
         result = train(scenario, cfg)
     except Exception as exc:  # cell failures never abort the sweep
-        return RunRecord(
-            final_tv=float("inf"), answer_entropy=0.0, mode1_mass=0.0,
-            mode2_mass=0.0, anchor_churn=0,
-            wall_ms=int((time.perf_counter() - t0) * 1000),
-            status=f"failed: {type(exc).__name__}: {exc}", **meta,
-        )
+        return _failed_record(cell, exc, int((time.perf_counter() - t0) * 1000))
     wall_ms = int((time.perf_counter() - t0) * 1000)
-    if modes is None:
-        modes = mode_sets(scenario)
+    modes = mode_sets(scenario)
     policy = result.final_policy
     p = policy.probs
     mode_masses = [float(np.sum(p[m])) for m in modes[:2]]
@@ -287,11 +286,11 @@ def _run_cell(args, modes: Optional[List[np.ndarray]] = None) -> RunRecord:
         for a, b in zip(result.anchor_history, result.anchor_history[1:])
         if a != b
     )
-    return RunRecord(
-        final_tv=result.trace[-1].tv_to_target,
+    return _cell_record(
+        cell, wall_ms, final_tv=result.trace[-1].tv_to_target,
         answer_entropy=answer_entropy(policy, modes),
         mode1_mass=mode_masses[0], mode2_mass=mode_masses[1],
-        anchor_churn=churn, wall_ms=wall_ms, **meta,
+        anchor_churn=churn,
     )
 
 
@@ -307,18 +306,28 @@ def _sweep_cells(spec: SweepSpec):
                 yield (spec.scenario, cfg)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> List[RunRecord]:
-    """Execute every (objective, beta, seed) cell; deterministic per cell
-    regardless of worker count; records come back canonically sorted."""
+def _collect(future, cell) -> RunRecord:
+    try:
+        return future.result()
+    except concurrent.futures.BrokenExecutor as exc:
+        # BrokenProcessPool: a dead worker fails its cells, not the sweep
+        return _failed_record(cell, exc, 0)
+
+
+def run_sweep(*specs: SweepSpec, workers: int = 1) -> List[RunRecord]:
+    """Execute every (objective, beta, seed) cell of every spec on one
+    process pool, or serially with one worker or one cell; deterministic
+    per cell regardless of worker count; records come back canonically
+    sorted."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    cells = list(_sweep_cells(spec))
-    run_cell = functools.partial(_run_cell, modes=mode_sets(spec.scenario))
+    cells = [cell for spec in specs for cell in _sweep_cells(spec)]
     if workers == 1 or len(cells) == 1:
-        records = [run_cell(c) for c in cells]
+        records = [_run_cell(c) for c in cells]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_cell, cells))
+            futures = [pool.submit(_run_cell, c) for c in cells]
+            records = [_collect(f, c) for f, c in zip(futures, cells)]
     return sort_records(records)
 
 
@@ -333,8 +342,16 @@ def sort_records(records: List[RunRecord]) -> List[RunRecord]:
 # report emission
 
 
-def _f(x: float) -> str:
-    return f"{x:.17g}"
+def _format(value, kind) -> str:
+    if kind is float:
+        return f"{value:.17g}"
+    if kind is bool:
+        return "true" if value else "false"
+    return str(value)
+
+
+def _parse(text: str, kind):
+    return text == "true" if kind is bool else kind(text)
 
 
 def records_to_csv(records: Sequence[RunRecord]) -> str:
@@ -343,10 +360,7 @@ def records_to_csv(records: Sequence[RunRecord]) -> str:
     writer.writerow(CSV_COLUMNS)
     for r in records:
         writer.writerow([
-            r.scenario, r.objective, _f(r.beta), _f(r.eta), r.seed,
-            str(r.mara_enabled).lower(), r.tau_rule, _f(r.final_tv),
-            _f(r.answer_entropy), _f(r.mode1_mass), _f(r.mode2_mass),
-            r.anchor_churn, r.steps, r.wall_ms, r.status,
+            _format(getattr(r, c), _COLUMN_TYPES[c]) for c in CSV_COLUMNS
         ])
     return buf.getvalue()
 
@@ -356,21 +370,13 @@ def records_from_csv(text: str) -> List[RunRecord]:
     if not rows or rows[0] != CSV_COLUMNS:
         raise ValueError("unrecognized records header")
     out = []
-    for row in rows[1:]:
-        d = dict(zip(CSV_COLUMNS, row))
-        out.append(
-            RunRecord(
-                scenario=d["scenario"], objective=d["objective"],
-                beta=float(d["beta"]), eta=float(d["eta"]), seed=int(d["seed"]),
-                mara_enabled=d["mara_enabled"] == "true", tau_rule=d["tau_rule"],
-                final_tv=float(d["final_tv"]),
-                answer_entropy=float(d["answer_entropy"]),
-                mode1_mass=float(d["mode1_mass"]),
-                mode2_mass=float(d["mode2_mass"]),
-                anchor_churn=int(d["anchor_churn"]), steps=int(d["steps"]),
-                wall_ms=int(d["wall_ms"]), status=d["status"],
-            )
-        )
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"records line {line}: {len(row)} fields, "
+                             f"expected {len(CSV_COLUMNS)}")
+        out.append(RunRecord(**{
+            c: _parse(v, _COLUMN_TYPES[c]) for c, v in zip(CSV_COLUMNS, row)
+        }))
     return out
 
 
@@ -486,13 +492,7 @@ def emit_report(records: Sequence[RunRecord], out_dir) -> List[Path]:
     if not records:
         raise ValueError("no records to report")
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise IoFailure(f"cannot write to {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
 
     records = sort_records(list(records))
     manifest = []
@@ -502,8 +502,7 @@ def emit_report(records: Sequence[RunRecord], out_dir) -> List[Path]:
     manifest.append(csv_path)
 
     for scenario, objective in sorted({(r.scenario, r.objective) for r in records}):
-        group = sort_records(_group(records, scenario=scenario, objective=objective))
-        group = [r for r in group if r.status == "ok"]
+        group = _group(records, scenario=scenario, objective=objective, status="ok")
         if not group:
             continue
         chart = Chart(
@@ -589,9 +588,3 @@ def paper_sweeps() -> List[SweepSpec]:
     ]
     return sweeps
 
-
-def run_paper_preset(workers: int = 1) -> List[RunRecord]:
-    records: List[RunRecord] = []
-    for spec in paper_sweeps():
-        records.extend(run_sweep(spec, workers=workers))
-    return sort_records(records)

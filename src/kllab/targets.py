@@ -111,7 +111,7 @@ def _on_support_mass(lam: float, w, rewards) -> float:
     return _mass_terms(lam, w, rewards)[0]
 
 
-def _solve_lambda(beta: float, w, rewards, lower: float) -> float:
+def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float:
     """Root of the on-support mass map ``F(lam) = sum(w / (lam - R))``,
     ``w = beta * ref``, above ``lower``, by safeguarded Newton.
 
@@ -119,7 +119,9 @@ def _solve_lambda(beta: float, w, rewards, lower: float) -> float:
     already >= 1 there); the bracket ceiling ``lower + beta + 1`` always
     has mass < 1 because the reference masses sum to 1. At an open lower
     end the bracket steps inside until F >= 1 and never evaluates F at
-    ``lower`` itself, where it is infinite.
+    ``lower`` itself, where it is infinite. At a closed lower end a caller
+    that has evaluated F there passes its :func:`_mass_terms` as
+    ``at_lower``, so that Newton's first point is not evaluated again.
 
     F is convex and strictly decreasing on ``(lower, inf)``, so
     ``g = 1/F - 1`` is concave and increasing there: Newton on g started
@@ -136,8 +138,9 @@ def _solve_lambda(beta: float, w, rewards, lower: float) -> float:
     hi = lower + beta + 1.0
     eps = 1e-12 * max(1.0, abs(lower))
     open_end = bool(np.any(rewards >= lower))
-    # F and its Newton terms at lo, when the bracket search evaluated them
-    at_lo = None
+    # F and its Newton terms at lo, when the caller or the bracket search
+    # evaluated them
+    at_lo = at_lower
     if open_end:
         # mass diverges at lower: step inside until >= 1
         lo = lower + eps
@@ -165,7 +168,7 @@ def _solve_lambda(beta: float, w, rewards, lower: float) -> float:
     while np.nextafter(lo, hi) < hi:
         if x is None:
             x = 0.5 * (lo + hi)
-        # Newton's start is the bracket search's last lower point
+        # Newton's start is the last lower point evaluated before the loop
         f, q, gap = at_lo if at_lo is not None else _mass_terms(x, w, rewards)
         at_lo = None
         # x is lo only at the start, which stays the bracket's lower end
@@ -229,7 +232,8 @@ def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
     off_mass = 0.0
     masses = np.zeros(s.n)
     if r_max_out > r_max_in:
-        z_out = _on_support_mass(r_max_out, w, r_on)
+        at_out = _mass_terms(r_max_out, w, r_on)
+        z_out = at_out[0]
         if z_out < 1.0:
             lam = r_max_out
             boundary = True
@@ -238,7 +242,7 @@ def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
             masses[mask] = _on_support_masses(lam, w, ref_probs, r_on)
             masses[argmax_out] = off_mass / np.count_nonzero(argmax_out)
         else:
-            lam = _solve_lambda(beta, w, r_on, r_max_out)
+            lam = _solve_lambda(beta, w, r_on, r_max_out, at_out)
             masses[mask] = _on_support_masses(lam, w, ref_probs, r_on)
     else:
         lam = _solve_lambda(beta, w, r_on, r_max_in)

@@ -5,7 +5,7 @@ import pytest
 
 from kllab.cli import main
 from kllab.dist import Categorical
-from kllab.harness import scenario_by_name, mode_sets
+from kllab.harness import RunRecord, mode_sets, records_to_csv, scenario_by_name
 
 
 def run(capsys, *argv):
@@ -286,3 +286,25 @@ def test_train_out_below_a_file_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_report_out_below_a_file_exits_1(capsys, tmp_path):
+    records = tmp_path / "records.csv"
+    records.write_text(records_to_csv([RunRecord(
+        scenario="two_point", objective="reverse", beta=1.0, eta=0.0, seed=-1,
+        mara_enabled=False, tau_rule="", final_tv=0.01, answer_entropy=0.5,
+        mode1_mass=0.5, mode2_mass=0.5, anchor_churn=0, steps=1, wall_ms=0,
+    )]))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run(
+        capsys, "report", "--records", str(records), "--out", str(blocker / "out"),
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_sweep_unknown_preset_exits_2(capsys):
+    code, _, err = run(capsys, "sweep", "--preset", "nope")
+    assert code == 2
+    assert "invalid choice: 'nope'" in err

@@ -1,10 +1,13 @@
 import copy
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_scenario
+from kllab import harness
 from kllab.errors import InvalidPartition
 from kllab.harness import (
     CSV_COLUMNS,
@@ -21,6 +24,7 @@ from kllab.harness import (
     records_to_csv,
     run_sweep,
     scenario_by_name,
+    sort_records,
     summary_checks,
 )
 from kllab.mara import Constant, MaraConfig
@@ -213,6 +217,46 @@ def test_run_sweep_worker_count_is_invisible(two_point):
     assert _mask_wall(serial) == _mask_wall(parallel)
 
 
+def test_one_sweep_runs_the_cells_of_every_spec(two_point):
+    spec_a = _tiny_spec(two_point)
+    spec_b = SweepSpec(
+        make_scenario([0.2, 0.3, 0.5], [1.0, 0.0, 0.5], name="three_point"),
+        [TargetSpec("reverse", 1.0), TargetSpec("forward", 1.0)], [0.5, 2.0],
+        [EXACT_SEED], TrainConfig(TargetSpec("reverse", 1.0), steps=20),
+    )
+    serial = run_sweep(spec_a, spec_b, workers=1)
+    assert len(serial) == 8
+    assert _mask_wall(serial) == _mask_wall(run_sweep(spec_a, spec_b, workers=2))
+    apart = sort_records(run_sweep(spec_a) + run_sweep(spec_b))
+    assert _mask_wall(serial) == _mask_wall(apart)
+
+
+_real_run_cell = harness._run_cell
+
+
+def _crash_at_beta_one(cell):
+    # the worker dies outright, as on a segfault or an out-of-memory kill
+    if cell[1].objective.beta == 1.0:
+        os._exit(1)
+    return _real_run_cell(cell)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched cell reaches the workers only by fork")
+def test_crashed_worker_gives_failed_records(two_point, monkeypatch):
+    monkeypatch.setattr(harness, "_run_cell", _crash_at_beta_one)
+    records = run_sweep(_tiny_spec(two_point), workers=2)
+    assert len(records) == 4
+    crashed = [r for r in records if r.beta == 1.0]
+    assert len(crashed) == 2
+    for r in crashed:
+        assert r.status.startswith("failed: BrokenProcessPool")
+        assert r.final_tv == float("inf") and r.wall_ms == 0
+    # cells the dead worker took down with it fail the same way
+    for r in records:
+        assert r.status == "ok" or r.status.startswith("failed: BrokenProcessPool")
+
+
 def test_run_sweep_one_record_per_cell(two_point):
     records = run_sweep(_tiny_spec(two_point), workers=1)
     coords = {(r.objective, r.beta, r.seed) for r in records}
@@ -253,6 +297,39 @@ def test_records_csv_round_trip(two_point):
 def test_records_from_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         records_from_csv("nope,nope\n1,2\n")
+
+
+def test_records_from_csv_rejects_a_short_row():
+    text = records_to_csv([_record()]).rstrip("\n")
+    with pytest.raises(ValueError, match="line 2: 14 fields"):
+        records_from_csv(text.rsplit(",", 1)[0] + "\n")
+
+
+def test_records_csv_bytes_are_pinned():
+    records = [
+        _record(final_tv=0.042130926411431046, answer_entropy=0.6931471805599453,
+                mode1_mass=1 / 3, mode2_mass=2 / 3, steps=3000, wall_ms=95),
+        _record(scenario="mara_toy", objective="forward", mara_enabled=True,
+                tau_rule="constant:0.5", final_tv=1e-9,
+                mode1_mass=0.49999999999999994, mode2_mass=0.5, anchor_churn=2,
+                steps=3000, wall_ms=130),
+        _record(scenario="equal_reference", beta=0.25, seed=2,
+                final_tv=float("inf"), answer_entropy=0.0, mode1_mass=0.0,
+                mode2_mass=0.0, wall_ms=0, status='failed: ValueError: bad "x", or y'),
+    ]
+    text = records_to_csv(records)
+    assert text == (
+        "scenario,objective,beta,eta,seed,mara_enabled,tau_rule,final_tv,"
+        "answer_entropy,mode1_mass,mode2_mass,anchor_churn,steps,wall_ms,status\n"
+        "fig2_two_mode,reverse,0.10000000000000001,0,-1,false,,"
+        "0.042130926411431048,0.69314718055994529,0.33333333333333331,"
+        "0.66666666666666663,0,3000,95,ok\n"
+        "mara_toy,forward,0.10000000000000001,0,-1,true,constant:0.5,"
+        "1.0000000000000001e-09,0.5,0.49999999999999994,0.5,2,3000,130,ok\n"
+        "equal_reference,reverse,0.25,0,2,false,,inf,0,0,0,0,10,0,"
+        '"failed: ValueError: bad ""x"", or y"\n'
+    )
+    assert records_from_csv(text) == records
 
 
 def test_emit_report_files_and_determinism(two_point, tmp_path):

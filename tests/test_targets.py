@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario, random_scenario
+from kllab import targets
 from kllab.dist import RewardVector, Scenario, from_probs, normalize
 from kllab.errors import InvalidCoefficient, NoFiniteFlip, SolverFailure, UndefinedRatio
 from kllab.targets import (
@@ -305,6 +306,39 @@ def test_forward_lambda_matches_bisection_and_brentq():
         counts["interior" if lower == np.max(rewards) else
                "solved above an off-support reward"] += 1
     assert min(counts.values()) >= 50, counts
+
+
+def test_forward_solve_takes_the_boundary_evaluation_from_its_caller(monkeypatch):
+    # the best reward sits off the support, where the on-support mass is
+    # 2.9 >= 1: F(1.2) decides the regime and is also Newton's first point
+    s = make_scenario([0.5, 0.5, 0.0], [0.0, 1.0, 1.2])
+    seen = []
+    mass_terms = targets._mass_terms
+
+    def counted(lam, w, rewards):
+        seen.append(lam)
+        return mass_terms(lam, w, rewards)
+
+    monkeypatch.setattr(targets, "_mass_terms", counted)
+    sol = forward_kl_target(s, 1.0)
+    assert not sol.boundary_case
+    assert len(seen) == 8 and seen.count(1.2) == 1
+
+
+def test_forward_lambda_is_unchanged_by_the_handed_over_evaluation():
+    # a solve that evaluates F at the lower end itself returns the same float
+    rng = np.random.Generator(np.random.PCG64(29))
+    solved = 0
+    while solved < 300:
+        s, beta = _forward_case(rng)
+        problem = _multiplier_problem(s, beta)
+        if problem is None or problem[2] == np.max(problem[1]):
+            continue  # pinned, or the lower end is the best on-support reward
+        ref_probs, rewards, lower = problem
+        w = beta * np.exp(s.reference.log_weights[s.reference.support_mask])
+        assert forward_kl_target(s, beta).lam == targets._solve_lambda(
+            beta, w, rewards, lower)
+        solved += 1
 
 
 def test_log_prob_ratio_extreme_is_exact(two_point):
