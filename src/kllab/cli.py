@@ -122,9 +122,6 @@ def cmd_ratio(args) -> int:
 def cmd_flip_beta(args) -> int:
     s = _resolve_scenario(args.scenario)
     _check_indices(s, (args.i, args.j))
-    if args.i == args.j:
-        print("no finite flip: identical indices", file=sys.stderr)
-        return EXIT_DOMAIN
     try:
         value = flip_beta(s, args.i, args.j)
     except NoFiniteFlip as exc:

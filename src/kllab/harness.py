@@ -307,11 +307,17 @@ def _sweep_cells(spec: SweepSpec):
 
 
 def _collect(future, cell) -> RunRecord:
+    """The cell's record; a dead worker (BrokenProcessPool) breaks the whole
+    pool, so each cell it took down runs again alone, and only a cell that
+    kills its own worker too fails."""
     try:
         return future.result()
-    except concurrent.futures.BrokenExecutor as exc:
-        # BrokenProcessPool: a dead worker fails its cells, not the sweep
-        return _failed_record(cell, exc, 0)
+    except concurrent.futures.BrokenExecutor:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
+            try:
+                return alone.submit(_run_cell, cell).result()
+            except concurrent.futures.BrokenExecutor as exc:
+                return _failed_record(cell, exc, 0)
 
 
 def run_sweep(*specs: SweepSpec, workers: int = 1) -> List[RunRecord]:
@@ -396,6 +402,14 @@ def _group(records, **filters):
     return out
 
 
+def _ratio(num: float, den: float) -> float:
+    """``num / den`` for masses read back from a file, where a mode can be
+    empty: inf over an empty denominator, nan when both are empty."""
+    if den == 0:
+        return float("inf") if num != 0 else float("nan")
+    return num / den
+
+
 def summary_checks(records: Sequence[RunRecord]) -> List[SummaryCheck]:
     """Evaluate the acceptance-style thresholds that apply to the records."""
     checks: List[SummaryCheck] = []
@@ -456,9 +470,10 @@ def summary_checks(records: Sequence[RunRecord]) -> List[SummaryCheck]:
         modes = mode_sets(s)
         ref = s.reference_probs
         ref_ratio = float(np.sum(ref[modes[0]]) / np.sum(ref[modes[1]]))
-        worst = max(
-            abs(r.mode1_mass / r.mode2_mass - ref_ratio) / ref_ratio for r in eq
-        )
+        # np.max, unlike max, returns nan whenever one deviation is nan
+        worst = float(np.max([
+            abs(_ratio(r.mode1_mass, r.mode2_mass) - ref_ratio) / ref_ratio for r in eq
+        ]))
         checks.append(SummaryCheck(
             "equal-reward mode ratio matches reference",
             f"max relative deviation {worst:.4f}", "within 10%", worst <= 0.10,
@@ -466,7 +481,7 @@ def summary_checks(records: Sequence[RunRecord]) -> List[SummaryCheck]:
 
     mara_runs = [r for r in ok_records if r.mara_enabled and r.scenario == "mara_toy"]
     for r in mara_runs:
-        dev = abs(r.mode1_mass / r.mode2_mass - 1.0)
+        dev = abs(_ratio(r.mode1_mass, r.mode2_mass) - 1.0)
         checks.append(SummaryCheck(
             f"augmented mode balance ({r.objective}, beta={r.beta:g}, seed={r.seed})",
             f"mass ratio deviation {dev:.4f}", "within 10%", dev <= 0.10,
@@ -475,8 +490,9 @@ def summary_checks(records: Sequence[RunRecord]) -> List[SummaryCheck]:
         r for r in ok_records if not r.mara_enabled and r.scenario == "mara_toy"
     ]
     for r in vanilla:
-        ratio = r.mode1_mass / max(r.mode2_mass, 1e-300)
-        imbalance = max(ratio, 1.0 / ratio)
+        # an empty mode beside a full one is infinitely imbalanced
+        ratio = _ratio(r.mode1_mass, r.mode2_mass)
+        imbalance = max(ratio, _ratio(1.0, ratio))
         checks.append(SummaryCheck(
             f"unaugmented imbalance ({r.objective}, beta={r.beta:g}, seed={r.seed})",
             f"imbalance {imbalance:.2f}x", ">= 3x", imbalance >= 3.0,

@@ -107,10 +107,6 @@ def _mass_terms(lam: float, w, rewards):
     return float(np.sum(q)), q, gap
 
 
-def _on_support_mass(lam: float, w, rewards) -> float:
-    return _mass_terms(lam, w, rewards)[0]
-
-
 def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float:
     """Root of the on-support mass map ``F(lam) = sum(w / (lam - R))``,
     ``w = beta * ref``, above ``lower``, by safeguarded Newton.
@@ -157,7 +153,7 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
             if tries > 60:
                 raise SolverFailure("could not bracket the multiplier from below")
     tries = 0
-    while _on_support_mass(hi, w, rewards) >= 1.0:
+    while _mass_terms(hi, w, rewards)[0] >= 1.0:
         hi = lower + (hi - lower) * 2.0
         tries += 1
         if tries > 60:
@@ -239,14 +235,12 @@ def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
             boundary = True
             off_mass = 1.0 - z_out
             argmax_out = off & (s.rewards.values == r_max_out)
-            masses[mask] = _on_support_masses(lam, w, ref_probs, r_on)
             masses[argmax_out] = off_mass / np.count_nonzero(argmax_out)
         else:
             lam = _solve_lambda(beta, w, r_on, r_max_out, at_out)
-            masses[mask] = _on_support_masses(lam, w, ref_probs, r_on)
     else:
         lam = _solve_lambda(beta, w, r_on, r_max_in)
-        masses[mask] = _on_support_masses(lam, w, ref_probs, r_on)
+    masses[mask] = _on_support_masses(lam, w, ref_probs, r_on)
 
     with np.errstate(divide="ignore"):
         dist = normalize(np.log(masses))

@@ -42,7 +42,7 @@ from .dist import (
 )
 from .errors import InfiniteDivergence, NonFiniteGradient
 from .mara import MaraConfig
-from .targets import TargetSpec, analytic_target, forward_kl_target
+from .targets import TargetSpec, analytic_target
 
 # np.sum's pairwise sum without its Python wrapper, which costs more than
 # summing a hundred floats
@@ -120,8 +120,6 @@ def _apply_baseline(coef: np.ndarray, baseline: str) -> np.ndarray:
     if baseline == "none":
         return coef
     b = coef.size
-    if b < 2:
-        raise ValueError("batch must be >= 2 for a batch-derived baseline")
     return (coef - _sum(coef) / b) * (b / (b - 1.0))
 
 
@@ -267,22 +265,14 @@ class SoftmaxPolicy:
 
     Instances and their arrays are immutable. ``logits`` and
     ``support_mask`` are frozen in place, as :class:`Categorical` does, so
-    an array passed in becomes read-only too. The softmax is computed once
-    per instance; ``log_probs()`` and ``probs()`` return the same
+    an array passed in becomes read-only too. The softmax is computed once,
+    at construction; ``log_probs()`` and ``probs()`` return the same
     read-only arrays on every call, so every function handed the policy
     shares one softmax.
     """
 
     logits: np.ndarray
     support_mask: Optional[np.ndarray] = None
-    # (support columns or None, log-probs, probs) over the columns
-    _rows: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _log_probs: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _probs: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         logits = np.asarray(self.logits, dtype=float)
@@ -291,28 +281,20 @@ class SoftmaxPolicy:
         mask = np.ones(logits.size, dtype=bool) if mask is None else np.asarray(mask, bool)
         object.__setattr__(self, "logits", _frozen(logits))
         object.__setattr__(self, "support_mask", _frozen(mask))
+        cols = _columns(mask)
+        lp, p = _softmax(logits if cols is None else logits[cols])
+        object.__setattr__(self, "_rows", (cols, lp, p))
+        object.__setattr__(self, "_log_probs", _frozen(_to_n(lp, cols, logits.size, -np.inf)))
+        object.__setattr__(self, "_probs", _frozen(_to_n(p, cols, logits.size)))
 
     @property
     def n(self) -> int:
         return self.logits.size
 
-    def _support_rows(self):
-        if self._rows is None:
-            cols = _columns(self.support_mask)
-            x = self.logits if cols is None else self.logits[cols]
-            object.__setattr__(self, "_rows", (cols, *_softmax(x)))
-        return self._rows
-
     def log_probs(self) -> np.ndarray:
-        if self._log_probs is None:
-            cols, lp, _ = self._support_rows()
-            object.__setattr__(self, "_log_probs", _frozen(_to_n(lp, cols, self.n, -np.inf)))
         return self._log_probs
 
     def probs(self) -> np.ndarray:
-        if self._probs is None:
-            cols, _, p = self._support_rows()
-            object.__setattr__(self, "_probs", _frozen(_to_n(p, cols, self.n)))
         return self._probs
 
     def distribution(self) -> Categorical:
@@ -330,7 +312,7 @@ def uniform_policy(n: int, support_mask=None) -> SoftmaxPolicy:
 def _exact_inputs(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec):
     """Check the supports, then the kernels' inputs for ``policy``."""
     _check_support(s, spec, policy.support_mask)
-    cols, lp, p = policy._support_rows()
+    cols, lp, p = policy._rows
     prob = _Problem(s, spec, cols)
     return (prob, lp, p, *prob.shared(lp, policy.probs()))
 
@@ -351,7 +333,7 @@ def kl_gradient_to_target(policy: SoftmaxPolicy, target: Categorical) -> np.ndar
     """Gradient of KL(policy || target) with respect to the logits."""
     if np.any(policy.support_mask & ~target.support_mask):
         raise InfiniteDivergence("policy mass outside the target support")
-    cols, lp, p = policy._support_rows()
+    cols, lp, p = policy._rows
     log_target = target.log_weights if cols is None else target.log_weights[cols]
     return _to_n(_centered(p, lp - log_target), cols, policy.n)
 
@@ -385,21 +367,6 @@ class MonteCarlo:
             raise ValueError(f"{self.baseline} needs batch >= 2")
 
 
-def score_function_gradient(
-    policy: SoftmaxPolicy, ys: np.ndarray, coef: np.ndarray
-) -> np.ndarray:
-    """Mean over the batch of coef_i * grad log p(y_i) in logit space."""
-    g = _score(ys, coef, policy.probs())
-    g[~policy.support_mask] = 0.0
-    return g
-
-
-def sample_policy(policy: SoftmaxPolicy, rng: np.random.Generator, count: int) -> np.ndarray:
-    cols, _, p = policy._support_rows()
-    active = np.arange(policy.n) if cols is None else cols
-    return draw(cdf_table(active, p), rng.random(count))
-
-
 def reverse_coefficients(
     policy: SoftmaxPolicy, ys: np.ndarray, rewards: np.ndarray,
     ref_logprobs: np.ndarray, beta: float,
@@ -431,7 +398,7 @@ def mc_gradient(
     augmented rewards for reverse, the anchored reference for forward.
     Returns the gradient and the batch's anchor (None if none).
     """
-    cols, lp, p = policy._support_rows()
+    cols, lp, p = policy._rows
     g, anchor = _mc_gradient(_Problem(s, spec, cols), lp, p, mc, rng, mara)
     return _to_n(g, cols, policy.n), anchor
 
@@ -566,9 +533,11 @@ def _record(prob: _Problem, lp, p, full_p, mean_reward: float, log_ratio,
     )
 
 
-def _policy_support(s: Scenario, spec: TargetSpec) -> Optional[np.ndarray]:
+def _policy_support(s: Scenario, spec: TargetSpec) -> np.ndarray:
+    """Where the trained policy may put mass: the reference support under a
+    reverse-KL term, every index otherwise."""
     if spec.kind == "forward" or spec.beta == 0:
-        return None
+        return np.ones(s.n, dtype=bool)
     return np.asarray(s.reference.support_mask)
 
 
@@ -583,7 +552,7 @@ def _training_problem(
         return analytic_target(s, spec), s
     if spec.kind == "forward":
         anchored = mara_mod.anchored_scenario(s, tau, anchor)
-        return forward_kl_target(anchored, spec.beta).distribution, anchored
+        return analytic_target(anchored, spec), anchored
     rewards = mara_mod.augmented_reward_vector(s, spec.beta, tau, anchor)
     return (
         mara_mod.mara_target(s, spec.beta, tau, anchor),
@@ -596,7 +565,6 @@ def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
     spec = cfg.objective
     n = s.n
     mask = _policy_support(s, spec)
-    mask = np.ones(n, dtype=bool) if mask is None else mask
     cols = _columns(mask)
 
     # what does not change from step to step is computed once, here; the

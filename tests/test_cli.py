@@ -3,9 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from kllab import harness
 from kllab.cli import main
 from kllab.dist import Categorical
-from kllab.harness import RunRecord, mode_sets, records_to_csv, scenario_by_name
+from kllab.harness import (
+    EXACT_SEED, RunRecord, SweepSpec, mode_sets, records_to_csv, scenario_by_name,
+)
+from kllab.targets import TargetSpec
+from kllab.trainer import TrainConfig
 
 
 def run(capsys, *argv):
@@ -308,3 +313,110 @@ def test_sweep_unknown_preset_exits_2(capsys):
     code, _, err = run(capsys, "sweep", "--preset", "nope")
     assert code == 2
     assert "invalid choice: 'nope'" in err
+
+
+def _summary_rows(out_dir):
+    """The (check, verdict) rows of a report's summary.md."""
+    lines = (out_dir / "summary.md").read_text().splitlines()
+    return [(cells[1].strip(), cells[-2].strip())
+            for cells in (line.split("|") for line in lines if line.startswith("| "))
+            if cells[1].strip() != "check"]
+
+
+def _preset_records():
+    """One record per paper preset cell, untrained, with mode masses that
+    pass every summary check."""
+    s = scenario_by_name("equal_reward_unequal_support")
+    modes = mode_sets(s)
+    ref = s.reference_probs
+    ref_ratio = float(np.sum(ref[modes[0]]) / np.sum(ref[modes[1]]))
+    records = []
+    for spec in harness.paper_sweeps():
+        for cell in harness._sweep_cells(spec):
+            name, cfg = cell[0].name, cell[1]
+            if name == "mara_toy":
+                masses = (0.45, 0.45) if cfg.mara else (0.8, 0.1)
+            elif name == "equal_reward_unequal_support":
+                masses = (0.1 * ref_ratio, 0.1)
+            else:
+                masses = (0.6, 0.3)
+            records.append(harness._cell_record(
+                cell, 0, final_tv=0.01, answer_entropy=0.5, mode1_mass=masses[0],
+                mode2_mass=masses[1], anchor_churn=0,
+            ))
+    return records
+
+
+def test_report_on_the_paper_preset(capsys, tmp_path):
+    records = tmp_path / "records.csv"
+    records.write_text(records_to_csv(_preset_records()))
+    code, out, _ = run(capsys, "report", "--records", str(records),
+                       "--out", str(tmp_path / "a"))
+    assert code == 0
+    assert out.count("wrote ") == 8
+    svgs = sorted(p.name for p in (tmp_path / "a").glob("*.svg"))
+    assert svgs == [
+        "equal_reference_reverse.svg", "equal_reward_unequal_support_reverse.svg",
+        "fig2_two_mode_forward.svg", "fig2_two_mode_reverse.svg",
+        "mara_toy_forward.svg", "mara_toy_reverse.svg",
+    ]
+    # the analytic target lines go on every chart without MARA records
+    for name in svgs:
+        text = (tmp_path / "a" / name).read_text()
+        assert ("target mode 1" in text) == (not name.startswith("mara_toy"))
+    rows = _summary_rows(tmp_path / "a")
+    assert len(rows) == 9 and all(verdict == "PASS" for _, verdict in rows)
+    # a report re-emitted from the records.csv it wrote is the same bytes
+    code, _, _ = run(capsys, "report", "--records", str(tmp_path / "a" / "records.csv"),
+                     "--out", str(tmp_path / "b"))
+    assert code == 0
+    for path in sorted((tmp_path / "a").iterdir()):
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+def test_report_checks_empty_modes(capsys, tmp_path):
+    # masses read from a file may be 0 where a check divides by them
+    base = dict(eta=0.0, seed=EXACT_SEED, final_tv=0.01, answer_entropy=0.0,
+                anchor_churn=0, steps=1, wall_ms=0)
+    records = tmp_path / "records.csv"
+    records.write_text(records_to_csv([
+        RunRecord(scenario="mara_toy", objective="reverse", beta=0.1,
+                  mara_enabled=True, tau_rule="constant:0.5", mode1_mass=0.5,
+                  mode2_mass=0.0, **base),
+        RunRecord(scenario="equal_reward_unequal_support", objective="reverse",
+                  beta=0.1, mara_enabled=False, tau_rule="", mode1_mass=0.5,
+                  mode2_mass=0.0, **base),
+        RunRecord(scenario="mara_toy", objective="reverse", beta=0.1,
+                  mara_enabled=False, tau_rule="", mode1_mass=0.0,
+                  mode2_mass=0.5, **base),
+    ]))
+    code, _, err = run(capsys, "report", "--records", str(records),
+                       "--out", str(tmp_path / "report"))
+    assert code == 0 and err == ""
+    assert _summary_rows(tmp_path / "report") == [
+        ("exact-mode convergence", "PASS"),
+        ("equal-reward mode ratio matches reference", "FAIL"),
+        ("augmented mode balance (reverse, beta=0.1, seed=-1)", "FAIL"),
+        # one mode empty and the other not: as imbalanced as it gets
+        ("unaugmented imbalance (reverse, beta=0.1, seed=-1)", "PASS"),
+    ]
+
+
+def _tiny_preset(steps):
+    cfg = TrainConfig(TargetSpec("reverse", 1.0), steps=steps, learning_rate=0.1,
+                      seed=EXACT_SEED)
+    return lambda: [SweepSpec(scenario_by_name("two_point"), [TargetSpec("reverse", 1.0)],
+                              [1.0], [EXACT_SEED], cfg)]
+
+
+def test_sweep_exits_by_its_checks(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "paper_sweeps", _tiny_preset(200))
+    code, out, _ = run(capsys, "sweep", "--workers", "1", "--out", str(tmp_path / "a"))
+    assert code == 0
+    assert "PASS  exact-mode convergence" in out and "FAIL" not in out
+    assert (tmp_path / "a" / "summary.md").exists()
+    # one step leaves the policy far from its target
+    monkeypatch.setattr(harness, "paper_sweeps", _tiny_preset(1))
+    code, out, _ = run(capsys, "sweep", "--workers", "1", "--out", str(tmp_path / "b"))
+    assert code == 1
+    assert "FAIL  exact-mode convergence" in out

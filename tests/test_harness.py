@@ -1,6 +1,8 @@
 import copy
 import multiprocessing
 import os
+import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -252,9 +254,53 @@ def test_crashed_worker_gives_failed_records(two_point, monkeypatch):
     for r in crashed:
         assert r.status.startswith("failed: BrokenProcessPool")
         assert r.final_tv == float("inf") and r.wall_ms == 0
-    # cells the dead worker took down with it fail the same way
-    for r in records:
-        assert r.status == "ok" or r.status.startswith("failed: BrokenProcessPool")
+    # cells the dead worker took down with it run again, each alone
+    assert all(r.status == "ok" for r in records if r.beta == 0.5)
+
+
+def _crash_first_cell_late(cell):
+    # the first cell kills its worker while the second worker is still busy
+    # with another cell and two more wait in the queue
+    cfg = cell[1]
+    if cfg.objective.beta == 1.0 and cfg.seed == 0:
+        time.sleep(0.2)
+        os._exit(1)
+    time.sleep(0.5)
+    return _real_run_cell(cell)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched cell reaches the workers only by fork")
+def test_dead_worker_fails_only_its_own_cell(two_point, monkeypatch):
+    monkeypatch.setattr(harness, "_run_cell", _crash_first_cell_late)
+    spec = replace(_tiny_spec(two_point), betas=[1.0, 0.5])
+    assert [(c[1].objective.beta, c[1].seed) for c in harness._sweep_cells(spec)] == [
+        (1.0, 0), (1.0, 1), (0.5, 0), (0.5, 1)]
+    records = run_sweep(spec, workers=2)
+    failed = [(r.beta, r.seed) for r in records if r.status != "ok"]
+    assert failed == [(1.0, 0)]
+    assert records[2].status.startswith("failed: BrokenProcessPool")
+    # the others equal their records from an undisturbed run
+    cells = [c for c in harness._sweep_cells(spec)
+             if (c[1].objective.beta, c[1].seed) != (1.0, 0)]
+    want = sort_records([_real_run_cell(c) for c in cells])
+    assert _mask_wall(records[:2] + records[3:]) == _mask_wall(want)
+
+
+def test_paper_preset_expands_to_72_cells():
+    counts = Counter(
+        (s.name, type(cfg.gradient_mode).__name__, cfg.mara is not None, cfg.steps)
+        for spec in harness.paper_sweeps() for s, cfg in harness._sweep_cells(spec)
+    )
+    assert counts == {
+        ("fig2_two_mode", "Exact", False, 3000): 14,
+        ("fig2_two_mode", "MonteCarlo", False, 3000): 42,
+        ("equal_reference", "Exact", False, 3000): 7,
+        ("equal_reward_unequal_support", "Exact", False, 10_000): 5,
+        ("mara_toy", "Exact", False, 3000): 2,
+        ("mara_toy", "Exact", True, 3000): 2,
+    }
+    assert sum(counts.values()) == 72
 
 
 def test_run_sweep_one_record_per_cell(two_point):
