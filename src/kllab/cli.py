@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .errors import InvalidCoefficient, KllabError, NoFiniteFlip, UndefinedRatio
+from .errors import KllabError, NoFiniteFlip, UndefinedRatio
 from .mara import BatchPercentile, Constant, MaraConfig, augment_rewards
 from .scenario_io import ScenarioFormatError, load_scenario
 from .targets import (
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvalidCoefficient, ScenarioFormatError, ValueError) as exc:
+    except ValueError as exc:  # InvalidCoefficient and ScenarioFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NoFiniteFlip, UndefinedRatio) as exc:

@@ -64,7 +64,7 @@ class Categorical:
             raise InvalidDistribution("log_weights must be finite or -inf")
         if not np.any(mask):
             raise InvalidDistribution("empty support")
-        if np.any(~mask & np.isfinite(lw)) or np.any(mask & ~np.isfinite(lw)):
+        if not np.array_equal(mask, np.isfinite(lw)):
             raise InvalidDistribution("support_mask inconsistent with log_weights")
         total = np.sum(np.exp(lw[mask]))
         if abs(total - 1.0) > NORMALIZATION_TOL:
@@ -99,7 +99,6 @@ def normalize(log_weights) -> Categorical:
     shifted = lw - log_sum_exp(lw)
     # one exact renormalization pass to land within NORMALIZATION_TOL
     mask = np.isfinite(shifted)
-    shifted = shifted.copy()
     shifted[mask] -= np.log(np.sum(np.exp(shifted[mask])))
     return Categorical(shifted, mask)
 
@@ -199,8 +198,9 @@ class RewardVector:
 class Scenario:
     """A (reference distribution, reward vector) problem instance.
 
-    ``reference_probs`` is the reference's mass, exponentiated on first
-    read and then kept, read-only, for the scenario's lifetime.
+    ``reference_probs`` is the reference's mass and ``reference_table`` its
+    :func:`inverse_cdf` table, each built on first read and then kept,
+    read-only, for the scenario's lifetime.
     """
 
     reference: Categorical
@@ -213,7 +213,7 @@ class Scenario:
                 f"reference has {self.reference.n} entries, rewards {self.rewards.n}"
             )
 
-    # the cached reference_probs is no field: a copy recomputes it
+    # the cached properties are no fields: a copy recomputes them
     __reduce__ = _reduce_through_init
 
     @property
@@ -223,3 +223,8 @@ class Scenario:
     @cached_property
     def reference_probs(self) -> np.ndarray:
         return _frozen(self.reference.probs)
+
+    @cached_property
+    def reference_table(self):
+        active, cdf = inverse_cdf(self.reference.log_weights, self.reference.support_mask)
+        return _frozen(active), _frozen(cdf)

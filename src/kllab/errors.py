@@ -16,7 +16,7 @@ class InfiniteDivergence(KllabError):
     """
 
 
-class InvalidCoefficient(KllabError):
+class InvalidCoefficient(KllabError, ValueError):
     """Regularization coefficient outside its admissible range."""
 
 

@@ -16,7 +16,7 @@ from .dist import Categorical, Scenario
 from .errors import InvalidPartition
 from .mara import Constant, MaraConfig
 from .scenario_io import scenario_from_dict
-from .targets import TargetSpec, analytic_target, flip_beta
+from .targets import TargetSpec, analytic_target, check_coefficients, flip_beta
 from .trainer import Exact, MonteCarlo, TrainConfig, train
 
 # ---------------------------------------------------------------------------
@@ -210,8 +210,9 @@ class SweepSpec:
     def __post_init__(self):
         if not self.objectives or not self.betas or not self.seeds:
             raise ValueError("objectives, betas, and seeds must be nonempty")
-        if any(not b > 0 for b in self.betas):
-            raise ValueError("every beta must be > 0")
+        for obj in self.objectives:  # a cell for each objective at each beta
+            for b in self.betas:
+                check_coefficients(obj.kind, b, obj.eta)
 
 
 @dataclass(frozen=True)
@@ -524,19 +525,25 @@ def emit_report(records: Sequence[RunRecord], out_dir) -> List[Path]:
         chart = Chart(
             f"{scenario} / {objective}", "beta", "mass / distance"
         )
-        betas = sorted({r.beta for r in group})
-        for label, attr in (("mode 1 mass", "mode1_mass"),
-                            ("mode 2 mass", "mode2_mass"),
-                            ("TV to target", "final_tv")):
-            ys = [
-                float(np.mean([getattr(r, attr) for r in group if r.beta == b]))
-                for b in betas
-            ]
-            chart.add_line(label, betas, ys)
-        if scenario in SCENARIO_CONFIGS and objective in ("reverse", "forward"):
+        # a point averages the runs of one augmentation setting, unaugmented first
+        for tau_rule in sorted({r.tau_rule for r in group}):
+            runs = _group(group, tau_rule=tau_rule)
+            prefix = "MARA " if tau_rule else ""
+            betas = sorted({r.beta for r in runs})
+            for label, attr in (("mode 1 mass", "mode1_mass"),
+                                ("mode 2 mass", "mode2_mass"),
+                                ("TV to target", "final_tv")):
+                ys = [
+                    float(np.mean([getattr(r, attr) for r in runs if r.beta == b]))
+                    for b in betas
+                ]
+                chart.add_line(prefix + label, betas, ys)
+        # the analytic targets are those of the unaugmented objective
+        betas = sorted({r.beta for r in group if not r.mara_enabled})
+        if betas and scenario in SCENARIO_CONFIGS and objective in ("reverse", "forward"):
             s = scenario_by_name(scenario)
             modes = mode_sets(s)[:2]
-            if len(modes) == 2 and not any(r.mara_enabled for r in group):
+            if len(modes) == 2:
                 t1, t2 = [], []
                 for b in betas:
                     t = analytic_target(s, TargetSpec(objective, b)).probs

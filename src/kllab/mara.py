@@ -10,18 +10,25 @@ and the whole support (index ``slice(None)``) reach each view the same way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dist import Categorical, RewardVector, Scenario, normalize
-from .errors import InvalidAnchor, InvalidCoefficient
+from .errors import InvalidAnchor
+from .targets import check_coefficients
 
 
 @dataclass(frozen=True)
 class Constant:
     tau: float
+
+    def __post_init__(self):
+        # no reward is >= NaN: a NaN threshold would switch augmentation off
+        if not -math.inf < self.tau < math.inf:
+            raise ValueError(f"threshold must be finite, not {self.tau!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +49,8 @@ class MaraConfig:
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise InvalidCoefficient("beta must be > 0")
+        # augmentation tilts a reverse or forward objective: beta alone
+        check_coefficients("reverse", self.beta)
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,7 @@ def global_anchor(s: Scenario, tau: float) -> Optional[int]:
     return select_anchor(np.arange(s.n), s, tau)
 
 
-def _reward_view(s: Scenario, beta: float, tau: float, anchor: int, idx) -> np.ndarray:
+def reward_view(s: Scenario, beta: float, tau: float, anchor: int, idx) -> np.ndarray:
     """Rewards at ``idx``, where treated the anchor's plus beta times the
     log reference ratio to the anchor."""
     r, lref = s.rewards.values, s.reference.log_weights
@@ -128,7 +135,7 @@ def _augment(
     if ref_view:
         aug_r, aug_lref = _ref_view(s, tau, anchor, idx)
     else:
-        aug_r, aug_lref = _reward_view(s, cfg.beta, tau, anchor, idx), lref
+        aug_r, aug_lref = reward_view(s, cfg.beta, tau, anchor, idx), lref
     return AugmentedBatch(idx, raw, aug_r, anchor, tau, aug_lref)
 
 
@@ -161,7 +168,7 @@ def augmented_reward_vector(
     so the correction term is undefined (and irrelevant) there.
     """
     _check_anchor(s, tau, anchor)
-    return RewardVector(_reward_view(s, beta, tau, anchor, slice(None)))
+    return RewardVector(reward_view(s, beta, tau, anchor, slice(None)))
 
 
 def anchored_scenario(s: Scenario, tau: float, anchor: int) -> Scenario:
@@ -184,8 +191,7 @@ def mara_target(s: Scenario, beta: float, tau: float, anchor: int) -> Categorica
     Every above-threshold index shares the anchor's unnormalized
     log-mass, so they all end up with identical target probability.
     """
-    if not beta > 0:
-        raise InvalidCoefficient("beta must be > 0")
+    check_coefficients("reverse", beta)
     _check_anchor(s, tau, anchor)
     r, lref = s.rewards.values, s.reference.log_weights
     anchored_mass = lref[anchor] + r[anchor] / beta

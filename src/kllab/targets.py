@@ -14,11 +14,12 @@ reverse-KL optimum, and the coefficient at which two indices trade places.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Categorical, Scenario, normalize
+from .dist import Categorical, Scenario, from_probs, normalize
 from .errors import (
     InvalidCoefficient,
     NoFiniteFlip,
@@ -27,6 +28,20 @@ from .errors import (
 )
 
 KINDS = ("reverse", "forward", "generalized")
+
+
+def check_coefficients(kind: str, beta: float, eta: float = 0.0) -> None:
+    """The admissibility rule of every objective's coefficients: finite and
+    nonnegative, ``eta`` for ``generalized`` only, ``beta + eta > 0``."""
+    if kind not in KINDS:
+        raise InvalidCoefficient(f"unknown kind {kind!r}")
+    # Python comparisons, which NaN fails too; NumPy's cost ~1 us on a float
+    if not (0.0 <= beta < math.inf and 0.0 <= eta < math.inf):
+        raise InvalidCoefficient(f"beta, eta must be finite and >= 0, not {beta!r}, {eta!r}")
+    if kind != "generalized" and eta != 0:
+        raise InvalidCoefficient(f"{kind} takes no eta")
+    if not beta + eta > 0:
+        raise InvalidCoefficient("beta + eta must be > 0")
 
 
 @dataclass(frozen=True)
@@ -41,16 +56,7 @@ class TargetSpec:
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidCoefficient(f"unknown kind {self.kind!r}")
-        if self.kind != "generalized" and self.eta != 0:
-            raise InvalidCoefficient(f"{self.kind} takes no eta")
-        if self.kind in ("reverse", "forward") and not self.beta > 0:
-            raise InvalidCoefficient(f"{self.kind} requires beta > 0")
-        if self.kind == "generalized" and not self.beta + self.eta > 0:
-            raise InvalidCoefficient("generalized requires beta + eta > 0")
-        if self.beta < 0 or self.eta < 0:
-            raise InvalidCoefficient("coefficients must be nonnegative")
+        check_coefficients(self.kind, self.beta, self.eta)
 
 
 @dataclass(frozen=True)
@@ -74,8 +80,7 @@ def reverse_kl_target(s: Scenario, beta: float) -> Categorical:
     reference is masked. This is :func:`generalized_target` at eta = 0,
     bit for bit (``beta / beta`` is exactly 1).
     """
-    if not beta > 0:
-        raise InvalidCoefficient("beta must be > 0")
+    check_coefficients("reverse", beta)
     return generalized_target(s, beta, 0.0)
 
 
@@ -87,8 +92,7 @@ def generalized_target(s: Scenario, beta: float, eta: float) -> Categorical:
     reference enters as ``reference^0 = 1`` even at masked indices, so
     the entropy-only target is a full-support softmax of ``R / eta``.
     """
-    if beta < 0 or eta < 0 or not beta + eta > 0:
-        raise InvalidCoefficient("need beta, eta >= 0 with beta + eta > 0")
+    check_coefficients("generalized", beta, eta)
     total = beta + eta
     if beta == 0:
         return normalize(s.rewards.values / total)
@@ -158,6 +162,9 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
         tries += 1
         if tries > 60:
             raise SolverFailure("could not bracket the multiplier from above")
+    if hi == math.inf:
+        # beta near the float limit: the ceiling overflowed before F fell below 1
+        raise SolverFailure("the multiplier's bracket ceiling is not finite")
     # Newton cannot start where F is infinite; a bisection step comes first
     x = None if open_end and lo == lower else lo
     crawl = 0
@@ -214,8 +221,7 @@ def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
     and the leftover mass is spread uniformly over the off-support
     argmax set.
     """
-    if not beta > 0:
-        raise InvalidCoefficient("beta must be > 0")
+    check_coefficients("forward", beta)
     mask = s.reference.support_mask
     ref_probs = np.exp(s.reference.log_weights[mask])
     w = beta * ref_probs
@@ -241,11 +247,8 @@ def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
     else:
         lam = _solve_lambda(beta, w, r_on, r_max_in)
     masses[mask] = _on_support_masses(lam, w, ref_probs, r_on)
-
-    with np.errstate(divide="ignore"):
-        dist = normalize(np.log(masses))
     return ForwardSolution(
-        distribution=dist, lam=float(lam), off_support_mass=off_mass,
+        distribution=from_probs(masses), lam=float(lam), off_support_mass=off_mass,
         boundary_case=boundary,
     )
 
@@ -256,8 +259,7 @@ def log_prob_ratio(s: Scenario, beta: float, i: int, j: int) -> float:
     Equals ``log(ref_i / ref_j) + (R_i - R_j) / beta``; the normalization
     constant cancels, so no overflow for any beta.
     """
-    if not beta > 0:
-        raise InvalidCoefficient("beta must be > 0")
+    check_coefficients("reverse", beta)
     if not (s.reference.support_mask[i] and s.reference.support_mask[j]):
         raise UndefinedRatio("both indices must carry reference mass")
     lref = s.reference.log_weights

@@ -17,9 +17,9 @@ them. The public functions (``SoftmaxPolicy.log_probs``/``probs``,
 forms) check their inputs, compress them to the columns, call the
 kernels and scatter the result back to length n. ``train()`` computes its
 run invariants once (the columns and ``_Problem``, the support checks,
-the target mass, the sampled regularizer's reference table) and then
-steps on the rows alone, so no check that cannot change within a run is
-repeated and no policy object is built per step.
+the target mass) and then steps on the rows alone, so no check that
+cannot change within a run is repeated and no policy object is built per
+step.
 
 A reduction runs over the same elements in the same order as written
 over all n: sums that range over all n (E_p[r], TV) still do, masked sums
@@ -38,7 +38,8 @@ import numpy as np
 
 from . import mara as mara_mod
 from .dist import (
-    Categorical, Scenario, _frozen, cdf_table, draw, inverse_cdf, normalize, sample,
+    Categorical, Scenario, _frozen, _reduce_through_init, cdf_table, draw, normalize,
+    sample,
 )
 from .errors import InfiniteDivergence, NonFiniteGradient
 from .mara import MaraConfig
@@ -155,11 +156,6 @@ class _Problem:
         return self.at_cols(self.s.reference_probs)
 
     @cached_property
-    def ref_table(self):
-        ref = self.s.reference
-        return inverse_cdf(ref.log_weights, ref.support_mask)
-
-    @cached_property
     def reference_terms(self):
         """Forward's regularizer sums over the reference support: the
         reference mass and log-mass there, and the columns it occupies
@@ -224,31 +220,22 @@ def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rng: np.random.Generat
     spec, s = prob.spec, prob.s
     pos = draw(cdf_table(prob.positions, p), rng.random(mc.batch))
     ys = pos if prob.cols is None else prob.cols[pos]
-    anchor = None
+    tau, anchor = mara_mod.resolve_anchor(ys, s, mara) if mara is not None else (None, None)
     if prob.forward:
         # under augmentation the anchored scenario gives both the batch's
         # rewards and the regularizer's reference
-        ref_s = s
-        if mara is not None:
-            tau, anchor = mara_mod.resolve_anchor(ys, s, mara)
-            if anchor is not None:
-                ref_s = mara_mod.anchored_scenario(s, tau, anchor)
+        ref_s = s if anchor is None else mara_mod.anchored_scenario(s, tau, anchor)
         rewards = ref_s.rewards.values[ys]
         if mc.sampled_regularizer:
-            ref = ref_s.reference
-            table = (prob.ref_table if ref_s is s
-                     else inverse_cdf(ref.log_weights, ref.support_mask))
-            ref_mass = _empirical_mass(draw(table, rng.random(ys.size)), s.n)
-            ref_mass = prob.at_cols(ref_mass)
+            ws = draw(ref_s.reference_table, rng.random(ys.size))
+            ref_mass = prob.at_cols(_empirical_mass(ws, s.n))
         else:
             ref_mass = prob.ref_k if ref_s is s else prob.at_cols(ref_s.reference_probs)
         return _forward_gradient(_score(pos, rewards, p), ref_mass, p, spec.beta), anchor
-    rewards, ref_lp = s.rewards.values[ys], s.reference.log_weights[ys]
-    if mara is not None:
-        aug = mara_mod.augment_rewards(ys, s, mara)
-        rewards, ref_lp = aug.augmented_rewards, aug.augmented_ref_logprobs
-        anchor = aug.anchor_index
-    coef = _sample_coefficients(lp[pos], rewards, ref_lp, spec.beta, spec.eta)
+    rewards = (s.rewards.values[ys] if anchor is None
+               else mara_mod.reward_view(s, mara.beta, tau, anchor, ys))
+    coef = _sample_coefficients(lp[pos], rewards, s.reference.log_weights[ys],
+                                spec.beta, spec.eta)
     return _score(pos, _apply_baseline(coef, mc.baseline), p), anchor
 
 
@@ -282,10 +269,13 @@ class SoftmaxPolicy:
         object.__setattr__(self, "logits", _frozen(logits))
         object.__setattr__(self, "support_mask", _frozen(mask))
         cols = _columns(mask)
-        lp, p = _softmax(logits if cols is None else logits[cols])
+        lp, p = map(_frozen, _softmax(logits if cols is None else logits[cols]))
         object.__setattr__(self, "_rows", (cols, lp, p))
         object.__setattr__(self, "_log_probs", _frozen(_to_n(lp, cols, logits.size, -np.inf)))
         object.__setattr__(self, "_probs", _frozen(_to_n(p, cols, logits.size)))
+
+    # unpickling rebuilds the policy: frozen arrays, a fresh softmax
+    __reduce__ = _reduce_through_init
 
     @property
     def n(self) -> int:

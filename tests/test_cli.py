@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kllab
 from kllab import harness
 from kllab.cli import main
 from kllab.dist import Categorical
@@ -49,6 +54,45 @@ def test_target_forward_beta_zero_is_usage_error(capsys):
     )
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("argv", [
+    ("target", "--scenario", "two_point", "--kind", "reverse", "--beta", "inf"),
+    ("target", "--scenario", "two_point", "--kind", "reverse", "--beta=-inf"),
+    ("target", "--scenario", "two_point", "--kind", "generalized", "--beta", "nan",
+     "--eta", "1"),
+    ("target", "--scenario", "two_point", "--kind", "generalized", "--beta", "1",
+     "--eta", "inf"),
+    ("ratio", "--scenario", "two_point", "--beta", "inf", "--i", "0", "--j", "1"),
+    ("augment", "--scenario", "two_point", "--beta", "inf", "--tau", "0.5",
+     "--indices", "0,1"),
+    ("augment", "--scenario", "mara_toy", "--beta", "0.1", "--tau", "nan",
+     "--indices", "12,15,34"),
+    ("train", "--scenario", "mara_toy", "--beta", "0.1", "--tau", "nan", "--steps", "20"),
+], ids=["reverse-inf", "reverse-minus-inf", "generalized-beta-nan",
+        "generalized-eta-inf", "ratio-inf", "augment-beta-inf", "augment-tau-nan",
+        "train-tau-nan"])
+def test_non_finite_coefficient_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # a run that wrongly went ahead would write below the working directory
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
+def test_target_forward_infinite_beta_exits_2_at_once():
+    # this solve once never returned: a child process with a timeout makes
+    # such a regression fail instead of hanging the suite
+    env = {**os.environ, "PYTHONPATH": str(Path(kllab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kllab.cli", "target", "--scenario", "two_point",
+         "--kind", "forward", "--beta", "inf"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "finite" in proc.stderr
 
 
 def test_generalized_eta_zero_matches_reverse(capsys):
@@ -360,10 +404,12 @@ def test_report_on_the_paper_preset(capsys, tmp_path):
         "fig2_two_mode_forward.svg", "fig2_two_mode_reverse.svg",
         "mara_toy_forward.svg", "mara_toy_reverse.svg",
     ]
-    # the analytic target lines go on every chart without MARA records
+    # the analytic target lines go on every chart; augmented runs, which
+    # only mara_toy has, get lines of their own
     for name in svgs:
         text = (tmp_path / "a" / name).read_text()
-        assert ("target mode 1" in text) == (not name.startswith("mara_toy"))
+        assert "target mode 1" in text
+        assert ("MARA mode 1 mass" in text) == name.startswith("mara_toy")
     rows = _summary_rows(tmp_path / "a")
     assert len(rows) == 9 and all(verdict == "PASS" for _, verdict in rows)
     # a report re-emitted from the records.csv it wrote is the same bytes

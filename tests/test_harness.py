@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from kllab import harness
+from kllab import harness, svg
 from kllab.errors import InvalidPartition
 from kllab.harness import (
     CSV_COLUMNS,
@@ -183,6 +183,16 @@ def test_sweep_spec_validation(two_point):
         SweepSpec(two_point, [TargetSpec("reverse", 1.0)], [0.5], [], cfg)
     with pytest.raises(ValueError):
         SweepSpec(two_point, [TargetSpec("reverse", 1.0)], [0.0], [0], cfg)
+
+
+def test_sweep_spec_admits_the_entropy_only_objective(two_point):
+    # generalized at beta = 0 is admissible, as it is for TargetSpec
+    cfg = TrainConfig(TargetSpec("generalized", 0.5, 0.3), steps=2)
+    spec = SweepSpec(
+        two_point, [TargetSpec("generalized", 0.5, 0.3)], [0.0], [EXACT_SEED], cfg
+    )
+    (record,) = run_sweep(spec)
+    assert record.status == "ok" and record.beta == 0.0
 
 
 def test_sweep_cells_take_mara_from_the_train_config(two_point):
@@ -401,6 +411,33 @@ def _record(**kw):
     )
     base.update(kw)
     return RunRecord(**base)
+
+
+def test_chart_points_never_average_augmentation_settings(tmp_path, monkeypatch):
+    # one beta, three augmentation settings with different mode-1 masses:
+    # each plotted point is the mean of one setting's runs
+    plotted = []
+    add_line = svg.Chart.add_line
+
+    def spy(self, label, xs, ys, color=None):
+        plotted.append((label, list(ys)))
+        add_line(self, label, xs, ys, color)
+
+    monkeypatch.setattr(svg.Chart, "add_line", spy)
+    common = dict(scenario="mara_toy", beta=0.1)
+    records = [
+        _record(seed=0, mode1_mass=0.9, **common),
+        _record(seed=1, mode1_mass=0.8, **common),
+        _record(mara_enabled=True, tau_rule="constant:0.5", mode1_mass=0.5, **common),
+        _record(mara_enabled=True, tau_rule="percentile:0.75", mode1_mass=0.3,
+                **common),
+    ]
+    emit_report(records, tmp_path)
+    mode1 = sorted(ys for label, ys in plotted if label.endswith("mode 1 mass"))
+    assert mode1 == [[0.3], [0.5], [pytest.approx(0.85)]]
+    assert [ys for label, ys in plotted if label == "mode 1 mass"] == [[pytest.approx(0.85)]]
+    # the target lines belong to the unaugmented objective
+    assert any(label == "target mode 1" for label, _ in plotted)
 
 
 def test_summary_checks_flag_failures():

@@ -45,6 +45,13 @@ def test_config_validation():
         BatchPercentile(1.0)
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_constant_threshold_must_be_finite(tau):
+    # no reward is >= NaN, so a NaN threshold would switch augmentation off
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        Constant(tau)
+
+
 def test_resolve_threshold():
     assert resolve_threshold(Constant(0.4), np.array([0.0, 1.0])) == 0.4
     r = np.array([0.0, 1.0, 2.0, 3.0, 4.0])

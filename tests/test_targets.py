@@ -1,13 +1,20 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kllab
 from conftest import make_scenario, random_scenario
 from kllab import targets
 from kllab.dist import RewardVector, Scenario, from_probs, normalize
 from kllab.errors import InvalidCoefficient, NoFiniteFlip, SolverFailure, UndefinedRatio
+from kllab.harness import SweepSpec
+from kllab.mara import Constant, MaraConfig, mara_target
 from kllab.targets import (
     TargetSpec,
     analytic_target,
@@ -17,6 +24,7 @@ from kllab.targets import (
     log_prob_ratio,
     reverse_kl_target,
 )
+from kllab.trainer import TrainConfig
 
 # sigmoid(1): optimal two-point mass on the rewarded index at beta = 1
 SIG1 = 0.7310585786300049
@@ -40,6 +48,62 @@ def test_target_spec_rejects_eta_outside_generalized(kind):
     with pytest.raises(InvalidCoefficient):
         TargetSpec(kind, 0.5, 0.1)
     TargetSpec("generalized", 0.5, 0.1)
+
+
+# every entry point of the coefficient rule, called with one coefficient
+# ``c`` on two_point; forward_kl_target gets a test of its own below
+COEFFICIENT_ENTRY_POINTS = {
+    "TargetSpec-reverse": lambda s, c: TargetSpec("reverse", c),
+    "TargetSpec-forward": lambda s, c: TargetSpec("forward", c),
+    "TargetSpec-generalized-beta": lambda s, c: TargetSpec("generalized", c, 0.5),
+    "TargetSpec-generalized-eta": lambda s, c: TargetSpec("generalized", 0.5, c),
+    "reverse_kl_target": lambda s, c: reverse_kl_target(s, c),
+    "generalized_target-beta": lambda s, c: generalized_target(s, c, 0.5),
+    "generalized_target-eta": lambda s, c: generalized_target(s, 0.5, c),
+    "log_prob_ratio": lambda s, c: log_prob_ratio(s, c, 0, 1),
+    "MaraConfig": lambda s, c: MaraConfig(Constant(0.5), c),
+    "mara_target": lambda s, c: mara_target(s, c, 0.5, 1),
+    "SweepSpec": lambda s, c: SweepSpec(
+        s, [TargetSpec("reverse", 1.0)], [c], [0],
+        TrainConfig(TargetSpec("reverse", 1.0), steps=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("entry", sorted(COEFFICIENT_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_non_finite_coefficient(two_point, entry, value):
+    assert issubclass(InvalidCoefficient, ValueError)
+    with pytest.raises(InvalidCoefficient):
+        COEFFICIENT_ENTRY_POINTS[entry](two_point, value)
+
+
+def test_forward_solve_rejects_a_non_finite_beta_at_once():
+    # the solve once never returned at beta = inf: a child process with a
+    # timeout makes such a regression fail instead of hanging the suite
+    script = (
+        "import math\n"
+        "from kllab.errors import InvalidCoefficient\n"
+        "from kllab.harness import scenario_by_name\n"
+        "from kllab.targets import forward_kl_target\n"
+        "for beta in (math.inf, -math.inf, math.nan):\n"
+        "    try:\n"
+        "        forward_kl_target(scenario_by_name('two_point'), beta)\n"
+        "    except InvalidCoefficient:\n"
+        "        continue\n"
+        "    raise SystemExit(f'beta = {beta} was accepted')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(kllab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_forward_solve_fails_cleanly_near_the_float_limit(two_point):
+    # F at the ceiling 1.5e308 is still >= 1, and doubling it gives inf,
+    # where a Newton step would divide by zero
+    with np.errstate(over="ignore"), pytest.raises(SolverFailure, match="not finite"):
+        forward_kl_target(two_point, 1.5e308)
 
 
 def test_reverse_two_point(two_point):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,18 @@ def test_softmax_policy_arrays_are_computed_once_and_read_only():
         with pytest.raises(ValueError):
             held[0] = 0
     np.testing.assert_array_equal(policy.log_probs(), expected_lp)
+
+
+def test_unpickled_policy_is_read_only_and_equal():
+    policy = SoftmaxPolicy([0.1, 0.2, 0.3], [True, False, True])
+    copy = pickle.loads(pickle.dumps(policy))
+    pairs = [(policy.logits, copy.logits), (policy.support_mask, copy.support_mask),
+             (policy.log_probs(), copy.log_probs()), (policy.probs(), copy.probs()),
+             *zip(policy._rows[1:], copy._rows[1:])]
+    for original, copied in pairs:
+        np.testing.assert_array_equal(copied, original)
+        with pytest.raises(ValueError):
+            copied[0] = 5.0
 
 
 # --------------------------------------------------------------------------
@@ -353,6 +367,16 @@ def test_adam_rejects_non_finite_gradient():
 
 # --------------------------------------------------------------------------
 # training loop
+
+
+def test_train_names_a_non_finite_gradient_over_all_indices():
+    # the policy's support is indices 1..3; the gradient overflows at index
+    # 3, which is column 2 of the support
+    s = make_scenario([0.0, 1.0, 1.0, 1.0], [0.0, 1.7e308, 1.7e308, -1.7e308])
+    cfg = TrainConfig(TargetSpec("reverse", 1.0), Exact(), steps=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteGradient, match=r"coordinates \[3\]$"):
+            train(s, cfg)
 
 
 def test_train_config_validation():
