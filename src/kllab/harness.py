@@ -26,7 +26,7 @@ N_TOKENS = 100
 
 # Shapes chosen so the two reward modes of `fig2_two_mode` sit at reference
 # log-probs near -4.1 and -6.0 (difference exactly 1.9), putting the
-# preference flip at beta = 0.25 / 1.9 ~ 0.1316.
+# preference flip at beta = 0.25 / 1.9, FLIP_BETA below.
 SCENARIO_CONFIGS: Dict[str, dict] = {
     "fig2_two_mode": {
         "name": "fig2_two_mode",
@@ -387,6 +387,18 @@ def records_from_csv(text: str) -> List[RunRecord]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the gate table: each threshold of the sweep summary and acceptance criteria 1, 3, 4, 7
+
+EXACT_TV_MAX = 0.05  # final TV to the target, exact-gradient cells
+MC_MEAN_TV_MAX = 0.15  # final TV to the target, Monte Carlo cells' mean over seeds
+FLIP_BETA, FLIP_BETA_TOL = 0.1316, 0.0005  # fig2's preference-flip coefficient
+FLIP_BRACKET = (0.10, 0.15)  # fig2's reverse-KL targets prefer opposite modes here
+EQUAL_REWARD_DEV_MAX = 0.10  # equal rewards: trained mode ratio vs the reference's
+BALANCE_DEV_MAX = 0.10  # MARA: trained mode ratio vs 1
+IMBALANCE_MIN = 3.0  # no MARA: the larger mode's mass over the smaller's
+
+
 @dataclass(frozen=True)
 class SummaryCheck:
     name: str
@@ -396,11 +408,7 @@ class SummaryCheck:
 
 
 def _group(records, **filters):
-    out = []
-    for r in records:
-        if all(getattr(r, k) == v for k, v in filters.items()):
-            out.append(r)
-    return out
+    return [r for r in records if all(getattr(r, k) == v for k, v in filters.items())]
 
 
 def _ratio(num: float, den: float) -> float:
@@ -411,94 +419,113 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def summary_checks(records: Sequence[RunRecord]) -> List[SummaryCheck]:
-    """Evaluate the acceptance-style thresholds that apply to the records."""
-    checks: List[SummaryCheck] = []
-    ok_records = [r for r in records if r.status == "ok"]
+def exact_tv_gate(records: Sequence[RunRecord]) -> List[SummaryCheck]:
+    """Unaugmented exact-gradient cells end within ``EXACT_TV_MAX``."""
+    tvs = [r.final_tv for r in records if r.seed == EXACT_SEED and not r.mara_enabled]
+    return [SummaryCheck("exact-mode convergence", f"max TV {max(tvs):.4f}",
+                         f"TV <= {EXACT_TV_MAX:g}", max(tvs) <= EXACT_TV_MAX)] if tvs else []
 
-    failed = [r for r in records if r.status != "ok"]
-    if failed:
-        checks.append(SummaryCheck(
-            "no failed cells", f"{len(failed)} failed", "0 failed", False
-        ))
 
-    exact = [r for r in ok_records if r.seed == EXACT_SEED and not r.mara_enabled]
-    if exact:
-        worst = max(r.final_tv for r in exact)
-        checks.append(SummaryCheck(
-            "exact-mode convergence", f"max TV {worst:.4f}", "TV <= 0.05",
-            worst <= 0.05,
-        ))
-    mc = [r for r in ok_records if r.seed != EXACT_SEED and not r.mara_enabled]
-    if mc:
-        keys = sorted({(r.scenario, r.objective, r.beta) for r in mc})
-        means = [
-            float(np.mean([
-                r.final_tv for r in mc
-                if (r.scenario, r.objective, r.beta) == k
-            ]))
-            for k in keys
-        ]
-        worst = max(means)
-        checks.append(SummaryCheck(
-            "monte-carlo convergence", f"max seed-mean TV {worst:.4f}",
-            "mean TV <= 0.15", worst <= 0.15,
-        ))
+def mc_tv_gate(records: Sequence[RunRecord]) -> List[SummaryCheck]:
+    """Unaugmented Monte Carlo cells end within ``MC_MEAN_TV_MAX``, in the seed mean."""
+    tvs: Dict[tuple, List[float]] = {}
+    for r in records:
+        if r.seed != EXACT_SEED and not r.mara_enabled:
+            tvs.setdefault((r.scenario, r.objective, r.beta), []).append(r.final_tv)
+    means = [float(np.mean(v)) for v in tvs.values()]
+    return [SummaryCheck("monte-carlo convergence", f"max seed-mean TV {max(means):.4f}",
+                         f"mean TV <= {MC_MEAN_TV_MAX:g}",
+                         max(means) <= MC_MEAN_TV_MAX)] if means else []
 
-    if any(r.scenario == "fig2_two_mode" for r in ok_records):
-        s = scenario_by_name("fig2_two_mode")
-        modes = mode_sets(s)
-        peaks = [int(m[np.argmax(s.rewards.values[m])]) for m in modes[:2]]
-        beta_star = flip_beta(s, peaks[0], peaks[1])
-        checks.append(SummaryCheck(
-            "preference flip coefficient", f"beta* = {beta_star:.4f}",
-            "0.1316 +/- 0.0005", abs(beta_star - 0.1316) <= 0.0005,
-        ))
-        lo = analytic_target(s, TargetSpec("reverse", 0.10)).probs
-        hi = analytic_target(s, TargetSpec("reverse", 0.15)).probs
-        lo_pref = np.sum(lo[modes[0]]) - np.sum(lo[modes[1]])
-        hi_pref = np.sum(hi[modes[0]]) - np.sum(hi[modes[1]])
-        checks.append(SummaryCheck(
-            "mode preference flips across beta*",
-            f"pref(0.10) = {lo_pref:+.3f}, pref(0.15) = {hi_pref:+.3f}",
-            "opposite signs", lo_pref * hi_pref < 0,
-        ))
 
-    eq = _group(ok_records, scenario="equal_reward_unequal_support",
+def flip_gates(s: Scenario) -> List[SummaryCheck]:
+    """``s``'s two reward modes trade places at ``FLIP_BETA``: the reverse-KL
+    targets at the ``FLIP_BRACKET`` betas prefer opposite ones."""
+    modes = mode_sets(s)[:2]
+    peaks = [int(m[np.argmax(s.rewards.values[m])]) for m in modes]
+    beta_star = flip_beta(s, *peaks)
+    prefs = []
+    for beta in FLIP_BRACKET:
+        t = analytic_target(s, TargetSpec("reverse", beta)).probs
+        prefs.append(float(np.sum(t[modes[0]]) - np.sum(t[modes[1]])))
+    (lo, hi), (lo_pref, hi_pref) = FLIP_BRACKET, prefs
+    return [
+        SummaryCheck("preference flip coefficient", f"beta* = {beta_star:.4f}",
+                     f"{FLIP_BETA:g} +/- {FLIP_BETA_TOL:g}",
+                     FLIP_BETA - FLIP_BETA_TOL <= beta_star <= FLIP_BETA + FLIP_BETA_TOL),
+        SummaryCheck("mode preference flips across beta*",
+                     f"pref({lo:.2f}) = {lo_pref:+.3f}, pref({hi:.2f}) = {hi_pref:+.3f}",
+                     "opposite signs", lo_pref * hi_pref < 0),
+    ]
+
+
+def _fig2_gates(records: Sequence[RunRecord]) -> List[SummaryCheck]:
+    """:func:`flip_gates` on fig2, when fig2 was swept."""
+    swept = any(r.scenario == "fig2_two_mode" for r in records)
+    return flip_gates(scenario_by_name("fig2_two_mode")) if swept else []
+
+
+def equal_reward_gate(records: Sequence[RunRecord]) -> List[SummaryCheck]:
+    """Equal-reward reverse-KL cells without MARA keep the reference's mode-mass ratio."""
+    eq = _group(records, scenario="equal_reward_unequal_support",
                 objective="reverse", mara_enabled=False)
-    if eq:
-        s = scenario_by_name("equal_reward_unequal_support")
-        modes = mode_sets(s)
-        ref = s.reference_probs
-        ref_ratio = float(np.sum(ref[modes[0]]) / np.sum(ref[modes[1]]))
-        # np.max, unlike max, returns nan whenever one deviation is nan
-        worst = float(np.max([
-            abs(_ratio(r.mode1_mass, r.mode2_mass) - ref_ratio) / ref_ratio for r in eq
-        ]))
-        checks.append(SummaryCheck(
-            "equal-reward mode ratio matches reference",
-            f"max relative deviation {worst:.4f}", "within 10%", worst <= 0.10,
-        ))
+    if not eq:
+        return []
+    s = scenario_by_name("equal_reward_unequal_support")
+    modes = mode_sets(s)
+    ref = s.reference_probs
+    ref_ratio = float(np.sum(ref[modes[0]]) / np.sum(ref[modes[1]]))
+    # np.max, unlike max, returns nan whenever one deviation is nan
+    worst = float(np.max([
+        abs(_ratio(r.mode1_mass, r.mode2_mass) - ref_ratio) / ref_ratio for r in eq
+    ]))
+    return [SummaryCheck(
+        "equal-reward mode ratio matches reference", f"max relative deviation {worst:.4f}",
+        f"within {EQUAL_REWARD_DEV_MAX:.0%}", worst <= EQUAL_REWARD_DEV_MAX,
+    )]
 
-    mara_runs = [r for r in ok_records if r.mara_enabled and r.scenario == "mara_toy"]
-    for r in mara_runs:
+
+def mara_balance_gate(records: Sequence[RunRecord]) -> List[SummaryCheck]:
+    """Each augmented ``mara_toy`` cell's mode masses are 1:1, to ``BALANCE_DEV_MAX``."""
+    checks = []
+    for r in _group(records, scenario="mara_toy", mara_enabled=True):
         dev = abs(_ratio(r.mode1_mass, r.mode2_mass) - 1.0)
         checks.append(SummaryCheck(
             f"augmented mode balance ({r.objective}, beta={r.beta:g}, seed={r.seed})",
-            f"mass ratio deviation {dev:.4f}", "within 10%", dev <= 0.10,
+            f"mass ratio deviation {dev:.4f}", f"within {BALANCE_DEV_MAX:.0%}",
+            dev <= BALANCE_DEV_MAX,
         ))
-    vanilla = [
-        r for r in ok_records if not r.mara_enabled and r.scenario == "mara_toy"
-    ]
-    for r in vanilla:
+    return checks
+
+
+def mara_imbalance_gate(records: Sequence[RunRecord]) -> List[SummaryCheck]:
+    """Each unaugmented ``mara_toy`` cell prefers one mode at least ``IMBALANCE_MIN``-fold."""
+    checks = []
+    for r in _group(records, scenario="mara_toy", mara_enabled=False):
         # an empty mode beside a full one is infinitely imbalanced
         ratio = _ratio(r.mode1_mass, r.mode2_mass)
         imbalance = max(ratio, _ratio(1.0, ratio))
         checks.append(SummaryCheck(
             f"unaugmented imbalance ({r.objective}, beta={r.beta:g}, seed={r.seed})",
-            f"imbalance {imbalance:.2f}x", ">= 3x", imbalance >= 3.0,
+            f"imbalance {imbalance:.2f}x", f">= {IMBALANCE_MIN:g}x",
+            imbalance >= IMBALANCE_MIN,
         ))
     return checks
+
+
+# in the order summary.md lists them
+GATES = (exact_tv_gate, mc_tv_gate, _fig2_gates, equal_reward_gate,
+         mara_balance_gate, mara_imbalance_gate)
+
+
+def summary_checks(records: Sequence[RunRecord]) -> List[SummaryCheck]:
+    """A failed check when cells failed, then every gate on the cells that ran."""
+    checks = []
+    failed = sum(r.status != "ok" for r in records)
+    if failed:
+        checks.append(SummaryCheck("no failed cells", f"{failed} failed", "0 failed", False))
+    ok_records = [r for r in records if r.status == "ok"]
+    return checks + [c for gate in GATES for c in gate(ok_records)]
 
 
 def emit_report(records: Sequence[RunRecord], out_dir) -> List[Path]:
@@ -556,17 +583,12 @@ def emit_report(records: Sequence[RunRecord], out_dir) -> List[Path]:
         manifest.append(path)
 
     checks = summary_checks(records)
-    lines = ["# Sweep summary", ""]
-    lines.append(f"records: {len(records)}")
-    lines.append("")
-    lines.append("| check | measured | threshold | verdict |")
-    lines.append("|---|---|---|---|")
-    for c in checks:
-        verdict = "PASS" if c.passed else "FAIL"
-        lines.append(f"| {c.name} | {c.measured} | {c.threshold} | {verdict} |")
-    lines.append("")
-    overall = all(c.passed for c in checks)
-    lines.append(f"overall: {'PASS' if overall else 'FAIL'}")
+    verdict = {True: "PASS", False: "FAIL"}
+    lines = ["# Sweep summary", "", f"records: {len(records)}", "",
+             "| check | measured | threshold | verdict |", "|---|---|---|---|"]
+    lines += [f"| {c.name} | {c.measured} | {c.threshold} | {verdict[c.passed]} |"
+              for c in checks]
+    lines += ["", f"overall: {verdict[all(c.passed for c in checks)]}"]
     summary_path = out / "summary.md"
     summary_path.write_text("\n".join(lines) + "\n")
     manifest.append(summary_path)
@@ -600,7 +622,7 @@ def paper_sweeps() -> List[SweepSpec]:
         SweepSpec(scenario_by_name("equal_reference"), reverse_only,
                   FIG2_BETAS, [EXACT_SEED], exact_cfg),
         # the grid reaches beta = 0.01, where the target is sharp enough
-        # that the default budget stops short of the 5% TV bar
+        # that the default budget stops short of EXACT_TV_MAX
         SweepSpec(scenario_by_name("equal_reward_unequal_support"),
                   reverse_only, EQUAL_REWARD_BETAS, [EXACT_SEED],
                   replace(exact_cfg, steps=10_000)),

@@ -31,13 +31,14 @@ KINDS = ("reverse", "forward", "generalized")
 
 
 def check_coefficients(kind: str, beta: float, eta: float = 0.0) -> None:
-    """The admissibility rule of every objective's coefficients: finite and
-    nonnegative, ``eta`` for ``generalized`` only, ``beta + eta > 0``."""
+    """The admissibility rule of every objective's coefficients: nonnegative
+    with a finite sum (the tilt divides by it), so each finite too, ``eta``
+    for ``generalized`` only, ``beta + eta > 0``."""
     if kind not in KINDS:
         raise InvalidCoefficient(f"unknown kind {kind!r}")
     # Python comparisons, which NaN fails too; NumPy's cost ~1 us on a float
-    if not (0.0 <= beta < math.inf and 0.0 <= eta < math.inf):
-        raise InvalidCoefficient(f"beta, eta must be finite and >= 0, not {beta!r}, {eta!r}")
+    if not (0.0 <= beta and 0.0 <= eta and beta + eta < math.inf):
+        raise InvalidCoefficient(f"beta, eta must be >= 0 with a finite sum, not {beta!r}, {eta!r}")
     if kind != "generalized" and eta != 0:
         raise InvalidCoefficient(f"{kind} takes no eta")
     if not beta + eta > 0:
@@ -233,19 +234,22 @@ def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
     boundary = False
     off_mass = 0.0
     masses = np.zeros(s.n)
-    if r_max_out > r_max_in:
-        at_out = _mass_terms(r_max_out, w, r_on)
-        z_out = at_out[0]
-        if z_out < 1.0:
-            lam = r_max_out
-            boundary = True
-            off_mass = 1.0 - z_out
-            argmax_out = off & (s.rewards.values == r_max_out)
-            masses[argmax_out] = off_mass / np.count_nonzero(argmax_out)
+    # near beta's float limit w / (lam - R) overflows, reads as mass >= 1 and
+    # grows the bracket until it fails with SolverFailure
+    with np.errstate(over="ignore"):
+        if r_max_out > r_max_in:
+            at_out = _mass_terms(r_max_out, w, r_on)
+            z_out = at_out[0]
+            if z_out < 1.0:
+                lam = r_max_out
+                boundary = True
+                off_mass = 1.0 - z_out
+                argmax_out = off & (s.rewards.values == r_max_out)
+                masses[argmax_out] = off_mass / np.count_nonzero(argmax_out)
+            else:
+                lam = _solve_lambda(beta, w, r_on, r_max_out, at_out)
         else:
-            lam = _solve_lambda(beta, w, r_on, r_max_out, at_out)
-    else:
-        lam = _solve_lambda(beta, w, r_on, r_max_in)
+            lam = _solve_lambda(beta, w, r_on, r_max_in)
     masses[mask] = _on_support_masses(lam, w, ref_probs, r_on)
     return ForwardSolution(
         distribution=from_probs(masses), lam=float(lam), off_support_mass=off_mass,

@@ -5,6 +5,8 @@ PASS/FAIL line with the measured value, so a plain ``pytest -v -s
 tests/test_acceptance.py`` doubles as a readable scorecard.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from conftest import make_scenario, random_scenario
@@ -12,7 +14,16 @@ from kllab.harness import (
     EQUAL_REWARD_BETAS,
     FIG2_BETAS,
     MARA_TOY_TAU,
+    SweepSpec,
+    equal_reward_gate,
+    exact_tv_gate,
+    flip_gates,
+    mara_balance_gate,
+    mara_imbalance_gate,
+    mc_tv_gate,
     mode_sets,
+    paper_sweeps,
+    run_sweep,
     scenario_by_name,
 )
 from kllab.mara import (
@@ -25,14 +36,11 @@ from kllab.mara import (
 )
 from kllab.targets import (
     TargetSpec,
-    analytic_target,
-    flip_beta,
     forward_kl_target,
     log_prob_ratio,
     reverse_kl_target,
 )
 from kllab.trainer import (
-    MonteCarlo,
     SoftmaxPolicy,
     TrainConfig,
     exact_gradient,
@@ -40,7 +48,6 @@ from kllab.trainer import (
     kl_gradient_to_target,
     mc_gradient_reverse,
     reverse_coefficients,
-    train,
 )
 
 
@@ -50,25 +57,22 @@ def verdict(number: int, name: str, passed: bool, detail: str):
     assert passed, f"criterion {number} ({name}): {detail}"
 
 
-def mode_peaks(s):
-    modes = mode_sets(s)
-    return modes, [int(m[np.argmax(s.rewards.values[m])]) for m in modes]
+def gate_verdict(number: int, name: str, gates, ok: bool = True, detail: str = ""):
+    """The verdict on harness gates, each of which must yield a check, and
+    on what the criterion measures itself."""
+    checks = [c for gate in gates for c in gate]
+    details = [detail] + [f"{c.name}: {c.measured} (want {c.threshold})" for c in checks]
+    ok = ok and all(gates) and all(c.passed for c in checks)
+    verdict(number, name, ok, "; ".join(filter(None, details)))
+
+
+def preset_records(scenario: str):
+    """The records of the paper preset's cells on one scenario."""
+    return run_sweep(*[s for s in paper_sweeps() if s.scenario.name == scenario], workers=2)
 
 
 def test_criterion_1_preference_flip():
-    s = scenario_by_name("fig2_two_mode")
-    modes, peaks = mode_peaks(s)
-    bstar = flip_beta(s, peaks[0], peaks[1])
-    lo = analytic_target(s, TargetSpec("reverse", 0.10)).probs
-    hi = analytic_target(s, TargetSpec("reverse", 0.15)).probs
-    lo_pref = float(np.sum(lo[modes[0]]) - np.sum(lo[modes[1]]))
-    hi_pref = float(np.sum(hi[modes[0]]) - np.sum(hi[modes[1]]))
-    ok = abs(bstar - 0.1316) <= 0.0005 and lo_pref * hi_pref < 0
-    verdict(
-        1, "preference flip", ok,
-        f"beta* = {bstar:.6f} (want 0.1316 +/- 0.0005); "
-        f"mode preference {lo_pref:+.3f} at beta 0.10 vs {hi_pref:+.3f} at 0.15",
-    )
+    gate_verdict(1, "preference flip", [flip_gates(scenario_by_name("fig2_two_mode"))])
 
 
 def test_criterion_2_extreme_ratio():
@@ -81,58 +85,39 @@ def test_criterion_2_extreme_ratio():
 
 def test_criterion_3_equal_reward_invariance():
     s = scenario_by_name("equal_reward_unequal_support")
-    modes, _ = mode_peaks(s)
+    modes = mode_sets(s)
     ref = s.reference.probs
     ref_ratio = float(np.sum(ref[modes[0]]) / np.sum(ref[modes[1]]))
     worst_analytic = 0.0
-    worst_trained = 0.0
     for beta in EQUAL_REWARD_BETAS:
         g = reverse_kl_target(s, beta).probs
         analytic_ratio = float(np.sum(g[modes[0]]) / np.sum(g[modes[1]]))
-        worst_analytic = max(
-            worst_analytic, abs(analytic_ratio / ref_ratio - 1.0)
-        )
-        # smaller beta means a sharper target; give the optimizer a budget
-        # that scales with the sharpness
-        steps = 10_000 if beta <= 0.05 else 3000
-        result = train(s, TrainConfig(TargetSpec("reverse", beta), steps=steps))
-        p = result.final_policy.probs
-        trained_ratio = float(np.sum(p[modes[0]]) / np.sum(p[modes[1]]))
-        worst_trained = max(worst_trained, abs(trained_ratio / ref_ratio - 1.0))
-    ok = worst_analytic <= 1e-9 and worst_trained <= 0.10
-    verdict(
-        3, "equal-reward invariance", ok,
-        f"analytic mode-ratio deviation {worst_analytic:.2e} (want <= 1e-9); "
-        f"trained deviation {worst_trained:.3f} (want <= 0.10)",
+        worst_analytic = max(worst_analytic, abs(analytic_ratio / ref_ratio - 1.0))
+    # smaller beta means a sharper target; the two smallest betas get a
+    # budget that scales with the sharpness
+    objective = [TargetSpec("reverse", 1.0)]
+    cfg = TrainConfig(objective[0], steps=3000)
+    records = run_sweep(
+        SweepSpec(s, objective, EQUAL_REWARD_BETAS[:2], [0], replace(cfg, steps=10_000)),
+        SweepSpec(s, objective, EQUAL_REWARD_BETAS[2:], [0], cfg),
+        workers=2,
+    )
+    gate_verdict(
+        3, "equal-reward invariance", [equal_reward_gate(records)],
+        worst_analytic <= 1e-9,
+        f"analytic mode-ratio deviation {worst_analytic:.2e} (want <= 1e-9)",
     )
 
 
 def test_criterion_4_target_family_convergence():
     s = scenario_by_name("fig2_two_mode")
-    worst_exact = 0.0
-    for kind in ("reverse", "forward"):
-        for beta in FIG2_BETAS:
-            if kind == "forward":
-                assert not forward_kl_target(s, beta).boundary_case
-            result = train(s, TrainConfig(TargetSpec(kind, beta)))
-            worst_exact = max(worst_exact, result.trace[-1].tv_to_target)
-    worst_mc = 0.0
-    for kind in ("reverse", "forward"):
-        for beta in FIG2_BETAS:
-            tvs = []
-            for seed in (0, 1, 2):
-                cfg = TrainConfig(
-                    TargetSpec(kind, beta),
-                    gradient_mode=MonteCarlo(batch=32), seed=seed,
-                )
-                tvs.append(train(s, cfg).trace[-1].tv_to_target)
-            worst_mc = max(worst_mc, float(np.mean(tvs)))
-    ok = worst_exact <= 0.05 and worst_mc <= 0.15
-    verdict(
-        4, "target-family convergence", ok,
-        f"worst exact TV {worst_exact:.4f} (want <= 0.05); "
-        f"worst 3-seed mean MC TV {worst_mc:.4f} (want <= 0.15)",
-    )
+    for beta in FIG2_BETAS:
+        assert not forward_kl_target(s, beta).boundary_case
+    # exact and 3-seed Monte Carlo cells, reverse and forward, at every beta
+    records = preset_records("fig2_two_mode")
+    assert len(records) == 2 * len(FIG2_BETAS) * 4
+    gate_verdict(4, "target-family convergence",
+                 [exact_tv_gate(records), mc_tv_gate(records)])
 
 
 def test_criterion_5_forward_solver():
@@ -209,34 +194,19 @@ def test_criterion_6_gradient_identity():
 
 
 def test_criterion_7_mara_uniformity():
+    # reverse and forward at one beta, with and without augmentation
+    records = preset_records("mara_toy")
+    (beta,) = {r.beta for r in records}
     s = scenario_by_name("mara_toy")
-    beta = 0.1
-    tau = MARA_TOY_TAU
-    anchor = global_anchor(s, tau)
-    target = mara_target(s, beta, tau, anchor)
-    above = np.flatnonzero(s.rewards.values >= tau)
+    target = mara_target(s, beta, MARA_TOY_TAU, global_anchor(s, MARA_TOY_TAU))
+    above = np.flatnonzero(s.rewards.values >= MARA_TOY_TAU)
     masses = target.probs[above]
     uniform_dev = float(np.max(masses) / np.min(masses) - 1.0)
-
-    modes, _ = mode_peaks(s)
-    mara = MaraConfig(Constant(tau), beta=beta)
-    worst_balance = 0.0
-    worst_imbalance = np.inf
-    for kind in ("reverse", "forward"):
-        balanced = train(
-            s, TrainConfig(TargetSpec(kind, beta), mara=mara)
-        ).final_policy.probs
-        ratio = float(np.sum(balanced[modes[0]]) / np.sum(balanced[modes[1]]))
-        worst_balance = max(worst_balance, abs(ratio - 1.0))
-        vanilla = train(s, TrainConfig(TargetSpec(kind, beta))).final_policy.probs
-        v_ratio = float(np.sum(vanilla[modes[0]]) / np.sum(vanilla[modes[1]]))
-        worst_imbalance = min(worst_imbalance, max(v_ratio, 1.0 / v_ratio))
-    ok = uniform_dev <= 1e-9 and worst_balance <= 0.10 and worst_imbalance >= 3.0
-    verdict(
-        7, "anchored-augmentation uniformity", ok,
-        f"analytic above-threshold spread {uniform_dev:.2e} (want <= 1e-9); "
-        f"trained mode-ratio deviation {worst_balance:.3f} (want <= 0.10); "
-        f"unaugmented imbalance {worst_imbalance:.2f}x (want >= 3x)",
+    gate_verdict(
+        7, "anchored-augmentation uniformity",
+        [mara_balance_gate(records), mara_imbalance_gate(records)],
+        uniform_dev <= 1e-9,
+        f"analytic above-threshold spread {uniform_dev:.2e} (want <= 1e-9)",
     )
 
 

@@ -63,6 +63,8 @@ def test_target_forward_beta_zero_is_usage_error(capsys):
      "--eta", "1"),
     ("target", "--scenario", "two_point", "--kind", "generalized", "--beta", "1",
      "--eta", "inf"),
+    ("target", "--scenario", "two_point", "--kind", "generalized", "--beta", "1e308",
+     "--eta", "1e308"),
     ("ratio", "--scenario", "two_point", "--beta", "inf", "--i", "0", "--j", "1"),
     ("augment", "--scenario", "two_point", "--beta", "inf", "--tau", "0.5",
      "--indices", "0,1"),
@@ -70,8 +72,8 @@ def test_target_forward_beta_zero_is_usage_error(capsys):
      "--indices", "12,15,34"),
     ("train", "--scenario", "mara_toy", "--beta", "0.1", "--tau", "nan", "--steps", "20"),
 ], ids=["reverse-inf", "reverse-minus-inf", "generalized-beta-nan",
-        "generalized-eta-inf", "ratio-inf", "augment-beta-inf", "augment-tau-nan",
-        "train-tau-nan"])
+        "generalized-eta-inf", "generalized-sum-inf", "ratio-inf", "augment-beta-inf",
+        "augment-tau-nan", "train-tau-nan"])
 def test_non_finite_coefficient_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     # a run that wrongly went ahead would write below the working directory
     monkeypatch.chdir(tmp_path)
@@ -93,6 +95,20 @@ def test_target_forward_infinite_beta_exits_2_at_once():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "finite" in proc.stderr
+
+
+def test_target_forward_solver_failure_prints_only_its_error():
+    # a child process, so that no warning filter of the test run hides a
+    # warning printed beside the error
+    env = {**os.environ, "PYTHONPATH": str(Path(kllab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kllab.cli", "target", "--scenario", "two_point",
+         "--kind", "forward", "--beta", "1.5e308"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the multiplier's bracket ceiling is not finite\n"
 
 
 def test_generalized_eta_zero_matches_reverse(capsys):
@@ -360,9 +376,9 @@ def test_sweep_unknown_preset_exits_2(capsys):
 
 
 def _summary_rows(out_dir):
-    """The (check, verdict) rows of a report's summary.md."""
+    """The (check, threshold, verdict) rows of a report's summary.md."""
     lines = (out_dir / "summary.md").read_text().splitlines()
-    return [(cells[1].strip(), cells[-2].strip())
+    return [(cells[1].strip(), cells[3].strip(), cells[4].strip())
             for cells in (line.split("|") for line in lines if line.startswith("| "))
             if cells[1].strip() != "check"]
 
@@ -410,14 +426,30 @@ def test_report_on_the_paper_preset(capsys, tmp_path):
         text = (tmp_path / "a" / name).read_text()
         assert "target mode 1" in text
         assert ("MARA mode 1 mass" in text) == name.startswith("mara_toy")
-    rows = _summary_rows(tmp_path / "a")
-    assert len(rows) == 9 and all(verdict == "PASS" for _, verdict in rows)
+    # every threshold of the gate table, pinned
+    assert _summary_rows(tmp_path / "a") == [
+        ("exact-mode convergence", "TV <= 0.05", "PASS"),
+        ("monte-carlo convergence", "mean TV <= 0.15", "PASS"),
+        ("preference flip coefficient", "0.1316 +/- 0.0005", "PASS"),
+        ("mode preference flips across beta*", "opposite signs", "PASS"),
+        ("equal-reward mode ratio matches reference", "within 10%", "PASS"),
+        ("augmented mode balance (forward, beta=0.1, seed=-1)", "within 10%", "PASS"),
+        ("augmented mode balance (reverse, beta=0.1, seed=-1)", "within 10%", "PASS"),
+        ("unaugmented imbalance (forward, beta=0.1, seed=-1)", ">= 3x", "PASS"),
+        ("unaugmented imbalance (reverse, beta=0.1, seed=-1)", ">= 3x", "PASS"),
+    ]
     # a report re-emitted from the records.csv it wrote is the same bytes
     code, _, _ = run(capsys, "report", "--records", str(tmp_path / "a" / "records.csv"),
                      "--out", str(tmp_path / "b"))
     assert code == 0
     for path in sorted((tmp_path / "a").iterdir()):
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+def test_every_check_verdict_is_a_python_bool():
+    checks = harness.summary_checks(_preset_records())
+    assert len(checks) == 9
+    assert all(type(c.passed) is bool for c in checks)
 
 
 def test_report_checks_empty_modes(capsys, tmp_path):
@@ -440,11 +472,11 @@ def test_report_checks_empty_modes(capsys, tmp_path):
                        "--out", str(tmp_path / "report"))
     assert code == 0 and err == ""
     assert _summary_rows(tmp_path / "report") == [
-        ("exact-mode convergence", "PASS"),
-        ("equal-reward mode ratio matches reference", "FAIL"),
-        ("augmented mode balance (reverse, beta=0.1, seed=-1)", "FAIL"),
+        ("exact-mode convergence", "TV <= 0.05", "PASS"),
+        ("equal-reward mode ratio matches reference", "within 10%", "FAIL"),
+        ("augmented mode balance (reverse, beta=0.1, seed=-1)", "within 10%", "FAIL"),
         # one mode empty and the other not: as imbalanced as it gets
-        ("unaugmented imbalance (reverse, beta=0.1, seed=-1)", "PASS"),
+        ("unaugmented imbalance (reverse, beta=0.1, seed=-1)", ">= 3x", "PASS"),
     ]
 
 

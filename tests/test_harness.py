@@ -21,6 +21,12 @@ from kllab.harness import (
     answer_entropy,
     builtin_scenarios,
     emit_report,
+    equal_reward_gate,
+    exact_tv_gate,
+    flip_gates,
+    mara_balance_gate,
+    mara_imbalance_gate,
+    mc_tv_gate,
     mode_sets,
     records_from_csv,
     records_to_csv,
@@ -445,3 +451,71 @@ def test_summary_checks_flag_failures():
     assert all(c.passed for c in good)
     bad = summary_checks([_record(final_tv=0.5), _record(status="failed: x")])
     assert any(not c.passed for c in bad)
+
+
+def _passes(checks):
+    return bool(checks) and all(c.passed for c in checks)
+
+
+def _mode_ratio(x, **kw):
+    """One record whose mode masses stand in ratio ``x`` (scaling by 0.25 is exact)."""
+    return [_record(mode1_mass=0.25 * x, mode2_mass=0.25, **kw)]
+
+
+# gate, its records for one input x, the last x that passes, the way past it
+GATE_EDGES = {
+    "exact-tv-0.05": (exact_tv_gate, lambda x: [_record(final_tv=x)], 0.05, np.inf),
+    # the seed mean (0 + 0.3) / 2 is 0.15 exactly
+    "mc-seed-mean-tv-0.15": (
+        mc_tv_gate, lambda x: [_record(seed=0, final_tv=0.0), _record(seed=1, final_tv=x)],
+        0.3, np.inf,
+    ),
+    # 1.1 - 1 rounds above 0.1: the last ratio within 10% is the float below 1.1
+    "balance-10%-above": (
+        mara_balance_gate, lambda x: _mode_ratio(x, scenario="mara_toy", mara_enabled=True),
+        float(np.nextafter(1.1, 0)), np.inf,
+    ),
+    "balance-10%-below": (
+        mara_balance_gate, lambda x: _mode_ratio(x, scenario="mara_toy", mara_enabled=True),
+        0.9, 0.0,
+    ),
+    "imbalance-3x": (
+        mara_imbalance_gate, lambda x: _mode_ratio(x, scenario="mara_toy"), 3.0, 0.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATE_EDGES))
+def test_gate_passes_at_its_threshold_and_fails_one_float_past(case):
+    gate, records, edge, past = GATE_EDGES[case]
+    assert _passes(gate(records(edge)))
+    assert not _passes(gate(records(float(np.nextafter(edge, past)))))
+
+
+@pytest.mark.parametrize("edge, past", [(0.1316 + 0.0005, np.inf), (0.1316 - 0.0005, 0.0)],
+                         ids=["above", "below"])
+def test_flip_gate_passes_at_its_threshold_and_fails_one_float_past(monkeypatch, edge, past):
+    s = scenario_by_name("fig2_two_mode")
+    monkeypatch.setattr(harness, "flip_beta", lambda *_: edge)
+    assert flip_gates(s)[0].passed
+    monkeypatch.setattr(harness, "flip_beta", lambda *_: float(np.nextafter(edge, past)))
+    assert not flip_gates(s)[0].passed
+
+
+def test_equal_reward_gate_edges_sit_ten_percent_from_the_reference_ratio():
+    s = scenario_by_name("equal_reward_unequal_support")
+    modes = mode_sets(s)
+    ref = s.reference_probs
+    ref_ratio = float(np.sum(ref[modes[0]]) / np.sum(ref[modes[1]]))
+
+    def passes(x):
+        return _passes(equal_reward_gate(_mode_ratio(x, scenario=s.name)))
+
+    for bound, past in ((1.1 * ref_ratio, np.inf), (0.9 * ref_ratio, 0.0)):
+        # from the bound, the last ratio that passes before one that fails
+        edge = bound
+        while not passes(edge):
+            edge = float(np.nextafter(edge, ref_ratio))
+        while passes(float(np.nextafter(edge, past))):
+            edge = float(np.nextafter(edge, past))
+        assert edge == pytest.approx(bound, rel=1e-15)

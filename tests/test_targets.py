@@ -42,6 +42,14 @@ def test_target_spec_validation():
     TargetSpec("generalized", 0.0, 1.0)  # entropy-only is admissible
 
 
+def test_generalized_rejects_a_coefficient_sum_that_overflows():
+    # each coefficient is finite, but beta + eta is inf, which once flattened
+    # the tilt to uniform
+    s = make_scenario([0.9, 0.1], [0.0, 1.0])
+    with pytest.raises(InvalidCoefficient, match="finite sum"):
+        generalized_target(s, 1e308, 1e308)
+
+
 @pytest.mark.parametrize("kind", ["reverse", "forward"])
 def test_target_spec_rejects_eta_outside_generalized(kind):
     # reverse KL is the generalized family at eta = 0; forward has no eta
@@ -101,9 +109,16 @@ def test_forward_solve_rejects_a_non_finite_beta_at_once():
 
 def test_forward_solve_fails_cleanly_near_the_float_limit(two_point):
     # F at the ceiling 1.5e308 is still >= 1, and doubling it gives inf,
-    # where a Newton step would divide by zero
-    with np.errstate(over="ignore"), pytest.raises(SolverFailure, match="not finite"):
+    # where a Newton step would divide by zero; F overflows on the way, and
+    # that warns nothing
+    with pytest.raises(SolverFailure, match="not finite"):
         forward_kl_target(two_point, 1.5e308)
+
+
+def test_forward_solve_near_the_float_limit_off_support_warns_nothing():
+    # the best reward is off the support: F evaluated there overflows first
+    with pytest.raises(SolverFailure, match="not finite"):
+        forward_kl_target(make_scenario([1.0, 0.0], [0.0, 0.5]), 1e308)
 
 
 def test_reverse_two_point(two_point):
