@@ -41,9 +41,12 @@ from .trainer import (
     Exact,
     MonteCarlo,
     SoftmaxPolicy,
+    StepRecord,
+    Trace,
     TrainConfig,
     TrainResult,
     adam_step,
+    batch_key,
     exact_gradient,
     exact_objective,
     matching_step_sft,
@@ -51,6 +54,7 @@ from .trainer import (
     mc_gradient_forward,
     mc_gradient_reverse,
     train,
+    train_cells,
 )
 
 __all__ = [
@@ -61,9 +65,10 @@ __all__ = [
     "ForwardSolution", "TargetSpec", "analytic_target", "flip_beta",
     "forward_kl_target", "generalized_target", "log_prob_ratio",
     "reverse_kl_target",
-    "Exact", "MonteCarlo", "SoftmaxPolicy", "TrainConfig", "TrainResult",
-    "adam_step", "exact_gradient", "exact_objective", "matching_step_sft",
-    "mc_gradient", "mc_gradient_forward", "mc_gradient_reverse", "train",
+    "Exact", "MonteCarlo", "SoftmaxPolicy", "StepRecord", "Trace", "TrainConfig",
+    "TrainResult", "adam_step", "batch_key", "exact_gradient", "exact_objective",
+    "matching_step_sft", "mc_gradient", "mc_gradient_forward", "mc_gradient_reverse",
+    "train", "train_cells",
 ]
 
 __version__ = "0.1.0"

@@ -163,17 +163,16 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / f"{s.name}_{args.kind}_trace.csv"
+    trace = result.trace
+    above = trace.above_threshold_mass
+    columns = [trace.objective_value, trace.tv_to_target, trace.entropy]
+    columns = [[f"{v:.17g}" for v in c.tolist()] for c in columns]
+    columns.append([""] * len(trace) if above is None else [f"{v:.17g}" for v in above.tolist()])
     with open(trace_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "objective", "tv_to_target", "entropy",
                          "above_threshold_mass"])
-        for t, rec in enumerate(result.trace, start=1):
-            writer.writerow([
-                t, f"{rec.objective_value:.17g}", f"{rec.tv_to_target:.17g}",
-                f"{rec.entropy:.17g}",
-                "" if rec.above_threshold_mass is None
-                else f"{rec.above_threshold_mass:.17g}",
-            ])
+        writer.writerows(zip(range(1, len(trace) + 1), *columns))
     policy_path = out / f"{s.name}_{args.kind}_policy.csv"
     with open(policy_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -187,10 +186,10 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     records = harness.run_sweep(*harness.paper_sweeps(), workers=args.workers)
-    manifest = harness.emit_report(records, _out_dir(args))
+    checks = harness.summary_checks(records)
+    manifest = harness.emit_report(records, _out_dir(args), checks)
     for path in manifest:
         print(f"wrote {path}")
-    checks = harness.summary_checks(records)
     failed = [c for c in checks if not c.passed]
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.measured}"

@@ -161,16 +161,20 @@ def inverse_cdf(log_weights: np.ndarray, support_mask: np.ndarray):
 
 def cdf_table(active: np.ndarray, masses: np.ndarray):
     """The :func:`draw` table of ``masses`` at the indices ``active``: their
-    running sum, the last entry pinned to 1."""
-    cdf = np.cumsum(masses)
-    cdf[-1] = 1.0
+    running sum along the last axis, its last entry pinned to 1. Each row
+    of a 2-d ``masses`` gives the table of one row of uniforms."""
+    cdf = masses.cumsum(axis=-1)
+    cdf[..., -1] = 1.0
     return active, cdf
 
 
 def draw(table, u: np.ndarray) -> np.ndarray:
-    """Map uniforms ``u`` in [0, 1) to indices through an :func:`inverse_cdf` table."""
+    """Map uniforms ``u`` in [0, 1) to indices through an :func:`inverse_cdf`
+    table; a table of rows maps the row of ``u`` with the same index."""
     active, cdf = table
-    return active[np.searchsorted(cdf, u, side="right")]
+    if cdf.ndim == 1:
+        return active[cdf.searchsorted(u, side="right")]
+    return active[np.stack([c.searchsorted(v, side="right") for c, v in zip(cdf, u)])]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,11 @@ from .errors import InvalidPartition
 from .mara import Constant, MaraConfig
 from .scenario_io import scenario_from_dict
 from .targets import TargetSpec, analytic_target, check_coefficients, flip_beta
-from .trainer import Exact, MonteCarlo, TrainConfig, train
+# the sweep trains through train_cells; train stays importable as
+# harness.train, which the benchmark's tracer wraps
+from .trainer import (  # noqa: F401
+    Exact, MonteCarlo, TrainConfig, batch_key, train, train_cells,
+)
 
 # ---------------------------------------------------------------------------
 # built-in scenarios
@@ -267,16 +271,8 @@ def _failed_record(cell, exc: BaseException, wall_ms: int) -> RunRecord:
     )
 
 
-def _run_cell(cell) -> RunRecord:
-    """Train one (scenario, config) cell and measure it."""
-    scenario, cfg = cell
-    t0 = time.perf_counter()
-    try:
-        result = train(scenario, cfg)
-    except Exception as exc:  # cell failures never abort the sweep
-        return _failed_record(cell, exc, int((time.perf_counter() - t0) * 1000))
-    wall_ms = int((time.perf_counter() - t0) * 1000)
-    modes = mode_sets(scenario)
+def _trained_record(cell, result, wall_ms: int, modes) -> RunRecord:
+    """The record of a cell that trained; ``modes`` are its scenario's."""
     policy = result.final_policy
     p = policy.probs
     mode_masses = [float(np.sum(p[m])) for m in modes[:2]]
@@ -288,11 +284,35 @@ def _run_cell(cell) -> RunRecord:
         if a != b
     )
     return _cell_record(
-        cell, wall_ms, final_tv=result.trace[-1].tv_to_target,
+        cell, wall_ms, final_tv=float(result.trace.tv_to_target[-1]),
         answer_entropy=answer_entropy(policy, modes),
         mode1_mass=mode_masses[0], mode2_mass=mode_masses[1],
         anchor_churn=churn,
     )
+
+
+def _run_batch(batch) -> List[RunRecord]:
+    """Train one batch, a scenario and the configs of its cells, as one
+    program and measure each cell; a cell's ``wall_ms`` is the batch's
+    training time over its number of cells."""
+    scenario, cfgs = batch
+    t0 = time.perf_counter()
+    try:
+        outcomes = train_cells(scenario, cfgs)
+    except Exception as exc:  # cell failures never abort the sweep
+        outcomes = [exc] * len(cfgs)
+    wall_ms = int((time.perf_counter() - t0) * 1000 / len(cfgs))
+    modes = None
+    records = []
+    for cfg, outcome in zip(cfgs, outcomes):
+        cell = (scenario, cfg)
+        if isinstance(outcome, Exception):
+            records.append(_failed_record(cell, outcome, wall_ms))
+            continue
+        if modes is None:
+            modes = mode_sets(scenario)
+        records.append(_trained_record(cell, outcome, wall_ms, modes))
+    return records
 
 
 def _sweep_cells(spec: SweepSpec):
@@ -307,35 +327,53 @@ def _sweep_cells(spec: SweepSpec):
                 yield (spec.scenario, cfg)
 
 
-def _collect(future, cell) -> RunRecord:
-    """The cell's record; a dead worker (BrokenProcessPool) breaks the whole
-    pool, so each cell it took down runs again alone, and only a cell that
-    kills its own worker too fails."""
+def _batches(cells) -> List[tuple]:
+    """The cells as batches that train as one program, in the order they
+    first appear: a scenario and the configs on it that share a
+    :func:`trainer.batch_key`."""
+    batches: Dict[tuple, tuple] = {}
+    for scenario, cfg in cells:
+        key = (id(scenario), batch_key(cfg))
+        batches.setdefault(key, (scenario, []))[1].append(cfg)
+    return list(batches.values())
+
+
+def _run_alone(batch) -> List[RunRecord]:
+    """``batch`` in a process of its own, whose death fails the batch."""
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
+        try:
+            return alone.submit(_run_batch, batch).result()
+        except concurrent.futures.BrokenExecutor as exc:
+            scenario, cfgs = batch
+            return [_failed_record((scenario, cfg), exc, 0) for cfg in cfgs]
+
+
+def _collect(future, batch) -> List[RunRecord]:
+    """The batch's records; a dead worker (BrokenProcessPool) breaks the
+    whole pool, so each cell of a batch it took down runs again alone, and
+    only a cell that kills its own worker too fails."""
     try:
         return future.result()
     except concurrent.futures.BrokenExecutor:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
-            try:
-                return alone.submit(_run_cell, cell).result()
-            except concurrent.futures.BrokenExecutor as exc:
-                return _failed_record(cell, exc, 0)
+        scenario, cfgs = batch
+        return [r for cfg in cfgs for r in _run_alone((scenario, [cfg]))]
 
 
 def run_sweep(*specs: SweepSpec, workers: int = 1) -> List[RunRecord]:
-    """Execute every (objective, beta, seed) cell of every spec on one
-    process pool, or serially with one worker or one cell; deterministic
-    per cell regardless of worker count; records come back canonically
-    sorted."""
+    """Execute every (objective, beta, seed) cell of every spec, the cells
+    packed into batches (see :func:`_batches`), on one process pool, or
+    serially with one worker or one batch; deterministic per cell regardless
+    of worker count; records come back canonically sorted."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    cells = [cell for spec in specs for cell in _sweep_cells(spec)]
-    if workers == 1 or len(cells) == 1:
-        records = [_run_cell(c) for c in cells]
+    batches = _batches(cell for spec in specs for cell in _sweep_cells(spec))
+    if workers == 1 or len(batches) == 1:
+        parts = [_run_batch(b) for b in batches]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, c) for c in cells]
-            records = [_collect(f, c) for f, c in zip(futures, cells)]
-    return sort_records(records)
+            futures = [pool.submit(_run_batch, b) for b in batches]
+            parts = [_collect(f, b) for f, b in zip(futures, batches)]
+    return sort_records([r for part in parts for r in part])
 
 
 def sort_records(records: List[RunRecord]) -> List[RunRecord]:
@@ -528,9 +566,12 @@ def summary_checks(records: Sequence[RunRecord]) -> List[SummaryCheck]:
     return checks + [c for gate in GATES for c in gate(ok_records)]
 
 
-def emit_report(records: Sequence[RunRecord], out_dir) -> List[Path]:
+def emit_report(records: Sequence[RunRecord], out_dir,
+                checks: Optional[Sequence[SummaryCheck]] = None) -> List[Path]:
     """Write records.csv, per-(scenario, objective) SVG charts, and a
-    summary.md with threshold verdicts. Returns the file manifest."""
+    summary.md with threshold verdicts: ``checks``, which a caller that
+    has computed ``summary_checks(records)`` already hands in, or else
+    computed here. Returns the file manifest."""
     from .svg import Chart
 
     if not records:
@@ -582,7 +623,8 @@ def emit_report(records: Sequence[RunRecord], out_dir) -> List[Path]:
         path.write_text(chart.render())
         manifest.append(path)
 
-    checks = summary_checks(records)
+    if checks is None:
+        checks = summary_checks(records)
     verdict = {True: "PASS", False: "FAIL"}
     lines = ["# Sweep summary", "", f"records: {len(records)}", "",
              "| check | measured | threshold | verdict |", "|---|---|---|---|"]

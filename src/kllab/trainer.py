@@ -5,31 +5,43 @@ and Monte-Carlo score-function estimators with optional baselines. The
 augmentation hooks plug in at the batch level for Monte-Carlo runs and
 at the reward-vector level for exact runs.
 
-Layering: public wrapper -> kernel. Each formula is one private kernel
-that works on rows over the policy's support columns, the k <= n indices
-that carry mass: the softmax (``_softmax``), the exact gradient and
-objective of each family (``_gradient``, ``_objective``), the Monte-Carlo
-coefficients and score function (``_mc_gradient``) and the trace fields
-(``_record``). A ``_Problem`` holds what stays fixed while the logits
-move: the support columns and the rewards and reference restricted to
-them. The public functions (``SoftmaxPolicy.log_probs``/``probs``,
+Layering: public wrapper -> kernel, and one training engine. Each formula
+is one private kernel that works on the trailing axis: rows over the
+policy's support columns, the k <= n indices that carry mass. A kernel
+takes one row (1-d) or a stack of rows, one per cell, where a per-row
+value (beta, eta, a row sum) is a column. The kernels are the softmax
+(``_softmax``), the exact gradient and objective of each family
+(``_gradient``, ``_objective``), the Monte-Carlo coefficients and score
+function (``_mc_gradient``) and the trace fields (``_trace_fields``). A
+``_Problem`` holds what stays fixed while the logits move: the support
+columns and, per row, the rewards and reference restricted to them. The
+public functions (``SoftmaxPolicy.log_probs``/``probs``,
 ``exact_gradient``, ``exact_objective``, ``mc_gradient`` and its seeded
-forms) check their inputs, compress them to the columns, call the
-kernels and scatter the result back to length n. ``train()`` computes its
-run invariants once (the columns and ``_Problem``, the support checks,
-the target mass) and then steps on the rows alone, so no check that
-cannot change within a run is repeated and no policy object is built per
-step.
+forms) check their inputs, compress them to the columns, call the kernels
+on one row and scatter the result back to length n.
+
+``train_cells`` trains the cells that share a scenario and a
+``batch_key`` as one program over a (C, k) logits matrix, with one Adam
+state, a beta and an eta column and one PCG64 stream per row. It computes
+the run invariants once (the columns, the ``_Problem``, the support
+checks, the targets) and then steps on the rows alone. A row whose step
+fails leaves the batch with its exception; the others go on. The trace is
+not built per step: the softmax writes each step's rows into a block
+buffer, and the trace fields are computed once per block as row
+reductions into a columnar ``Trace``. ``train()`` is its call with one
+cell, whose arrays stay 1-d.
 
 A reduction runs over the same elements in the same order as written
 over all n: sums that range over all n (E_p[r], TV) still do, masked sums
-run over the contiguous support row. So a row and a full-length
-computation agree bit for bit (Higham 1993, "The accuracy of floating
-point summation").
+run over the contiguous support row, and each row of a C-contiguous stack
+is summed as the 1-d row is. So a row and a full-length computation, and
+a row of a batch and its cell trained alone, agree bit for bit (Higham
+1993, "The accuracy of floating point summation").
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Tuple, Union
@@ -49,16 +61,40 @@ from .targets import TargetSpec, analytic_target
 # summing a hundred floats
 _sum = np.add.reduce
 
+# the trace's block buffer holds at most this many bytes of policy rows over
+# all n, so that the block and the temporaries of its reductions stay small;
+# from n = 8192 on, a block is one row
+_BLOCK_BYTES = 1 << 16
+
+_OFF_SUPPORT = "sampled index outside the reference support"
+
 
 # --------------------------------------------------------------------------
 # kernels: rows over the policy's support columns
 
 
-def _softmax(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Log-probabilities and probabilities of the logits row ``x``."""
-    m = np.maximum.reduce(x, axis=-1)
-    lp = x - (m + np.log(_sum(np.exp(x - m), axis=-1)))
-    return lp, np.exp(lp)
+def _rsum(a: np.ndarray):
+    """Sum over the trailing axis: a scalar for one row, else a column."""
+    s = _sum(a, axis=-1)
+    return s if a.ndim == 1 else s[..., None]
+
+
+def _rmax(a: np.ndarray):
+    m = np.maximum.reduce(a, axis=-1)
+    return m if a.ndim == 1 else m[..., None]
+
+
+def _softmax(x: np.ndarray, out=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Log-probabilities and probabilities of the logits rows ``x``, written
+    into the pair ``out`` when given."""
+    m = _rmax(x)
+    shift = m + np.log(_rsum(np.exp(x - m)))
+    if out is None:
+        lp = x - shift
+        return lp, np.exp(lp)
+    lp, p = out
+    np.subtract(x, shift, out=lp)
+    return lp, np.exp(lp, out=p)
 
 
 def _check_logits(x: np.ndarray) -> None:
@@ -72,28 +108,45 @@ def _columns(mask: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _to_n(row: np.ndarray, cols: Optional[np.ndarray], n: int, fill: float = 0.0):
-    """A row over the support columns as a length-n vector, ``fill``
-    elsewhere; the row itself when the support is full (``cols`` None)."""
+    """Rows over the support columns as length-n rows, ``fill`` elsewhere;
+    the rows themselves when the support is full (``cols`` None)."""
     if cols is None:
         return row
-    out = np.full(n, fill)
-    out[cols] = row
+    out = np.full(row.shape[:-1] + (n,), fill)
+    out[..., cols] = row
     return out
 
 
-def _coefficients(r, lp, log_ratio, beta: float, eta: float) -> np.ndarray:
+def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` at the positions in the same row of ``idx``."""
+    return a[idx] if a.ndim == 1 else np.take_along_axis(a, idx, axis=-1)
+
+
+def _bincount_rows(idx: np.ndarray, width: int, weights=None) -> np.ndarray:
+    """``np.bincount`` of each row of ``idx`` over 0..width-1; each bin
+    adds its entries in row order."""
+    if idx.ndim == 1:
+        return np.bincount(idx, weights, width)
+    rows = idx.shape[0]
+    flat = (idx + width * np.arange(rows)[:, None]).ravel()
+    w = None if weights is None else weights.ravel()
+    return np.bincount(flat, w, rows * width).reshape(rows, width)
+
+
+def _coefficients(r, lp, log_ratio, beta, eta) -> np.ndarray:
     """r - beta log(p / ref) - eta log p, per column or per sample;
-    ``log_ratio`` is log(p / ref), unused at beta = 0."""
-    coef = r - beta * log_ratio if beta > 0 else np.array(r, dtype=float)
-    return coef - eta * lp if eta > 0 else coef
+    ``log_ratio`` is log(p / ref), and a term is left out when its
+    ``log_ratio`` or ``eta`` is None."""
+    coef = np.array(r, dtype=float) if log_ratio is None else r - beta * log_ratio
+    return coef if eta is None else coef - eta * lp
 
 
 def _centered(p: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Logit gradient of E_p[c] with c held fixed: p (c - E_p[c])."""
-    return p * (c - _sum(p * c, axis=-1))
+    return p * (c - _rsum(p * c))
 
 
-def _forward_gradient(reward_term, ref, p, beta: float) -> np.ndarray:
+def _forward_gradient(reward_term, ref, p, beta) -> np.ndarray:
     """Forward KL's logit gradient: the reward term plus beta (ref - p)."""
     return reward_term + beta * (ref - p)
 
@@ -101,17 +154,26 @@ def _forward_gradient(reward_term, ref, p, beta: float) -> np.ndarray:
 def _score(pos: np.ndarray, coef: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Mean over the batch of coef_i * grad log p(y_i), sample i at column
     ``pos[i]``; each column adds its samples in batch order."""
-    b = pos.size
-    return np.bincount(pos, coef, p.size) / b - p * (_sum(coef) / b)
+    b = pos.shape[-1]
+    return _bincount_rows(pos, p.shape[-1], coef) / b - p * (_rsum(coef) / b)
 
 
-def _sample_coefficients(lp_ys, rewards, ref_lp, beta: float, eta: float):
-    """:func:`_coefficients` at sampled indices; at beta = 0 the reference
-    plays no part, so samples outside its support are allowed (as in the
-    exact gradient)."""
-    if beta > 0 and not np.isfinite(ref_lp).all():
-        raise InfiniteDivergence("sampled index outside the reference support")
-    return _coefficients(rewards, lp_ys, lp_ys - ref_lp if beta > 0 else None, beta, eta)
+def _sample_coefficients(lp_ys, rewards, ref_lp, beta, eta):
+    """:func:`_coefficients` at sampled indices (``beta`` None without a
+    reverse-KL term), and which rows sampled an index outside the reference
+    support, where log(p / ref) is infinite: False, or a flag per row. At
+    beta = 0 the reference plays no part, so such samples are allowed (as
+    in the exact gradient)."""
+    off = False
+    log_ratio = None
+    if beta is not None:
+        finite = np.isfinite(ref_lp)
+        if not finite.all():
+            off = ~finite.all(axis=-1)
+            # the flagged rows fail; the others must not see their infinities
+            ref_lp = np.where(finite, ref_lp, 0.0)
+        log_ratio = lp_ys - ref_lp
+    return _coefficients(rewards, lp_ys, log_ratio, beta, eta), off
 
 
 def _apply_baseline(coef: np.ndarray, baseline: str) -> np.ndarray:
@@ -120,28 +182,60 @@ def _apply_baseline(coef: np.ndarray, baseline: str) -> np.ndarray:
     shrinks the expectation by (b-1)/b, and the b/(b-1) factor restores it."""
     if baseline == "none":
         return coef
-    b = coef.size
-    return (coef - _sum(coef) / b) * (b / (b - 1.0))
+    b = coef.shape[-1]
+    return (coef - _rsum(coef) / b) * (b / (b - 1.0))
 
 
 class _Problem:
-    """A scenario and objective on the policy's support columns ``cols``
+    """Scenarios and objectives on the policy's support columns ``cols``
     (None when the support is full): what stays fixed while the logits
-    move. Each piece is computed on first use and then kept."""
+    move, one row per cell.
 
-    def __init__(self, s: Scenario, spec: TargetSpec, cols: Optional[np.ndarray]):
-        self.s, self.spec, self.cols, self.n = s, spec, cols, s.n
-        self.r = s.rewards.values
+    ``rows`` lists one (scenario, objective) pair per cell. The rows share
+    n, the objective family, the kernel branches (a reverse-KL term or not,
+    an entropy term or not) and the reference support. Unless ``batched``
+    there is one row, and a per-row value is a float or a 1-d array; else
+    it is a column (C, 1) or a stack (C, ...). Each piece is computed on
+    first use and then kept.
+    """
+
+    def __init__(self, rows, cols: Optional[np.ndarray], batched: bool = False):
+        self.rows, self.cols, self.batched = rows, cols, batched
+        self.s, spec = rows[0]
+        self.n = self.s.n
         self.forward = spec.kind == "forward"
         # the generalized family carries a reverse-KL term at beta > 0
         self.kl_term = not self.forward and spec.beta > 0
+        if batched:
+            self.beta = self.per_row([sp.beta for _, sp in rows])
+            self.eta = self.per_row([sp.eta for _, sp in rows]) if spec.eta > 0 else None
+        else:
+            self.beta, self.eta = spec.beta, spec.eta if spec.eta > 0 else None
+
+    def per_row(self, values: list):
+        """A value per row as the kernels take it: the value itself for one
+        row, else a column of floats or a stack of arrays."""
+        if not self.batched:
+            return values[0]
+        return np.stack(values) if np.ndim(values[0]) else np.array(values)[:, None]
+
+    def select(self, keep) -> "_Problem":
+        return _Problem([self.rows[i] for i in keep], self.cols, self.batched)
 
     def at_cols(self, a: np.ndarray) -> np.ndarray:
-        return a if self.cols is None else a[self.cols]
+        return a if self.cols is None else a.take(self.cols, axis=-1)
+
+    def log_ratio(self, lp: np.ndarray) -> Optional[np.ndarray]:
+        """log(p / ref) on the columns under a reverse-KL term, else None."""
+        return lp - self.lref_k if self.kl_term else None
 
     @cached_property
     def positions(self) -> np.ndarray:
         return np.arange(self.n if self.cols is None else self.cols.size)
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return self.per_row([s.rewards.values for s, _ in self.rows])
 
     @cached_property
     def r_k(self) -> np.ndarray:
@@ -149,11 +243,11 @@ class _Problem:
 
     @cached_property
     def lref_k(self) -> np.ndarray:
-        return self.at_cols(self.s.reference.log_weights)
+        return self.at_cols(self.per_row([s.reference.log_weights for s, _ in self.rows]))
 
     @cached_property
     def ref_k(self) -> np.ndarray:
-        return self.at_cols(self.s.reference_probs)
+        return self.at_cols(self.per_row([s.reference_probs for s, _ in self.rows]))
 
     @cached_property
     def reference_terms(self):
@@ -163,14 +257,8 @@ class _Problem:
         m = self.s.reference.support_mask
         at = m if self.cols is None else m[self.cols]
         ref_cols = None if at.all() else np.flatnonzero(at)
-        return self.s.reference_probs[m], self.s.reference.log_weights[m], ref_cols
-
-    def shared(self, lp: np.ndarray, full_p: np.ndarray):
-        """What the exact gradient, the objective and the trace share at one
-        policy: E_p[r] over all n, and log(p / ref) on the columns when
-        there is a reverse-KL term (else None)."""
-        mean_reward = float(_sum(full_p * self.r, axis=-1))
-        return mean_reward, (lp - self.lref_k if self.kl_term else None)
+        return (self.per_row([s.reference_probs[m] for s, _ in self.rows]),
+                self.per_row([s.reference.log_weights[m] for s, _ in self.rows]), ref_cols)
 
 
 def _check_support(s: Scenario, spec: TargetSpec, mask: np.ndarray) -> None:
@@ -185,58 +273,96 @@ def _check_support(s: Scenario, spec: TargetSpec, mask: np.ndarray) -> None:
         raise InfiniteDivergence("policy mass outside the reference support")
 
 
-def _gradient(prob: _Problem, lp, p, mean_reward: float, log_ratio) -> np.ndarray:
+def _gradient(prob: _Problem, lp, p) -> np.ndarray:
     """Exact logit gradient of the objective."""
-    spec = prob.spec
     if prob.forward:
-        return _forward_gradient(p * (prob.r_k - mean_reward), prob.ref_k, p, spec.beta)
-    return _centered(p, _coefficients(prob.r_k, lp, log_ratio, spec.beta, spec.eta))
+        mean_reward = _rsum(_to_n(p, prob.cols, prob.n) * prob.r)
+        return _forward_gradient(p * (prob.r_k - mean_reward), prob.ref_k, p, prob.beta)
+    return _centered(p, _coefficients(prob.r_k, lp, prob.log_ratio(lp), prob.beta, prob.eta))
 
 
-def _objective(prob: _Problem, lp, p, mean_reward: float, log_ratio,
-               entropy: float) -> float:
-    """Expected reward minus the exact regularizer."""
-    spec = prob.spec
+def _objective(prob: _Problem, lp, p, full_p, entropy):
+    """Expected reward minus the exact regularizer; ``full_p`` is ``p`` over
+    all n."""
+    mean_reward = _rsum(full_p * prob.r)
     if prob.forward:
         ref, lref, ref_cols = prob.reference_terms
-        lp_ref = lp if ref_cols is None else lp[ref_cols]
-        return mean_reward - spec.beta * float(_sum(ref * (lref - lp_ref), axis=-1))
+        lp_ref = lp if ref_cols is None else lp.take(ref_cols, axis=-1)
+        return mean_reward - prob.beta * _rsum(ref * (lref - lp_ref))
     value = mean_reward
-    if spec.beta > 0:
-        value -= spec.beta * float(_sum(p * log_ratio, axis=-1))
-    if spec.eta > 0:
-        value += spec.eta * entropy
+    if prob.kl_term:
+        value = value - prob.beta * _rsum(p * prob.log_ratio(lp))
+    if prob.eta is not None:
+        value = value + prob.eta * entropy
     return value
 
 
-def _entropy(lp: np.ndarray, p: np.ndarray) -> float:
-    return float(-_sum(p * lp, axis=-1))
+def _entropy(lp: np.ndarray, p: np.ndarray):
+    return -_rsum(p * lp)
 
 
-def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rng: np.random.Generator,
-                 mara: Optional[MaraConfig]):
-    """One batch's estimate on the support columns and the batch's anchor;
-    see :func:`mc_gradient`."""
-    spec, s = prob.spec, prob.s
-    pos = draw(cdf_table(prob.positions, p), rng.random(mc.batch))
+def _trace_fields(prob: _Problem, lp, p, target_probs, above: Optional[np.ndarray]):
+    """The objective, TV to the target, entropy and (None without
+    augmentation) mass at the indices ``above`` of the policy rows."""
+    full_p = _to_n(p, prob.cols, prob.n)
+    entropy = _entropy(lp, p)
+    return (
+        _objective(prob, lp, p, full_p, entropy),
+        0.5 * _rsum(np.abs(full_p - target_probs)),
+        entropy,
+        None if above is None else _rsum(full_p.take(above, axis=-1)),
+    )
+
+
+def _uniforms(rngs, count: int, batched: bool) -> np.ndarray:
+    """The next ``count`` uniforms of each row's generator, a row each."""
+    return np.stack([g.random(count) for g in rngs]) if batched else rngs[0].random(count)
+
+
+def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras):
+    """One batch per row, row i drawn from ``rngs[i]`` and augmented by
+    ``maras[i]`` (``maras`` None without augmentation): the estimates on the
+    support columns, each row's anchor, and the rows that sampled outside
+    the reference support (see :func:`_sample_coefficients`); see
+    :func:`mc_gradient`."""
+    s, rows = prob.s, len(rngs)
+    pos = draw(cdf_table(prob.positions, p), _uniforms(rngs, mc.batch, prob.batched))
     ys = pos if prob.cols is None else prob.cols[pos]
-    tau, anchor = mara_mod.resolve_anchor(ys, s, mara) if mara is not None else (None, None)
+    anchors = [None] * rows
+    if maras is not None:
+        by_row = ys.reshape(rows, -1)
+        views = [mara_mod.resolve_anchor(y, s, cfg) for y, cfg in zip(by_row, maras)]
+        anchors = [anchor for _, anchor in views]
     if prob.forward:
-        # under augmentation the anchored scenario gives both the batch's
-        # rewards and the regularizer's reference
-        ref_s = s if anchor is None else mara_mod.anchored_scenario(s, tau, anchor)
-        rewards = ref_s.rewards.values[ys]
-        if mc.sampled_regularizer:
-            ws = draw(ref_s.reference_table, rng.random(ys.size))
-            ref_mass = prob.at_cols(_empirical_mass(ws, s.n))
+        if maras is None:
+            ref_ss = None
+            rewards = s.rewards.values[ys]
         else:
-            ref_mass = prob.ref_k if ref_s is s else prob.at_cols(ref_s.reference_probs)
-        return _forward_gradient(_score(pos, rewards, p), ref_mass, p, spec.beta), anchor
-    rewards = (s.rewards.values[ys] if anchor is None
-               else mara_mod.reward_view(s, mara.beta, tau, anchor, ys))
-    coef = _sample_coefficients(lp[pos], rewards, s.reference.log_weights[ys],
-                                spec.beta, spec.eta)
-    return _score(pos, _apply_baseline(coef, mc.baseline), p), anchor
+            # under augmentation the anchored scenario gives both the batch's
+            # rewards and the regularizer's reference
+            ref_ss = [s if a is None else mara_mod.anchored_scenario(s, tau, a)
+                      for tau, a in views]
+            rewards = prob.per_row([r.rewards.values[y] for r, y in zip(ref_ss, by_row)])
+        if mc.sampled_regularizer:
+            u = _uniforms(rngs, mc.batch, prob.batched)
+            ws = (draw(s.reference_table, u) if ref_ss is None else prob.per_row(
+                [draw(r.reference_table, v) for r, v in zip(ref_ss, u.reshape(rows, -1))]))
+            ref_mass = prob.at_cols(_empirical_mass(ws, s.n))
+        elif ref_ss is None:
+            ref_mass = prob.ref_k
+        else:
+            ref_mass = prob.per_row([prob.at_cols(r.reference_probs) for r in ref_ss])
+        return _forward_gradient(_score(pos, rewards, p), ref_mass, p, prob.beta), anchors, False
+    if maras is None:
+        rewards = s.rewards.values[ys]
+    else:
+        rewards = prob.per_row([
+            s.rewards.values[y] if a is None else mara_mod.reward_view(s, cfg.beta, tau, a, y)
+            for y, cfg, (tau, a) in zip(by_row, maras, views)
+        ])
+    coef, off = _sample_coefficients(_gather(lp, pos), rewards, s.reference.log_weights[ys],
+                                     prob.beta if prob.kl_term else None, prob.eta)
+    return _score(pos, _apply_baseline(coef, mc.baseline), p), anchors, off
 
 
 # --------------------------------------------------------------------------
@@ -303,20 +429,19 @@ def _exact_inputs(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec):
     """Check the supports, then the kernels' inputs for ``policy``."""
     _check_support(s, spec, policy.support_mask)
     cols, lp, p = policy._rows
-    prob = _Problem(s, spec, cols)
-    return (prob, lp, p, *prob.shared(lp, policy.probs()))
+    return _Problem([(s, spec)], cols), lp, p
 
 
 def exact_objective(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> float:
     """Expected reward minus the exact regularizer, by full summation."""
-    prob, lp, p, mean_reward, log_ratio = _exact_inputs(policy, s, spec)
-    return _objective(prob, lp, p, mean_reward, log_ratio, _entropy(lp, p))
+    prob, lp, p = _exact_inputs(policy, s, spec)
+    return float(_objective(prob, lp, p, policy.probs(), _entropy(lp, p)))
 
 
 def exact_gradient(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> np.ndarray:
     """Analytic gradient of the objective with respect to the logits."""
-    prob, lp, p, mean_reward, log_ratio = _exact_inputs(policy, s, spec)
-    return _to_n(_gradient(prob, lp, p, mean_reward, log_ratio), prob.cols, policy.n)
+    prob, lp, p = _exact_inputs(policy, s, spec)
+    return _to_n(_gradient(prob, lp, p), prob.cols, policy.n)
 
 
 def kl_gradient_to_target(policy: SoftmaxPolicy, target: Categorical) -> np.ndarray:
@@ -366,11 +491,16 @@ def reverse_coefficients(
     At beta = 0 the reference plays no part, so samples outside its
     support are allowed (as in the exact gradient).
     """
-    return _sample_coefficients(policy.log_probs()[ys], rewards, ref_logprobs, beta, 0.0)
+    coef, off = _sample_coefficients(policy.log_probs()[ys], rewards, ref_logprobs,
+                                     beta if beta > 0 else None, None)
+    if off:
+        raise InfiniteDivergence(_OFF_SUPPORT)
+    return coef
 
 
 def _empirical_mass(ws: np.ndarray, n: int) -> np.ndarray:
-    return np.bincount(ws, minlength=n) / ws.size
+    """The share of each index 0..n-1 in each row of draws ``ws``."""
+    return _bincount_rows(ws, n) / ws.shape[-1]
 
 
 def mc_gradient(
@@ -389,7 +519,10 @@ def mc_gradient(
     Returns the gradient and the batch's anchor (None if none).
     """
     cols, lp, p = policy._rows
-    g, anchor = _mc_gradient(_Problem(s, spec, cols), lp, p, mc, rng, mara)
+    g, (anchor,), off = _mc_gradient(_Problem([(s, spec)], cols), lp, p, mc, [rng],
+                                     None if mara is None else [mara])
+    if off:
+        raise InfiniteDivergence(_OFF_SUPPORT)
     return _to_n(g, cols, policy.n), anchor
 
 
@@ -437,10 +570,23 @@ class AdamState:
     t: int = 0
 
 
+def _nonfinite_gradient(gradient: np.ndarray) -> NonFiniteGradient:
+    bad = np.flatnonzero(~np.isfinite(gradient))
+    return NonFiniteGradient(f"non-finite gradient at coordinates {bad[:8].tolist()}")
+
+
 def _check_gradient(gradient: np.ndarray) -> None:
     if not np.isfinite(gradient).all():
-        bad = np.flatnonzero(~np.isfinite(gradient))
-        raise NonFiniteGradient(f"non-finite gradient at coordinates {bad[:8].tolist()}")
+        raise _nonfinite_gradient(gradient)
+
+
+def _adam(m, v, t: int, params, gradient, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Step ``t`` of bias-corrected ascent: the new moments and params."""
+    m = beta1 * m + (1 - beta1) * gradient
+    v = beta2 * v + (1 - beta2) * gradient**2
+    m_hat = m / (1 - beta1**t)
+    v_hat = v / (1 - beta2**t)
+    return m, v, params + lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def adam_step(
@@ -450,11 +596,8 @@ def adam_step(
     """One bias-corrected ascent step; returns (new state, new params)."""
     _check_gradient(gradient)
     t = state.t + 1
-    m = beta1 * state.m + (1 - beta1) * gradient
-    v = beta2 * state.v + (1 - beta2) * gradient**2
-    m_hat = m / (1 - beta1**t)
-    v_hat = v / (1 - beta2**t)
-    return AdamState(m, v, t), params + lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v, params = _adam(state.m, state.v, t, params, gradient, lr, beta1, beta2, eps)
+    return AdamState(m, v, t), params
 
 
 # --------------------------------------------------------------------------
@@ -494,6 +637,8 @@ class TrainConfig:
             raise ValueError("augmentation needs the exact forward regularizer")
 
 
+
+
 @dataclass(frozen=True)
 class StepRecord:
     objective_value: float
@@ -502,25 +647,58 @@ class StepRecord:
     above_threshold_mass: Optional[float]
 
 
+@dataclass(frozen=True, eq=False)
+class Trace(Sequence):
+    """A run's trace, one read-only array per field, one entry per step;
+    ``above_threshold_mass`` is None without augmentation. It reads as a
+    sequence of :class:`StepRecord`: ``trace[-1]``, ``len``, iteration,
+    and ``==`` against a list of records."""
+
+    objective_value: np.ndarray
+    tv_to_target: np.ndarray
+    entropy: np.ndarray
+    above_threshold_mass: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        for name in ("objective_value", "tv_to_target", "entropy", "above_threshold_mass"):
+            column = getattr(self, name)
+            if column is not None:
+                object.__setattr__(self, name, _frozen(np.ascontiguousarray(column, dtype=float)))
+
+    # unpickling rebuilds the trace: frozen columns
+    __reduce__ = _reduce_through_init
+
+    def __len__(self) -> int:
+        return self.objective_value.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        above = self.above_threshold_mass
+        return StepRecord(float(self.objective_value[i]), float(self.tv_to_target[i]),
+                          float(self.entropy[i]), None if above is None else float(above[i]))
+
+    def __iter__(self):
+        above = self.above_threshold_mass
+        above = [None] * len(self) if above is None else above.tolist()
+        columns = (self.objective_value.tolist(), self.tv_to_target.tolist(),
+                   self.entropy.tolist(), above)
+        return (StepRecord(*values) for values in zip(*columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
 @dataclass(frozen=True)
 class TrainResult:
     final_policy: Categorical
-    trace: List[StepRecord]
+    trace: Trace
     anchor_history: List[Optional[int]]
     target: Categorical
-
-
-def _record(prob: _Problem, lp, p, full_p, mean_reward: float, log_ratio,
-            target_probs: np.ndarray, above: Optional[np.ndarray]) -> StepRecord:
-    """The trace fields of one policy; ``above`` lists the indices at or
-    above the augmentation threshold (None without augmentation)."""
-    entropy = _entropy(lp, p)
-    return StepRecord(
-        objective_value=_objective(prob, lp, p, mean_reward, log_ratio, entropy),
-        tv_to_target=float(0.5 * _sum(np.abs(full_p - target_probs), axis=-1)),
-        entropy=entropy,
-        above_threshold_mass=None if above is None else float(_sum(full_p[above])),
-    )
 
 
 def _policy_support(s: Scenario, spec: TargetSpec) -> np.ndarray:
@@ -550,62 +728,203 @@ def _training_problem(
     )
 
 
-def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
-    """Run the optimization loop; deterministic for a given config."""
-    spec = cfg.objective
-    n = s.n
-    mask = _policy_support(s, spec)
-    cols = _columns(mask)
+def batch_key(cfg: TrainConfig) -> tuple:
+    """What cells on one scenario must share to train as one batch: the
+    family, the gradient mode, the step count, the learning rate, the
+    augmentation's threshold rule and the kernel branches (beta > 0 or
+    not, eta > 0 or not). Beta, eta and the seed may differ."""
+    spec, mara = cfg.objective, cfg.mara
+    return (spec.kind, cfg.gradient_mode, cfg.steps, cfg.learning_rate,
+            None if mara is None else mara.threshold_rule, spec.beta > 0, spec.eta > 0)
 
-    # what does not change from step to step is computed once, here; the
-    # anchor is None when no index qualifies
-    tau = global_anchor = None
-    if cfg.mara is not None:
-        support = np.flatnonzero(s.reference.support_mask)
-        tau, global_anchor = mara_mod.resolve_anchor(support, s, cfg.mara)
-    target, train_scenario = _training_problem(s, spec, tau, global_anchor)
-    _check_support(train_scenario, spec, mask)
-    prob = _Problem(train_scenario, spec, cols)
-    # the Monte-Carlo batch sees the raw scenario and applies the batch view
-    mc_prob = prob if train_scenario is s else _Problem(s, spec, cols)
-    target_probs = target.probs
-    above = np.flatnonzero(s.rewards.values >= tau) if tau is not None else None
 
-    trace: List[StepRecord] = []
-    anchors: List[Optional[int]] = []
-    mc = cfg.gradient_mode if isinstance(cfg.gradient_mode, MonteCarlo) else None
-    # exact mode draws nothing, and its marker seed may be negative
-    rng = (
-        np.random.Generator(np.random.PCG64(cfg.seed)) if mc is not None else None
-    )
+class _Cells:
+    """The state of a batch of cells in :func:`train_cells`: per row the
+    logits, Adam's moments, the problem, the generator, the anchors and the
+    trace block, each a stack over the rows still running (1-d for a
+    single cell)."""
 
-    x = np.zeros(n if cols is None else cols.size)
-    state = AdamState(np.zeros(x.size), np.zeros(x.size))
-    lp, p = _softmax(x)
-    mean_reward, log_ratio = prob.shared(lp, _to_n(p, cols, n))
-    for _ in range(cfg.steps):
-        if mc is None:
-            gradient = _gradient(prob, lp, p, mean_reward, log_ratio)
-            anchor = global_anchor
-        else:
-            gradient, anchor = _mc_gradient(mc_prob, lp, p, mc, rng, cfg.mara)
+    def __init__(self, s: Scenario, cfgs):
+        cfg = cfgs[0]
+        key = batch_key(cfg)
+        if any(batch_key(c) != key for c in cfgs[1:]):
+            raise ValueError("the cells of a batch must share their batch_key")
+        spec = cfg.objective
+        self.steps, self.lr, self.batched = cfg.steps, cfg.learning_rate, len(cfgs) > 1
+        self.n = s.n
+        self.mask = _policy_support(s, spec)
+        self.cols = _columns(self.mask)
+        self.k = self.n if self.cols is None else self.cols.size
+
+        # what does not change from step to step is computed once, here; the
+        # anchor is None when no index qualifies
+        tau = self.global_anchor = None
         if cfg.mara is not None:
-            anchors.append(anchor)
-        try:
-            state, x = adam_step(state, x, gradient, cfg.learning_rate)
-        except NonFiniteGradient:
-            # name the coordinates over all n, not over the support columns
-            _check_gradient(_to_n(gradient, cols, n))
-            raise
-        _check_logits(x)
+            support = np.flatnonzero(s.reference.support_mask)
+            tau, self.global_anchor = mara_mod.resolve_anchor(support, s, cfg.mara)
+        self.augmented = cfg.mara is not None
+        self.outcomes: List[Union[TrainResult, Exception, None]] = [None] * len(cfgs)
+        self.ids, rows, self.targets = [], [], {}
+        for i, c in enumerate(cfgs):
+            try:
+                target, train_scenario = _training_problem(s, c.objective, tau,
+                                                           self.global_anchor)
+                _check_support(train_scenario, c.objective, self.mask)
+            except Exception as exc:  # this cell's objective alone
+                self.outcomes[i] = exc
+                continue
+            self.ids.append(i)
+            rows.append((train_scenario, c.objective))
+            self.targets[i] = target
+        if not rows:
+            return
+        self.prob = _Problem(rows, self.cols, self.batched)
+        self.mc = cfg.gradient_mode if isinstance(cfg.gradient_mode, MonteCarlo) else None
+        # the Monte-Carlo batch sees the raw scenario and applies the batch view
+        self.mc_prob = self.prob if self.global_anchor is None else _Problem(
+            [(s, sp) for _, sp in rows], self.cols, self.batched)
+        # exact mode draws nothing, and its marker seed may be negative
+        self.rngs = self.maras = None
+        if self.mc is not None:
+            self.rngs = [np.random.Generator(np.random.PCG64(cfgs[i].seed)) for i in self.ids]
+            if cfg.mara is not None:
+                self.maras = [cfgs[i].mara for i in self.ids]
+        self.anchors: List[List[Optional[int]]] = [[] for _ in self.ids]
+        self.target_probs = self.prob.per_row([self.targets[i].probs for i in self.ids])
+        self.above = np.flatnonzero(s.rewards.values >= tau) if tau is not None else None
+        shape = (self.steps, len(cfgs)) if self.batched else (self.steps,)
+        self.trace = [np.empty(shape) for _ in range(3)]
+        self.trace.append(None if self.above is None else np.empty(shape))
+        self.block_start = 0
+        self._new_block()
 
+    def _new_block(self) -> None:
+        rows = len(self.ids) if self.batched else 1
+        size = max(1, min(self.steps, _BLOCK_BYTES // (8 * self.n * rows)))
+        shape = (size, rows, self.k) if self.batched else (size, self.k)
+        self.block = np.empty(shape), np.empty(shape)
+
+    def flush(self, stop: int) -> None:
+        """Compute the trace of the steps from ``block_start`` to ``stop``
+        from the block, as row reductions."""
+        start, lp, p = self.block_start, *self.block
+        if stop == start:
+            return
+        # a lone row is reduced as the 1-d row it is: at large n, a (1, n)
+        # stack pays for broadcasting against the (n,) rewards and target
+        lone = not self.batched and stop - start == 1
+        rows = 0 if lone else slice(0, stop - start)
+        values = _trace_fields(self.prob, lp[rows], p[rows], self.target_probs, self.above)
+        where = (slice(start, stop), self.ids) if self.batched else slice(start, stop)
+        for column, value in zip(self.trace, values):
+            if column is not None:
+                column[where] = value if lone else value[..., 0]
+        self.block_start = stop
+
+    def drop(self, step: int, errors, *arrays):
+        """Fail each row whose entry of ``errors`` is an exception, with it,
+        and return ``arrays`` (stacks, lists or None) on the rows that
+        remain."""
+        if all(error is None for error in errors):
+            return arrays
+        self.flush(step)
+        for i, error in zip(self.ids, errors):
+            if error is not None:
+                self.outcomes[i] = error
+        keep = [j for j, error in enumerate(errors) if error is None]
+        self.ids = [self.ids[j] for j in keep]
+        if not keep:
+            return arrays
+        shared = self.mc_prob is self.prob
+        self.prob = self.prob.select(keep)
+        self.mc_prob = self.prob if shared else self.mc_prob.select(keep)
+        self.target_probs = self.target_probs[keep]
+        self.anchors = [self.anchors[j] for j in keep]
+        if self.rngs is not None:
+            self.rngs = [self.rngs[j] for j in keep]
+        if self.maras is not None:
+            self.maras = [self.maras[j] for j in keep]
+        self._new_block()
+        return [None if a is None else a[keep] if isinstance(a, np.ndarray)
+                else [a[j] for j in keep] for a in arrays]
+
+    def run(self) -> None:
+        mc, lr = self.mc, self.lr
+        shape = (len(self.ids), self.k) if self.batched else (self.k,)
+        x, m, v = np.zeros(shape), np.zeros(shape), np.zeros(shape)
         lp, p = _softmax(x)
-        full_p = _to_n(p, cols, n)
-        mean_reward, log_ratio = prob.shared(lp, full_p)
-        trace.append(_record(prob, lp, p, full_p, mean_reward, log_ratio,
-                             target_probs, above))
-    policy = SoftmaxPolicy(_to_n(x, cols, n), mask)
-    return TrainResult(
-        final_policy=policy.distribution(), trace=trace,
-        anchor_history=anchors, target=target,
-    )
+        for step in range(self.steps):
+            anchors, off = None, False
+            if mc is None:
+                g = _gradient(self.prob, lp, p)
+            else:
+                g, anchors, off = _mc_gradient(self.mc_prob, lp, p, mc, self.rngs, self.maras)
+            if off is not False or not np.isfinite(g).all():
+                errors = [
+                    InfiniteDivergence(_OFF_SUPPORT) if row_off
+                    else None if np.isfinite(row).all()
+                    # name the coordinates over all n, not over the support columns
+                    else _nonfinite_gradient(_to_n(row, self.cols, self.n))
+                    for row_off, row in zip(np.broadcast_to(off, len(self.ids)),
+                                            g.reshape(len(self.ids), -1))
+                ]
+                x, m, v, g, anchors = self.drop(step, errors, x, m, v, g, anchors)
+                if not self.ids:
+                    return
+            if self.maras is not None:
+                for history, anchor in zip(self.anchors, anchors):
+                    history.append(anchor)
+            m, v, x = _adam(m, v, step + 1, x, g, lr)
+            if not np.isfinite(x).all():
+                finite = np.isfinite(x.reshape(len(self.ids), -1)).all(axis=1)
+                errors = [None if ok else ValueError("logits must be finite") for ok in finite]
+                x, m, v = self.drop(step, errors, x, m, v)
+                if not self.ids:
+                    return
+            if step - self.block_start == len(self.block[0]):
+                self.flush(step)
+            slot = step - self.block_start
+            lp, p = _softmax(x, out=(self.block[0][slot], self.block[1][slot]))
+        self.flush(self.steps)
+        self.x = x
+
+    def results(self) -> List[Union[TrainResult, Exception]]:
+        for j, i in enumerate(self.ids):
+            try:
+                logits = self.x[j] if self.batched else self.x
+                final = SoftmaxPolicy(_to_n(logits, self.cols, self.n), self.mask).distribution()
+            except Exception as exc:  # the final policy's validation
+                self.outcomes[i] = exc
+                continue
+            columns = [None if c is None else (c[:, i] if self.batched else c)
+                       for c in self.trace]
+            if not self.augmented:
+                history = []
+            elif self.maras is None:  # exact mode anchors over the whole support
+                history = [self.global_anchor] * self.steps
+            else:
+                history = self.anchors[j]
+            self.outcomes[i] = TrainResult(final_policy=final, trace=Trace(*columns),
+                                           anchor_history=history, target=self.targets[i])
+        return self.outcomes
+
+
+def train_cells(s: Scenario, cfgs) -> List[Union[TrainResult, Exception]]:
+    """Train the cells ``cfgs`` on ``s``, which share a :func:`batch_key`,
+    as one program over a (C, k) logits matrix; each row equals its cell
+    trained alone, bit for bit. A cell whose run fails gets its exception
+    in its place, and the others go on; an error that every cell meets
+    alike raises."""
+    cells = _Cells(s, cfgs)
+    if cells.ids:
+        cells.run()
+    return cells.results() if cells.ids else cells.outcomes
+
+
+def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
+    """Run the optimization loop; deterministic for a given config. The
+    :func:`train_cells` call with one cell."""
+    (outcome,) = train_cells(s, [cfg])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

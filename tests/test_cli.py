@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -14,8 +15,9 @@ from kllab.dist import Categorical
 from kllab.harness import (
     EXACT_SEED, RunRecord, SweepSpec, mode_sets, records_to_csv, scenario_by_name,
 )
+from kllab.mara import Constant, MaraConfig
 from kllab.targets import TargetSpec
-from kllab.trainer import TrainConfig
+from kllab.trainer import MonteCarlo, TrainConfig, train
 
 
 def run(capsys, *argv):
@@ -313,6 +315,27 @@ def test_train_single_step_trace(capsys, tmp_path):
     assert (tmp_path / "two_point_reverse_policy.csv").exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--tau", "0.5"]], ids=["plain", "mara"])
+def test_train_trace_csv_rows_are_the_trace_records(capsys, tmp_path, extra):
+    code, _, _ = run(capsys, "train", "--scenario", "mara_toy", "--beta", "0.1",
+                     "--mode", "mc", "--steps", "30", "--out", str(tmp_path), *extra)
+    assert code == 0
+    mara = MaraConfig(Constant(0.5), beta=0.1) if extra else None
+    cfg = TrainConfig(TargetSpec("reverse", 0.1), MonteCarlo(32), mara, steps=30)
+    trace = train(scenario_by_name("mara_toy"), cfg).trace
+    with open(tmp_path / "mara_toy_reverse_trace.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["step", "objective", "tv_to_target", "entropy", "above_threshold_mass"]
+    assert len(rows) == 1 + len(trace) == 31
+    for t, row in enumerate(rows[1:], start=1):
+        rec = trace[t - 1]
+        assert row == [str(t), f"{rec.objective_value:.17g}", f"{rec.tv_to_target:.17g}",
+                       f"{rec.entropy:.17g}",
+                       "" if rec.above_threshold_mass is None
+                       else f"{rec.above_threshold_mass:.17g}"]
+    assert (rows[1][4] == "") == (not extra)
+
+
 def test_train_mc_generalized_beta_zero(capsys, tmp_path):
     code, out, err = run(
         capsys, "train", "--scenario", "fig2_two_mode", "--kind", "generalized",
@@ -498,3 +521,25 @@ def test_sweep_exits_by_its_checks(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "sweep", "--workers", "1", "--out", str(tmp_path / "b"))
     assert code == 1
     assert "FAIL  exact-mode convergence" in out
+
+
+def test_sweep_evaluates_the_gate_table_once(capsys, tmp_path, monkeypatch):
+    # run_sweep's records come back sorted
+    records = harness.sort_records(_preset_records())
+    monkeypatch.setattr(harness, "run_sweep", lambda *specs, workers: records)
+    calls = []
+    flip_gates = harness.flip_gates
+    monkeypatch.setattr(harness, "flip_gates",
+                        lambda s: calls.append(s.name) or flip_gates(s))
+    code, out, _ = run(capsys, "sweep", "--workers", "1", "--out", str(tmp_path / "a"))
+    assert code == 0 and calls == ["fig2_two_mode"]
+    # stdout prints the verdicts of summary.md, which equals the report's
+    printed = [line.split("  ", 1) for line in out.splitlines() if " (threshold " in line]
+    assert [(name.split(":")[0], verdict) for verdict, name in printed] == [
+        (name, verdict) for name, _, verdict in _summary_rows(tmp_path / "a")]
+    (tmp_path / "records.csv").write_text(records_to_csv(records))
+    code, _, _ = run(capsys, "report", "--records", str(tmp_path / "records.csv"),
+                     "--out", str(tmp_path / "b"))
+    assert code == 0 and len(calls) == 2
+    assert (tmp_path / "a" / "summary.md").read_bytes() == (
+        tmp_path / "b" / "summary.md").read_bytes()

@@ -17,7 +17,7 @@ from kllab.harness import (
     EXACT_SEED,
     RunRecord,
     SweepSpec,
-    _run_cell,
+    _run_batch,
     answer_entropy,
     builtin_scenarios,
     emit_report,
@@ -228,10 +228,25 @@ def _mask_wall(records):
     return [replace(r, wall_ms=0) for r in records]
 
 
-def test_run_sweep_worker_count_is_invisible(two_point):
+def _two_batches(two_point):
+    """``_tiny_spec``'s cells as two batches: its beta = 1.0 cells run on a
+    copy of the scenario, and cells on different scenario objects never
+    share a batch."""
     spec = _tiny_spec(two_point)
-    serial = run_sweep(spec, workers=1)
-    parallel = run_sweep(spec, workers=2)
+    return replace(spec, betas=[0.5]), replace(spec, scenario=copy.copy(two_point), betas=[1.0])
+
+
+def _batch_coords(*specs):
+    cells = [c for spec in specs for c in harness._sweep_cells(spec)]
+    return [[(cfg.objective.beta, cfg.seed) for cfg in cfgs]
+            for _, cfgs in harness._batches(cells)]
+
+
+def test_run_sweep_worker_count_is_invisible(two_point):
+    specs = _two_batches(two_point)
+    assert _batch_coords(*specs) == [[(0.5, 0), (0.5, 1)], [(1.0, 0), (1.0, 1)]]
+    serial = run_sweep(*specs, workers=1)
+    parallel = run_sweep(*specs, workers=2)
     assert _mask_wall(serial) == _mask_wall(parallel)
 
 
@@ -249,21 +264,27 @@ def test_one_sweep_runs_the_cells_of_every_spec(two_point):
     assert _mask_wall(serial) == _mask_wall(apart)
 
 
-_real_run_cell = harness._run_cell
+def test_sweep_packs_the_paper_preset_into_ten_batches():
+    cells = [c for spec in harness.paper_sweeps() for c in harness._sweep_cells(spec)]
+    assert [len(cfgs) for _, cfgs in harness._batches(cells)] == [
+        7, 7, 21, 21, 7, 5, 1, 1, 1, 1]
 
 
-def _crash_at_beta_one(cell):
+_real_run_batch = harness._run_batch
+
+
+def _crash_at_beta_one(batch):
     # the worker dies outright, as on a segfault or an out-of-memory kill
-    if cell[1].objective.beta == 1.0:
+    if any(cfg.objective.beta == 1.0 for cfg in batch[1]):
         os._exit(1)
-    return _real_run_cell(cell)
+    return _real_run_batch(batch)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched cell reaches the workers only by fork")
+                    reason="the patched batch reaches the workers only by fork")
 def test_crashed_worker_gives_failed_records(two_point, monkeypatch):
-    monkeypatch.setattr(harness, "_run_cell", _crash_at_beta_one)
-    records = run_sweep(_tiny_spec(two_point), workers=2)
+    monkeypatch.setattr(harness, "_run_batch", _crash_at_beta_one)
+    records = run_sweep(*_two_batches(two_point), workers=2)
     assert len(records) == 4
     crashed = [r for r in records if r.beta == 1.0]
     assert len(crashed) == 2
@@ -274,33 +295,49 @@ def test_crashed_worker_gives_failed_records(two_point, monkeypatch):
     assert all(r.status == "ok" for r in records if r.beta == 0.5)
 
 
-def _crash_first_cell_late(cell):
-    # the first cell kills its worker while the second worker is still busy
-    # with another cell and two more wait in the queue
-    cfg = cell[1]
-    if cfg.objective.beta == 1.0 and cfg.seed == 0:
+def _crash_first_cell_late(batch):
+    # the batch of the first cell kills its worker while the second worker
+    # is still busy with the other batch; alone, only the first cell does
+    coords = [(cfg.objective.beta, cfg.seed) for cfg in batch[1]]
+    if (1.0, 0) in coords:
         time.sleep(0.2)
         os._exit(1)
     time.sleep(0.5)
-    return _real_run_cell(cell)
+    return _real_run_batch(batch)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched cell reaches the workers only by fork")
+                    reason="the patched batch reaches the workers only by fork")
 def test_dead_worker_fails_only_its_own_cell(two_point, monkeypatch):
-    monkeypatch.setattr(harness, "_run_cell", _crash_first_cell_late)
-    spec = replace(_tiny_spec(two_point), betas=[1.0, 0.5])
-    assert [(c[1].objective.beta, c[1].seed) for c in harness._sweep_cells(spec)] == [
-        (1.0, 0), (1.0, 1), (0.5, 0), (0.5, 1)]
-    records = run_sweep(spec, workers=2)
+    monkeypatch.setattr(harness, "_run_batch", _crash_first_cell_late)
+    spec = _tiny_spec(two_point)
+    specs = (replace(spec, scenario=copy.copy(two_point), betas=[1.0]),
+             replace(spec, betas=[0.5]))
+    assert _batch_coords(*specs) == [[(1.0, 0), (1.0, 1)], [(0.5, 0), (0.5, 1)]]
+    records = run_sweep(*specs, workers=2)
     failed = [(r.beta, r.seed) for r in records if r.status != "ok"]
     assert failed == [(1.0, 0)]
     assert records[2].status.startswith("failed: BrokenProcessPool")
     # the others equal their records from an undisturbed run
-    cells = [c for c in harness._sweep_cells(spec)
+    cells = [c for s in specs for c in harness._sweep_cells(s)
              if (c[1].objective.beta, c[1].seed) != (1.0, 0)]
-    want = sort_records([_real_run_cell(c) for c in cells])
+    want = sort_records([r for s, cfg in cells for r in _real_run_batch((s, [cfg]))])
     assert _mask_wall(records[:2] + records[3:]) == _mask_wall(want)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched batch reaches the workers only by fork")
+def test_a_cell_that_kills_its_batch_fails_alone(two_point, monkeypatch):
+    spec = replace(_tiny_spec(two_point), betas=[0.25, 0.5, 1.0], seeds=[0])
+    other = replace(spec, scenario=copy.copy(two_point), betas=[2.0])
+    assert _batch_coords(spec, other) == [[(0.25, 0), (0.5, 0), (1.0, 0)], [(2.0, 0)]]
+    undisturbed = run_sweep(spec, other, workers=2)
+    monkeypatch.setattr(harness, "_run_batch", _crash_at_beta_one)
+    records = run_sweep(spec, other, workers=2)
+    assert [(r.beta, r.status.startswith("failed: BrokenProcessPool")) for r in records] == [
+        (0.25, False), (0.5, False), (1.0, True), (2.0, False)]
+    # the batch's other cells, run again alone, equal their batched records
+    assert _mask_wall(records[:2] + records[3:]) == _mask_wall(undisturbed[:2] + undisturbed[3:])
 
 
 def test_paper_preset_expands_to_72_cells():
@@ -334,7 +371,7 @@ def test_exact_cells_accept_marker_seed(two_point):
         TargetSpec("reverse", 1.0), gradient_mode=Exact(), steps=5,
         seed=EXACT_SEED,
     )
-    rec = _run_cell((two_point, cfg))
+    (rec,) = _run_batch((two_point, [cfg]))
     assert rec.status == "ok"
 
 
@@ -343,7 +380,7 @@ def test_failed_cell_is_recorded_not_raised(two_point):
         TargetSpec("reverse", 1.0), gradient_mode=Exact(), steps=5,
         learning_rate=float("nan"),
     )
-    rec = _run_cell((two_point, cfg))
+    (rec,) = _run_batch((two_point, [cfg]))
     assert rec.status.startswith("failed:")
     assert rec.final_tv == float("inf")
 

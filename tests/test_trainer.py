@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, random_scenario
+from kllab import trainer
 from kllab.dist import RewardVector, Scenario, normalize
 from kllab.errors import InfiniteDivergence, NonFiniteGradient
 from kllab.harness import MARA_TOY_TAU, scenario_by_name
@@ -32,6 +33,7 @@ from kllab.trainer import (
     MonteCarlo,
     SoftmaxPolicy,
     StepRecord,
+    Trace,
     TrainConfig,
     _apply_baseline,
     adam_step,
@@ -44,6 +46,7 @@ from kllab.trainer import (
     mc_gradient_reverse,
     reverse_coefficients,
     train,
+    train_cells,
     uniform_policy,
 )
 
@@ -699,6 +702,19 @@ def test_train_matches_fresh_policy_reference_bit_for_bit(scenario, objective, m
     assert result.anchor_history == anchors
 
 
+def test_a_block_of_one_step_is_traced_as_a_full_one():
+    # the trace is computed a block of steps at a time; one step past a full
+    # block, the last block holds a single row
+    s = scenario_by_name("fig2_two_mode")
+    steps = trainer._BLOCK_BYTES // (8 * s.n) + 1
+    cfg = TrainConfig(TargetSpec("generalized", 0.1, 0.05), MonteCarlo(32), steps=steps,
+                      learning_rate=0.05, seed=5)
+    result = train(s, cfg)
+    final, trace, anchors, target = _reference_train(s, cfg)
+    np.testing.assert_array_equal(result.final_policy.log_weights, final.log_weights)
+    assert len(trace) == steps and result.trace == trace
+
+
 def _outcome(fn, *args):
     """``fn(*args)``, or the type and message of what it raised."""
     try:
@@ -767,3 +783,184 @@ def test_public_functions_equal_the_full_length_formulas_byte_for_byte():
                          _outcome(_oracle_coefficients, lp, ys, r, lref, beta))
     # both outcomes occur: values and the support checks' raises
     assert checked > 500 and 20 < raised < checked
+
+
+# --------------------------------------------------------------------------
+# the columnar trace
+
+
+def _records(trace):
+    return [StepRecord(*values) for values in zip(
+        trace.objective_value.tolist(), trace.tv_to_target.tolist(), trace.entropy.tolist(),
+        [None] * len(trace) if trace.above_threshold_mass is None
+        else trace.above_threshold_mass.tolist())]
+
+
+def test_trace_reads_as_a_sequence_of_step_records():
+    cfg = TrainConfig(TargetSpec("reverse", 0.1), MonteCarlo(8), _MARA, steps=5, seed=3)
+    trace = train(scenario_by_name("mara_toy"), cfg).trace
+    records = _records(trace)
+    assert len(trace) == 5 and len(records) == 5
+    assert trace[-1] == records[-1] and trace[-5] == records[0] == trace[0]
+    assert trace[1:3] == records[1:3]
+    assert list(trace) == records and list(reversed(trace)) == records[::-1]
+    assert all(type(x) is float for rec in trace for x in vars(rec).values())
+    with pytest.raises(IndexError):
+        trace[5]
+    # equal to the list of records, and to nothing shorter or different
+    assert trace == records and records == trace
+    assert trace != records[:-1] and trace != records[::-1] and trace != "trace"
+
+
+def test_trace_has_no_above_threshold_column_without_augmentation():
+    trace = train(scenario_by_name("mara_toy"), TrainConfig(TargetSpec("reverse", 0.1),
+                                                            steps=3)).trace
+    assert trace.above_threshold_mass is None
+    assert [rec.above_threshold_mass for rec in trace] == [None] * 3
+
+
+def test_trace_pickles_to_an_equal_read_only_trace():
+    cfg = TrainConfig(TargetSpec("forward", 0.1), mara=_MARA, steps=4)
+    trace = train(scenario_by_name("mara_toy"), cfg).trace
+    copy = pickle.loads(pickle.dumps(trace))
+    assert isinstance(copy, Trace) and copy == trace
+    for name in ("objective_value", "tv_to_target", "entropy", "above_threshold_mass"):
+        column = getattr(copy, name)
+        np.testing.assert_array_equal(column, getattr(trace, name))
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+
+
+# --------------------------------------------------------------------------
+# the batch engine: each row equals its cell trained alone
+
+
+def _fingerprint(outcome):
+    """Every byte of a run's outcome, or the type and message it raised."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    t = outcome.trace
+    columns = (t.objective_value, t.tv_to_target, t.entropy, t.above_threshold_mass)
+    return (outcome.final_policy.log_weights.tobytes(), outcome.target.log_weights.tobytes(),
+            *[None if c is None else c.tobytes() for c in columns],
+            tuple(outcome.anchor_history))
+
+
+def _alone(s, cfg):
+    try:
+        return train(s, cfg)
+    except Exception as exc:
+        return exc
+
+
+def _random_batch(rng):
+    """A scenario and 1-8 configs on it that share a batch key."""
+    pick = int(rng.integers(3))
+    s = (scenario_by_name("fig2_two_mode") if pick == 0 else scenario_by_name("mara_toy")
+         if pick == 1 else random_scenario(rng, n_max=12))
+    kind = str(rng.choice(["reverse", "forward", "generalized", "generalized-beta-zero"]))
+    if rng.random() < 0.4:
+        mode = Exact()
+    else:
+        baseline = str(rng.choice(["none", "batch_mean", "leave_one_out"]))
+        sampled = kind == "forward" and rng.random() < 0.5
+        mode = MonteCarlo(int(rng.integers(2, 17)), baseline, sampled)
+    rule = None
+    if kind in ("reverse", "forward") and not getattr(mode, "sampled_regularizer", False):
+        tau = float(np.quantile(s.rewards.values, 0.6))
+        rule = (None, Constant(tau), BatchPercentile(0.7))[int(rng.integers(3))]
+    cfgs = []
+    for _ in range(int(rng.integers(1, 9))):
+        beta = float(rng.choice([0.05, 0.1, 0.3, 1.0, float(rng.uniform(0.01, 2.0))]))
+        if kind == "generalized":
+            spec = TargetSpec(kind, beta, float(rng.uniform(0.01, 0.5)))
+        elif kind == "generalized-beta-zero":
+            spec = TargetSpec("generalized", 0.0, beta)
+        else:
+            spec = TargetSpec(kind, beta)
+        mara = None if rule is None else MaraConfig(rule, beta=beta)
+        cfgs.append(TrainConfig(spec, mode, mara, steps=25, learning_rate=0.05,
+                                seed=int(rng.integers(0, 1000))))
+    return s, cfgs
+
+
+def test_every_row_of_a_batch_equals_its_cell_trained_alone():
+    rng = np.random.Generator(np.random.PCG64(1212))
+    sizes, seen = [], set()
+    for _ in range(40):
+        s, cfgs = _random_batch(rng)
+        batched = train_cells(s, cfgs)
+        assert len(batched) == len(cfgs)
+        for cfg, outcome in zip(cfgs, batched):
+            assert _fingerprint(outcome) == _fingerprint(_alone(s, cfg)), cfg
+        spec, mode = cfgs[0].objective, cfgs[0].gradient_mode
+        sizes.append(len(cfgs))
+        seen |= {(spec.kind, spec.beta > 0), type(mode).__name__, cfgs[0].mara is not None}
+    assert min(sizes) == 1 and max(sizes) == 8
+    assert seen == {("reverse", True), ("forward", True), ("generalized", True),
+                    ("generalized", False), "Exact", "MonteCarlo", True, False}
+
+
+def test_rows_that_raise_leave_the_others_bit_for_bit():
+    # a reward near the float limit: at beta = 0.5 its target overflows
+    # before training starts, and a later batch that samples it twice sums
+    # to inf, so the row whose stream does so fails at its own step
+    n = 40
+    s = make_scenario(np.linspace(1.0, 2.0, n), [1e308] + list(np.linspace(0.0, 1.0, n - 1)))
+    cfgs = [TrainConfig(TargetSpec("reverse", 0.5 + 0.1 * seed), MonteCarlo(4, "none"),
+                        steps=40, learning_rate=0.05, seed=seed) for seed in range(8)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        batched = train_cells(s, cfgs)
+        alone = [_alone(s, cfg) for cfg in cfgs]
+    assert [type(o).__name__ for o in alone] == [
+        "InvalidDistribution", "TrainResult", "NonFiniteGradient", "TrainResult",
+        "TrainResult", "NonFiniteGradient", "TrainResult", "TrainResult"]
+    for a, b in zip(batched, alone):
+        assert _fingerprint(a) == _fingerprint(b)
+
+
+def _poisoned_mc_gradient(faults):
+    """``trainer._mc_gradient`` that, on its ``step``-th call, turns the
+    estimate of the rows at beta b NaN (fault "nan") or reports that they
+    sampled outside the reference support (fault "off"), for each
+    (b, step, fault) in ``faults``."""
+    real, calls = trainer._mc_gradient, []
+
+    def poisoned(prob, lp, p, mc, rngs, maras):
+        g, anchors, off = real(prob, lp, p, mc, rngs, maras)
+        calls.append(None)
+        for beta, step, fault in faults:
+            if len(calls) == step:
+                hit = np.reshape(prob.beta == beta, -1)
+                if fault == "nan":
+                    g.reshape(len(rngs), -1)[hit] = np.nan
+                else:
+                    off = np.logical_or(off, hit)
+        return g, anchors, off
+
+    return poisoned
+
+
+def test_rows_that_fail_mid_run_leave_their_anchors_and_targets_to_the_others(monkeypatch):
+    s = scenario_by_name("mara_toy")
+    betas = [0.05, 0.1, 0.2, 0.4, 0.8]
+    cfgs = [TrainConfig(TargetSpec("reverse", b), MonteCarlo(16), MaraConfig(Constant(0.5), b),
+                        steps=30, learning_rate=0.05, seed=i) for i, b in enumerate(betas)]
+    faults = [(0.1, 5, "nan"), (0.4, 12, "off")]
+    monkeypatch.setattr(trainer, "_mc_gradient", _poisoned_mc_gradient(faults))
+    batched = train_cells(s, cfgs)
+    alone = []
+    for cfg in cfgs:
+        monkeypatch.setattr(trainer, "_mc_gradient", _poisoned_mc_gradient(faults))
+        alone.append(_alone(s, cfg))
+    assert [type(o).__name__ for o in alone] == [
+        "TrainResult", "NonFiniteGradient", "TrainResult", "InfiniteDivergence", "TrainResult"]
+    for a, b in zip(batched, alone):
+        assert _fingerprint(a) == _fingerprint(b)
+
+
+def test_a_batch_rejects_cells_of_different_keys(two_point):
+    cfgs = [TrainConfig(TargetSpec("reverse", 1.0)), TrainConfig(TargetSpec("forward", 1.0))]
+    assert trainer.batch_key(cfgs[0]) != trainer.batch_key(cfgs[1])
+    with pytest.raises(ValueError, match="batch_key"):
+        train_cells(two_point, cfgs)
