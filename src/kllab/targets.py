@@ -95,14 +95,26 @@ def generalized_target(s: Scenario, beta: float, eta: float) -> Categorical:
     """
     check_coefficients("generalized", beta, eta)
     total = beta + eta
+    r = s.rewards.values
+    try:
+        with np.errstate(over="raise"):
+            tilt = r / total
+    except FloatingPointError:
+        # a finite reward near the float limit: off the support the tilt
+        # does not count, and on it a shift by the largest reward there
+        # leaves the distribution as it is
+        support = s.reference.support_mask if beta > 0 else np.ones(s.n, dtype=bool)
+        with np.errstate(over="ignore"):
+            tilt = np.where(support, r / total, 0.0)
+            if not np.isfinite(tilt).all():
+                tilt = np.where(support, (r - r[support].max()) / total, 0.0)
     if beta == 0:
-        return normalize(s.rewards.values / total)
-    lw = np.where(
-        s.reference.support_mask,
-        (beta / total) * s.reference.log_weights + s.rewards.values / total,
-        -np.inf,
-    )
-    return normalize(lw)
+        return normalize(tilt)
+    # in place, to keep one length-n array fewer alive: the tilt is this
+    # call's own
+    tilt += (beta / total) * s.reference.log_weights
+    tilt[~s.reference.support_mask] = -np.inf
+    return normalize(tilt)
 
 
 def _mass_terms(lam: float, w, rewards):

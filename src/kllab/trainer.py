@@ -24,12 +24,14 @@ on one row and scatter the result back to length n.
 ``batch_key`` as one program over a (C, k) logits matrix, with one Adam
 state, a beta and an eta column and one PCG64 stream per row. It computes
 the run invariants once (the columns, the ``_Problem``, the support
-checks, the targets) and then steps on the rows alone. A row whose step
-fails leaves the batch with its exception; the others go on. The trace is
-not built per step: the softmax writes each step's rows into a block
+checks, the targets) and then steps on the rows alone. The program runs
+to its end or raises; a batch that raises trains again cell by cell, so a
+failing cell gets the exception it raises alone and the others their
+results, at the cost of the failed batch plus one run per cell. The trace
+is not built per step: the softmax writes each step's rows into a block
 buffer, and the trace fields are computed once per block as row
-reductions into a columnar ``Trace``. ``train()`` is its call with one
-cell, whose arrays stay 1-d.
+reductions into a columnar ``Trace``. ``train()`` runs one cell, whose
+arrays stay 1-d, on the same program.
 
 A reduction runs over the same elements in the same order as written
 over all n: sums that range over all n (E_p[r], TV) still do, masked sums
@@ -65,8 +67,6 @@ _sum = np.add.reduce
 # all n, so that the block and the temporaries of its reductions stay small;
 # from n = 8192 on, a block is one row
 _BLOCK_BYTES = 1 << 16
-
-_OFF_SUPPORT = "sampled index outside the reference support"
 
 
 # --------------------------------------------------------------------------
@@ -160,20 +160,16 @@ def _score(pos: np.ndarray, coef: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _sample_coefficients(lp_ys, rewards, ref_lp, beta, eta):
     """:func:`_coefficients` at sampled indices (``beta`` None without a
-    reverse-KL term), and which rows sampled an index outside the reference
-    support, where log(p / ref) is infinite: False, or a flag per row. At
-    beta = 0 the reference plays no part, so such samples are allowed (as
-    in the exact gradient)."""
-    off = False
+    reverse-KL term); raises if an index lies outside the reference
+    support, where log(p / ref) is infinite. At beta = 0 the reference
+    plays no part, so such samples are allowed (as in the exact
+    gradient)."""
     log_ratio = None
     if beta is not None:
-        finite = np.isfinite(ref_lp)
-        if not finite.all():
-            off = ~finite.all(axis=-1)
-            # the flagged rows fail; the others must not see their infinities
-            ref_lp = np.where(finite, ref_lp, 0.0)
+        if not np.isfinite(ref_lp).all():
+            raise InfiniteDivergence("sampled index outside the reference support")
         log_ratio = lp_ys - ref_lp
-    return _coefficients(rewards, lp_ys, log_ratio, beta, eta), off
+    return _coefficients(rewards, lp_ys, log_ratio, beta, eta)
 
 
 def _apply_baseline(coef: np.ndarray, baseline: str) -> np.ndarray:
@@ -218,9 +214,6 @@ class _Problem:
         if not self.batched:
             return values[0]
         return np.stack(values) if np.ndim(values[0]) else np.array(values)[:, None]
-
-    def select(self, keep) -> "_Problem":
-        return _Problem([self.rows[i] for i in keep], self.cols, self.batched)
 
     def at_cols(self, a: np.ndarray) -> np.ndarray:
         return a if self.cols is None else a.take(self.cols, axis=-1)
@@ -322,9 +315,7 @@ def _uniforms(rngs, count: int, batched: bool) -> np.ndarray:
 def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras):
     """One batch per row, row i drawn from ``rngs[i]`` and augmented by
     ``maras[i]`` (``maras`` None without augmentation): the estimates on the
-    support columns, each row's anchor, and the rows that sampled outside
-    the reference support (see :func:`_sample_coefficients`); see
-    :func:`mc_gradient`."""
+    support columns and each row's anchor; see :func:`mc_gradient`."""
     s, rows = prob.s, len(rngs)
     pos = draw(cdf_table(prob.positions, p), _uniforms(rngs, mc.batch, prob.batched))
     ys = pos if prob.cols is None else prob.cols[pos]
@@ -352,7 +343,7 @@ def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras):
             ref_mass = prob.ref_k
         else:
             ref_mass = prob.per_row([prob.at_cols(r.reference_probs) for r in ref_ss])
-        return _forward_gradient(_score(pos, rewards, p), ref_mass, p, prob.beta), anchors, False
+        return _forward_gradient(_score(pos, rewards, p), ref_mass, p, prob.beta), anchors
     if maras is None:
         rewards = s.rewards.values[ys]
     else:
@@ -360,9 +351,9 @@ def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras):
             s.rewards.values[y] if a is None else mara_mod.reward_view(s, cfg.beta, tau, a, y)
             for y, cfg, (tau, a) in zip(by_row, maras, views)
         ])
-    coef, off = _sample_coefficients(_gather(lp, pos), rewards, s.reference.log_weights[ys],
-                                     prob.beta if prob.kl_term else None, prob.eta)
-    return _score(pos, _apply_baseline(coef, mc.baseline), p), anchors, off
+    coef = _sample_coefficients(_gather(lp, pos), rewards, s.reference.log_weights[ys],
+                                prob.beta if prob.kl_term else None, prob.eta)
+    return _score(pos, _apply_baseline(coef, mc.baseline), p), anchors
 
 
 # --------------------------------------------------------------------------
@@ -491,11 +482,8 @@ def reverse_coefficients(
     At beta = 0 the reference plays no part, so samples outside its
     support are allowed (as in the exact gradient).
     """
-    coef, off = _sample_coefficients(policy.log_probs()[ys], rewards, ref_logprobs,
-                                     beta if beta > 0 else None, None)
-    if off:
-        raise InfiniteDivergence(_OFF_SUPPORT)
-    return coef
+    return _sample_coefficients(policy.log_probs()[ys], rewards, ref_logprobs,
+                                beta if beta > 0 else None, None)
 
 
 def _empirical_mass(ws: np.ndarray, n: int) -> np.ndarray:
@@ -519,10 +507,8 @@ def mc_gradient(
     Returns the gradient and the batch's anchor (None if none).
     """
     cols, lp, p = policy._rows
-    g, (anchor,), off = _mc_gradient(_Problem([(s, spec)], cols), lp, p, mc, [rng],
-                                     None if mara is None else [mara])
-    if off:
-        raise InfiniteDivergence(_OFF_SUPPORT)
+    g, (anchor,) = _mc_gradient(_Problem([(s, spec)], cols), lp, p, mc, [rng],
+                                None if mara is None else [mara])
     return _to_n(g, cols, policy.n), anchor
 
 
@@ -624,6 +610,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        # a comparison, which NaN fails too
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, not {self.learning_rate!r}")
         if self.mara is not None and self.objective.kind == "generalized":
             raise ValueError("augmentation is defined for reverse and forward only")
         if self.mara is not None and self.mara.beta != self.objective.beta:
@@ -635,8 +624,6 @@ class TrainConfig:
             # the anchored reference is built from the full reference, so
             # drawing its mass would only add variance
             raise ValueError("augmentation needs the exact forward regularizer")
-
-
 
 
 @dataclass(frozen=True)
@@ -739,16 +726,13 @@ def batch_key(cfg: TrainConfig) -> tuple:
 
 
 class _Cells:
-    """The state of a batch of cells in :func:`train_cells`: per row the
-    logits, Adam's moments, the problem, the generator, the anchors and the
-    trace block, each a stack over the rows still running (1-d for a
-    single cell)."""
+    """A batch of cells in :func:`train_cells`: per row the logits, Adam's
+    moments, the problem, the generator, the anchors and the trace block,
+    each a stack over the rows (1-d for a single cell). Its run goes to the
+    end or raises."""
 
     def __init__(self, s: Scenario, cfgs):
         cfg = cfgs[0]
-        key = batch_key(cfg)
-        if any(batch_key(c) != key for c in cfgs[1:]):
-            raise ValueError("the cells of a batch must share their batch_key")
         spec = cfg.objective
         self.steps, self.lr, self.batched = cfg.steps, cfg.learning_rate, len(cfgs) > 1
         self.n = s.n
@@ -763,21 +747,12 @@ class _Cells:
             support = np.flatnonzero(s.reference.support_mask)
             tau, self.global_anchor = mara_mod.resolve_anchor(support, s, cfg.mara)
         self.augmented = cfg.mara is not None
-        self.outcomes: List[Union[TrainResult, Exception, None]] = [None] * len(cfgs)
-        self.ids, rows, self.targets = [], [], {}
-        for i, c in enumerate(cfgs):
-            try:
-                target, train_scenario = _training_problem(s, c.objective, tau,
-                                                           self.global_anchor)
-                _check_support(train_scenario, c.objective, self.mask)
-            except Exception as exc:  # this cell's objective alone
-                self.outcomes[i] = exc
-                continue
-            self.ids.append(i)
+        rows, self.targets = [], []
+        for c in cfgs:
+            target, train_scenario = _training_problem(s, c.objective, tau, self.global_anchor)
+            _check_support(train_scenario, c.objective, self.mask)
             rows.append((train_scenario, c.objective))
-            self.targets[i] = target
-        if not rows:
-            return
+            self.targets.append(target)
         self.prob = _Problem(rows, self.cols, self.batched)
         self.mc = cfg.gradient_mode if isinstance(cfg.gradient_mode, MonteCarlo) else None
         # the Monte-Carlo batch sees the raw scenario and applies the batch view
@@ -786,22 +761,18 @@ class _Cells:
         # exact mode draws nothing, and its marker seed may be negative
         self.rngs = self.maras = None
         if self.mc is not None:
-            self.rngs = [np.random.Generator(np.random.PCG64(cfgs[i].seed)) for i in self.ids]
+            self.rngs = [np.random.Generator(np.random.PCG64(c.seed)) for c in cfgs]
             if cfg.mara is not None:
-                self.maras = [cfgs[i].mara for i in self.ids]
-        self.anchors: List[List[Optional[int]]] = [[] for _ in self.ids]
-        self.target_probs = self.prob.per_row([self.targets[i].probs for i in self.ids])
+                self.maras = [c.mara for c in cfgs]
+        self.anchors: List[List[Optional[int]]] = [[] for _ in cfgs]
+        self.target_probs = self.prob.per_row([t.probs for t in self.targets])
         self.above = np.flatnonzero(s.rewards.values >= tau) if tau is not None else None
         shape = (self.steps, len(cfgs)) if self.batched else (self.steps,)
         self.trace = [np.empty(shape) for _ in range(3)]
         self.trace.append(None if self.above is None else np.empty(shape))
         self.block_start = 0
-        self._new_block()
-
-    def _new_block(self) -> None:
-        rows = len(self.ids) if self.batched else 1
-        size = max(1, min(self.steps, _BLOCK_BYTES // (8 * self.n * rows)))
-        shape = (size, rows, self.k) if self.batched else (size, self.k)
+        size = max(1, min(self.steps, _BLOCK_BYTES // (8 * self.n * len(cfgs))))
+        shape = (size, len(cfgs), self.k) if self.batched else (size, self.k)
         self.block = np.empty(shape), np.empty(shape)
 
     def flush(self, stop: int) -> None:
@@ -815,116 +786,75 @@ class _Cells:
         lone = not self.batched and stop - start == 1
         rows = 0 if lone else slice(0, stop - start)
         values = _trace_fields(self.prob, lp[rows], p[rows], self.target_probs, self.above)
-        where = (slice(start, stop), self.ids) if self.batched else slice(start, stop)
         for column, value in zip(self.trace, values):
             if column is not None:
-                column[where] = value if lone else value[..., 0]
+                column[start:stop] = value if lone else value[..., 0]
         self.block_start = stop
 
-    def drop(self, step: int, errors, *arrays):
-        """Fail each row whose entry of ``errors`` is an exception, with it,
-        and return ``arrays`` (stacks, lists or None) on the rows that
-        remain."""
-        if all(error is None for error in errors):
-            return arrays
-        self.flush(step)
-        for i, error in zip(self.ids, errors):
-            if error is not None:
-                self.outcomes[i] = error
-        keep = [j for j, error in enumerate(errors) if error is None]
-        self.ids = [self.ids[j] for j in keep]
-        if not keep:
-            return arrays
-        shared = self.mc_prob is self.prob
-        self.prob = self.prob.select(keep)
-        self.mc_prob = self.prob if shared else self.mc_prob.select(keep)
-        self.target_probs = self.target_probs[keep]
-        self.anchors = [self.anchors[j] for j in keep]
-        if self.rngs is not None:
-            self.rngs = [self.rngs[j] for j in keep]
-        if self.maras is not None:
-            self.maras = [self.maras[j] for j in keep]
-        self._new_block()
-        return [None if a is None else a[keep] if isinstance(a, np.ndarray)
-                else [a[j] for j in keep] for a in arrays]
-
-    def run(self) -> None:
+    def run(self) -> List[TrainResult]:
         mc, lr = self.mc, self.lr
-        shape = (len(self.ids), self.k) if self.batched else (self.k,)
+        shape = (len(self.targets), self.k) if self.batched else (self.k,)
         x, m, v = np.zeros(shape), np.zeros(shape), np.zeros(shape)
         lp, p = _softmax(x)
         for step in range(self.steps):
-            anchors, off = None, False
             if mc is None:
                 g = _gradient(self.prob, lp, p)
             else:
-                g, anchors, off = _mc_gradient(self.mc_prob, lp, p, mc, self.rngs, self.maras)
-            if off is not False or not np.isfinite(g).all():
-                errors = [
-                    InfiniteDivergence(_OFF_SUPPORT) if row_off
-                    else None if np.isfinite(row).all()
-                    # name the coordinates over all n, not over the support columns
-                    else _nonfinite_gradient(_to_n(row, self.cols, self.n))
-                    for row_off, row in zip(np.broadcast_to(off, len(self.ids)),
-                                            g.reshape(len(self.ids), -1))
-                ]
-                x, m, v, g, anchors = self.drop(step, errors, x, m, v, g, anchors)
-                if not self.ids:
-                    return
+                g, anchors = _mc_gradient(self.mc_prob, lp, p, mc, self.rngs, self.maras)
+            if not np.isfinite(g).all():
+                # name the coordinates over all n, not over the support columns
+                raise _nonfinite_gradient(_to_n(g, self.cols, self.n))
             if self.maras is not None:
                 for history, anchor in zip(self.anchors, anchors):
                     history.append(anchor)
             m, v, x = _adam(m, v, step + 1, x, g, lr)
-            if not np.isfinite(x).all():
-                finite = np.isfinite(x.reshape(len(self.ids), -1)).all(axis=1)
-                errors = [None if ok else ValueError("logits must be finite") for ok in finite]
-                x, m, v = self.drop(step, errors, x, m, v)
-                if not self.ids:
-                    return
+            _check_logits(x)
             if step - self.block_start == len(self.block[0]):
                 self.flush(step)
             slot = step - self.block_start
             lp, p = _softmax(x, out=(self.block[0][slot], self.block[1][slot]))
         self.flush(self.steps)
-        self.x = x
-
-    def results(self) -> List[Union[TrainResult, Exception]]:
-        for j, i in enumerate(self.ids):
-            try:
-                logits = self.x[j] if self.batched else self.x
-                final = SoftmaxPolicy(_to_n(logits, self.cols, self.n), self.mask).distribution()
-            except Exception as exc:  # the final policy's validation
-                self.outcomes[i] = exc
-                continue
-            columns = [None if c is None else (c[:, i] if self.batched else c)
+        results = []
+        for j, (target, history) in enumerate(zip(self.targets, self.anchors)):
+            logits = x[j] if self.batched else x
+            final = SoftmaxPolicy(_to_n(logits, self.cols, self.n), self.mask).distribution()
+            columns = [None if c is None else (c[:, j] if self.batched else c)
                        for c in self.trace]
             if not self.augmented:
                 history = []
             elif self.maras is None:  # exact mode anchors over the whole support
                 history = [self.global_anchor] * self.steps
-            else:
-                history = self.anchors[j]
-            self.outcomes[i] = TrainResult(final_policy=final, trace=Trace(*columns),
-                                           anchor_history=history, target=self.targets[i])
-        return self.outcomes
+            results.append(TrainResult(final_policy=final, trace=Trace(*columns),
+                                       anchor_history=history, target=target))
+        return results
 
 
 def train_cells(s: Scenario, cfgs) -> List[Union[TrainResult, Exception]]:
-    """Train the cells ``cfgs`` on ``s``, which share a :func:`batch_key`,
-    as one program over a (C, k) logits matrix; each row equals its cell
-    trained alone, bit for bit. A cell whose run fails gets its exception
-    in its place, and the others go on; an error that every cell meets
-    alike raises."""
-    cells = _Cells(s, cfgs)
-    if cells.ids:
-        cells.run()
-    return cells.results() if cells.ids else cells.outcomes
+    """Train the cells ``cfgs`` on ``s``, which must share a
+    :func:`batch_key`, as one program over a (C, k) logits matrix; each row
+    equals its cell trained alone, bit for bit. A batch that raises trains
+    again cell by cell through :func:`train`, so each cell gets its result
+    or, in its place, the exception it raises alone; a failure costs the
+    batch plus one run per cell."""
+    key = batch_key(cfgs[0])
+    if any(batch_key(c) != key for c in cfgs[1:]):
+        raise ValueError("the cells of a batch must share their batch_key")
+    if len(cfgs) > 1:
+        try:
+            return _Cells(s, cfgs).run()
+        except Exception:  # some cell fails; find which, and keep the others
+            pass
+    outcomes: List[Union[TrainResult, Exception]] = []
+    for cfg in cfgs:
+        try:
+            outcomes.append(train(s, cfg))
+        except Exception as exc:  # this cell's own failure
+            outcomes.append(exc)
+    return outcomes
 
 
 def train(s: Scenario, cfg: TrainConfig) -> TrainResult:
     """Run the optimization loop; deterministic for a given config. The
-    :func:`train_cells` call with one cell."""
-    (outcome,) = train_cells(s, [cfg])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    program of :func:`train_cells` on one cell."""
+    (result,) = _Cells(s, [cfg]).run()
+    return result

@@ -85,6 +85,27 @@ def test_non_finite_coefficient_is_usage_error(capsys, tmp_path, monkeypatch, ar
     assert err.startswith("error: ") and "finite" in err
 
 
+def test_target_of_a_reward_near_the_float_limit(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "n": 3, "reference": [0.2, 0.3, 0.5],
+                                "rewards": [1e308, 0.5, 1.0]}))
+    code, out, err = run(capsys, "target", "--scenario", str(path), "--kind", "reverse",
+                         "--beta", "0.5")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [float(row[1]) for row in rows] == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+def test_train_rejects_a_learning_rate_that_is_not_positive_and_finite(capsys, tmp_path, lr):
+    code, out, err = run(capsys, "train", "--scenario", "two_point", "--beta", "1",
+                         "--steps", "300", f"--lr={lr}", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "learning_rate" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_target_forward_infinite_beta_exits_2_at_once():
     # this solve once never returned: a child process with a timeout makes
     # such a regression fail instead of hanging the suite

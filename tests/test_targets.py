@@ -50,6 +50,19 @@ def test_generalized_rejects_a_coefficient_sum_that_overflows():
         generalized_target(s, 1e308, 1e308)
 
 
+@pytest.mark.parametrize("beta, eta", [(0.5, 0.0), (0.0, 0.5), (0.25, 0.25)])
+def test_generalized_tilt_of_a_reward_near_the_float_limit(beta, eta):
+    # R / (beta + eta) overflows at index 0, whose reward dwarfs the others
+    s = make_scenario([0.2, 0.3, 0.5], [1e308, 0.5, 1.0])
+    np.testing.assert_array_equal(generalized_target(s, beta, eta).probs, [1.0, 0.0, 0.0])
+    # off the reference support such a reward does not count, and the
+    # target is the float it is with any other reward there
+    masked = make_scenario([0.0, 0.4, 0.6], [1e308, 0.5, 1.0])
+    plain = make_scenario([0.0, 0.4, 0.6], [0.0, 0.5, 1.0])
+    assert (generalized_target(masked, 0.5, 0.0).log_weights.tobytes()
+            == generalized_target(plain, 0.5, 0.0).log_weights.tobytes())
+
+
 @pytest.mark.parametrize("kind", ["reverse", "forward"])
 def test_target_spec_rejects_eta_outside_generalized(kind):
     # reverse KL is the generalized family at eta = 0; forward has no eta

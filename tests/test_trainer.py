@@ -6,7 +6,7 @@ import pytest
 from conftest import make_scenario, random_scenario
 from kllab import trainer
 from kllab.dist import RewardVector, Scenario, normalize
-from kllab.errors import InfiniteDivergence, NonFiniteGradient
+from kllab.errors import InfiniteDivergence, NonFiniteGradient, SolverFailure
 from kllab.harness import MARA_TOY_TAU, scenario_by_name
 from kllab.mara import (
     BatchPercentile,
@@ -386,6 +386,9 @@ def test_train_config_validation():
     spec = TargetSpec("generalized", 0.5, 0.5)
     with pytest.raises(ValueError):
         TrainConfig(spec, steps=0)
+    for lr in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(spec, learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(spec, mara=MaraConfig(Constant(0.5), beta=0.5))
     with pytest.raises(ValueError):
@@ -902,9 +905,8 @@ def test_every_row_of_a_batch_equals_its_cell_trained_alone():
 
 
 def test_rows_that_raise_leave_the_others_bit_for_bit():
-    # a reward near the float limit: at beta = 0.5 its target overflows
-    # before training starts, and a later batch that samples it twice sums
-    # to inf, so the row whose stream does so fails at its own step
+    # a reward near the float limit: a batch that samples it twice sums to
+    # inf, so the row whose stream does so fails at its own step
     n = 40
     s = make_scenario(np.linspace(1.0, 2.0, n), [1e308] + list(np.linspace(0.0, 1.0, n - 1)))
     cfgs = [TrainConfig(TargetSpec("reverse", 0.5 + 0.1 * seed), MonteCarlo(4, "none"),
@@ -913,30 +915,43 @@ def test_rows_that_raise_leave_the_others_bit_for_bit():
         batched = train_cells(s, cfgs)
         alone = [_alone(s, cfg) for cfg in cfgs]
     assert [type(o).__name__ for o in alone] == [
-        "InvalidDistribution", "TrainResult", "NonFiniteGradient", "TrainResult",
+        "TrainResult", "TrainResult", "NonFiniteGradient", "TrainResult",
         "TrainResult", "NonFiniteGradient", "TrainResult", "TrainResult"]
+    for a, b in zip(batched, alone):
+        assert _fingerprint(a) == _fingerprint(b)
+    # forward's multiplier bracket overflows at a beta near the float limit,
+    # so that row fails before the first step, without a warning
+    s = make_scenario(np.linspace(1.0, 2.0, n), np.linspace(0.0, 1.0, n))
+    cfgs = [TrainConfig(TargetSpec("forward", beta), MonteCarlo(4, "none"),
+                        steps=40, learning_rate=0.05, seed=seed)
+            for seed, beta in enumerate([0.5, 1e308, 1.0])]
+    batched = train_cells(s, cfgs)
+    alone = [_alone(s, cfg) for cfg in cfgs]
+    assert [type(o).__name__ for o in alone] == ["TrainResult", "SolverFailure", "TrainResult"]
     for a, b in zip(batched, alone):
         assert _fingerprint(a) == _fingerprint(b)
 
 
 def _poisoned_mc_gradient(faults):
-    """``trainer._mc_gradient`` that, on its ``step``-th call, turns the
-    estimate of the rows at beta b NaN (fault "nan") or reports that they
-    sampled outside the reference support (fault "off"), for each
-    (b, step, fault) in ``faults``."""
-    real, calls = trainer._mc_gradient, []
+    """``trainer._mc_gradient`` that, on the ``step``-th call of a run, turns
+    the estimate of the rows at beta b NaN (fault "nan") or raises as a
+    batch that sampled outside the reference support does (fault "off"),
+    for each (b, step, fault) in ``faults``. A run is told apart by its list
+    of generators, kept alive here so that its id is not reused."""
+    real, runs = trainer._mc_gradient, {}
 
     def poisoned(prob, lp, p, mc, rngs, maras):
-        g, anchors, off = real(prob, lp, p, mc, rngs, maras)
-        calls.append(None)
+        g, anchors = real(prob, lp, p, mc, rngs, maras)
+        run = runs.setdefault(id(rngs), [rngs, 0])
+        run[1] += 1
         for beta, step, fault in faults:
-            if len(calls) == step:
+            if run[1] == step:
                 hit = np.reshape(prob.beta == beta, -1)
                 if fault == "nan":
                     g.reshape(len(rngs), -1)[hit] = np.nan
-                else:
-                    off = np.logical_or(off, hit)
-        return g, anchors, off
+                elif hit.any():
+                    raise InfiniteDivergence("sampled index outside the reference support")
+        return g, anchors
 
     return poisoned
 
@@ -957,6 +972,44 @@ def test_rows_that_fail_mid_run_leave_their_anchors_and_targets_to_the_others(mo
         "TrainResult", "NonFiniteGradient", "TrainResult", "InfiniteDivergence", "TrainResult"]
     for a, b in zip(batched, alone):
         assert _fingerprint(a) == _fingerprint(b)
+
+
+def _count_runs(monkeypatch):
+    """The number of cells of each ``_Cells`` program built from here on."""
+    runs = []
+
+    class Counted(trainer._Cells):
+        def __init__(self, s, cfgs):
+            runs.append(len(cfgs))
+            super().__init__(s, cfgs)
+
+    monkeypatch.setattr(trainer, "_Cells", Counted)
+    return runs
+
+
+def test_a_failing_batch_costs_one_run_more_per_cell(two_point, monkeypatch):
+    ok = [TrainConfig(TargetSpec("forward", b), steps=5) for b in (0.5, 1.0, 2.0)]
+    failing = [TrainConfig(TargetSpec("forward", b), steps=5) for b in (0.5, 1e308, 2.0)]
+    runs = _count_runs(monkeypatch)
+    train_cells(two_point, ok)
+    assert runs == [3]
+    runs.clear()
+    outcomes = train_cells(two_point, failing)
+    assert runs == [3, 1, 1, 1]
+    assert [type(o).__name__ for o in outcomes] == ["TrainResult", "SolverFailure", "TrainResult"]
+    # a batch of one is its own run: it fails once, through either door
+    runs.clear()
+    (outcome,) = train_cells(two_point, failing[1:2])
+    assert isinstance(outcome, SolverFailure) and runs == [1]
+    runs.clear()
+    with pytest.raises(SolverFailure):
+        train(two_point, failing[1])
+    assert runs == [1]
+    # the keys are checked before anything runs
+    runs.clear()
+    with pytest.raises(ValueError, match="batch_key"):
+        train_cells(two_point, [ok[0], TrainConfig(TargetSpec("reverse", 1.0), steps=5)])
+    assert runs == []
 
 
 def test_a_batch_rejects_cells_of_different_keys(two_point):
