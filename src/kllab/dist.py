@@ -54,19 +54,19 @@ class Categorical:
         lw = np.asarray(self.log_weights, dtype=float)
         if lw.ndim != 1 or lw.size < 1:
             raise InvalidDistribution("log_weights must be a non-empty 1-d vector")
-        mask = self.support_mask
-        if mask is None:
-            mask = np.isfinite(lw)
-        mask = np.asarray(mask, dtype=bool)
+        finite = np.isfinite(lw)
+        mask = finite if self.support_mask is None else np.asarray(self.support_mask, dtype=bool)
         if mask.shape != lw.shape:
             raise InvalidDistribution("support_mask length mismatch")
-        if np.any(np.isnan(lw)) or np.any(lw == np.inf):
+        # the max is NaN if any entry is, else +inf if any entry is
+        if not np.max(lw) < np.inf:
             raise InvalidDistribution("log_weights must be finite or -inf")
         if not np.any(mask):
             raise InvalidDistribution("empty support")
-        if not np.array_equal(mask, np.isfinite(lw)):
+        if mask is not finite and not np.array_equal(mask, finite):
             raise InvalidDistribution("support_mask inconsistent with log_weights")
-        total = np.sum(np.exp(lw[mask]))
+        masses = lw[mask]
+        total = np.sum(np.exp(masses, out=masses))
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise InvalidDistribution(f"masses sum to {total!r}, not 1")
         object.__setattr__(self, "log_weights", _frozen(lw))
@@ -89,17 +89,28 @@ def normalize(log_weights) -> Categorical:
     """Shift log-weights by their log-sum-exp so the masses sum to 1.
 
     Entries of ``-inf`` become masked indices. Raises
-    :class:`InvalidDistribution` when no entry is finite.
+    :class:`InvalidDistribution` when no entry is finite, else when one is
+    NaN or +inf. One max validates the input, and one buffer holds first
+    the log-sum-exp terms and then the shifted weights, which become the
+    result's ``log_weights``; the input is not written.
     """
     lw = np.asarray(log_weights, dtype=float)
-    if lw.size < 1 or not np.any(np.isfinite(lw)):
-        raise InvalidDistribution("no finite log-weight to normalize")
-    if np.any(np.isnan(lw)) or np.any(lw == np.inf):
+    # NaN if any entry is, else +inf if any entry is, -inf if none is finite
+    top = np.max(lw) if lw.size else np.nan
+    if not np.isfinite(top):
+        if not np.isfinite(lw).any():
+            raise InvalidDistribution("no finite log-weight to normalize")
         raise InvalidDistribution("log_weights must be finite or -inf")
-    shifted = lw - log_sum_exp(lw)
-    # one exact renormalization pass to land within NORMALIZATION_TOL
+    shifted = np.subtract(lw, top)
+    # log_sum_exp(lw), its terms written into the buffer
+    lse = top + np.log(np.sum(np.exp(shifted, out=shifted)))
+    np.subtract(lw, lse, out=shifted)
+    # one exact renormalization pass to land within NORMALIZATION_TOL; the
+    # entries off the mask are -inf (lw <= lse), and -inf minus a finite
+    # shift stays -inf, so the pass runs over the whole buffer
     mask = np.isfinite(shifted)
-    shifted[mask] -= np.log(np.sum(np.exp(shifted[mask])))
+    terms = shifted[mask]
+    shifted -= np.log(np.sum(np.exp(terms, out=terms)))
     return Categorical(shifted, mask)
 
 

@@ -124,6 +124,13 @@ def _mass_terms(lam: float, w, rewards):
     return float(np.sum(q)), q, gap
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """``0.5 * (lo + hi)``, or ``lo + 0.5 * (hi - lo)`` where that sum
+    overflows (a bracket near the float limit)."""
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else lo + 0.5 * (hi - lo)
+
+
 def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float:
     """Root of the on-support mass map ``F(lam) = sum(w / (lam - R))``,
     ``w = beta * ref``, above ``lower``, by safeguarded Newton.
@@ -143,9 +150,9 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
     step. Every evaluation narrows the bracket ``F(lo) > 1 >= F(hi)``;
     once Newton stops moving, steps of ``np.nextafter`` (doubling in
     length where F is flat over several floats) close it to adjacent
-    floats. The result ``0.5 * (lo + hi)`` is therefore the
-    float that bisecting the same bracket to the end returns, since the
-    computed F is monotone in ``lam``.
+    floats. The result, their :func:`_midpoint`, is therefore the float
+    that bisecting the same bracket to the end returns, since the computed
+    F is monotone in ``lam``.
     """
     lo = lower
     hi = lower + beta + 1.0
@@ -183,7 +190,7 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
     crawl = 0
     while np.nextafter(lo, hi) < hi:
         if x is None:
-            x = 0.5 * (lo + hi)
+            x = _midpoint(lo, hi)
         # Newton's start is the last lower point evaluated before the loop
         f, q, gap = at_lo if at_lo is not None else _mass_terms(x, w, rewards)
         at_lo = None
@@ -205,7 +212,7 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
         else:
             crawl = 0
         x = nxt if lo < nxt < hi else None
-    return float(0.5 * (lo + hi))
+    return float(_midpoint(lo, hi))
 
 
 def _on_support_masses(lam: float, w, ref_probs, rewards) -> np.ndarray:

@@ -33,6 +33,13 @@ buffer, and the trace fields are computed once per block as row
 reductions into a columnar ``Trace``. ``train()`` runs one cell, whose
 arrays stay 1-d, on the same program.
 
+At large n an array freed and allocated again costs the allocator about
+as much as its arithmetic, so a run works in arrays it owns: Adam
+(``_adam``) updates the logits and both moments in place, the softmax
+writes into the block, and the trace's sums over all n run in an n-wide
+row and scratch kept beside the block. ``adam_step`` runs ``_adam`` on
+copies of its inputs.
+
 A reduction runs over the same elements in the same order as written
 over all n: sums that range over all n (E_p[r], TV) still do, masked sums
 run over the contiguous support row, and each row of a C-contiguous stack
@@ -86,13 +93,11 @@ def _rmax(a: np.ndarray):
 
 def _softmax(x: np.ndarray, out=None) -> Tuple[np.ndarray, np.ndarray]:
     """Log-probabilities and probabilities of the logits rows ``x``, written
-    into the pair ``out`` when given."""
+    into the pair ``out`` (new arrays when None); the terms exp(x - max) of
+    the log-sum-exp are written there first."""
+    lp, p = (np.empty_like(x), np.empty_like(x)) if out is None else out
     m = _rmax(x)
-    shift = m + np.log(_rsum(np.exp(x - m)))
-    if out is None:
-        lp = x - shift
-        return lp, np.exp(lp)
-    lp, p = out
+    shift = m + np.log(_rsum(np.exp(np.subtract(x, m, out=lp), out=p)))
     np.subtract(x, shift, out=lp)
     return lp, np.exp(lp, out=p)
 
@@ -266,18 +271,22 @@ def _check_support(s: Scenario, spec: TargetSpec, mask: np.ndarray) -> None:
         raise InfiniteDivergence("policy mass outside the reference support")
 
 
+def _mean_reward(prob: _Problem, full_p: np.ndarray, out=None):
+    """E_p[r] over all n of the policy rows ``full_p``, their products with
+    the rewards written into ``out`` when given."""
+    return _rsum(np.multiply(full_p, prob.r, out=out))
+
+
 def _gradient(prob: _Problem, lp, p) -> np.ndarray:
     """Exact logit gradient of the objective."""
     if prob.forward:
-        mean_reward = _rsum(_to_n(p, prob.cols, prob.n) * prob.r)
+        mean_reward = _mean_reward(prob, _to_n(p, prob.cols, prob.n))
         return _forward_gradient(p * (prob.r_k - mean_reward), prob.ref_k, p, prob.beta)
     return _centered(p, _coefficients(prob.r_k, lp, prob.log_ratio(lp), prob.beta, prob.eta))
 
 
-def _objective(prob: _Problem, lp, p, full_p, entropy):
-    """Expected reward minus the exact regularizer; ``full_p`` is ``p`` over
-    all n."""
-    mean_reward = _rsum(full_p * prob.r)
+def _objective(prob: _Problem, lp, p, mean_reward, entropy):
+    """Expected reward ``mean_reward`` minus the exact regularizer."""
     if prob.forward:
         ref, lref, ref_cols = prob.reference_terms
         lp_ref = lp if ref_cols is None else lp.take(ref_cols, axis=-1)
@@ -294,14 +303,18 @@ def _entropy(lp: np.ndarray, p: np.ndarray):
     return -_rsum(p * lp)
 
 
-def _trace_fields(prob: _Problem, lp, p, target_probs, above: Optional[np.ndarray]):
+def _trace_fields(prob: _Problem, lp, p, full_p, scratch, target_probs,
+                  above: Optional[np.ndarray]):
     """The objective, TV to the target, entropy and (None without
-    augmentation) mass at the indices ``above`` of the policy rows."""
-    full_p = _to_n(p, prob.cols, prob.n)
+    augmentation) mass at the indices ``above`` of the policy rows;
+    ``full_p`` is ``p`` over all n, and ``scratch``, of its shape, holds
+    the terms of E_p[r] and then those of the TV."""
     entropy = _entropy(lp, p)
+    objective = _objective(prob, lp, p, _mean_reward(prob, full_p, out=scratch), entropy)
+    np.subtract(full_p, target_probs, out=scratch)
     return (
-        _objective(prob, lp, p, full_p, entropy),
-        0.5 * _rsum(np.abs(full_p - target_probs)),
+        objective,
+        0.5 * _rsum(np.abs(scratch, out=scratch)),
         entropy,
         None if above is None else _rsum(full_p.take(above, axis=-1)),
     )
@@ -370,9 +383,11 @@ class SoftmaxPolicy:
     Instances and their arrays are immutable. ``logits`` and
     ``support_mask`` are frozen in place, as :class:`Categorical` does, so
     an array passed in becomes read-only too. The softmax is computed once,
-    at construction; ``log_probs()`` and ``probs()`` return the same
-    read-only arrays on every call, so every function handed the policy
-    shares one softmax.
+    at construction, on the support columns; ``log_probs()`` and
+    ``probs()`` return the same read-only arrays on every call, so every
+    function handed the policy shares one softmax. ``probs()`` scatters the
+    probabilities to length n on its first call, so a policy that is only
+    asked for its ``distribution()`` never builds them.
     """
 
     logits: np.ndarray
@@ -389,7 +404,6 @@ class SoftmaxPolicy:
         lp, p = map(_frozen, _softmax(logits if cols is None else logits[cols]))
         object.__setattr__(self, "_rows", (cols, lp, p))
         object.__setattr__(self, "_log_probs", _frozen(_to_n(lp, cols, logits.size, -np.inf)))
-        object.__setattr__(self, "_probs", _frozen(_to_n(p, cols, logits.size)))
 
     # unpickling rebuilds the policy: frozen arrays, a fresh softmax
     __reduce__ = _reduce_through_init
@@ -403,6 +417,11 @@ class SoftmaxPolicy:
 
     def probs(self) -> np.ndarray:
         return self._probs
+
+    @cached_property
+    def _probs(self) -> np.ndarray:
+        cols, _, p = self._rows
+        return _frozen(_to_n(p, cols, self.n))
 
     def distribution(self) -> Categorical:
         return normalize(self.log_probs())
@@ -426,7 +445,7 @@ def _exact_inputs(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec):
 def exact_objective(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> float:
     """Expected reward minus the exact regularizer, by full summation."""
     prob, lp, p = _exact_inputs(policy, s, spec)
-    return float(_objective(prob, lp, p, policy.probs(), _entropy(lp, p)))
+    return float(_objective(prob, lp, p, _mean_reward(prob, policy.probs()), _entropy(lp, p)))
 
 
 def exact_gradient(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> np.ndarray:
@@ -567,22 +586,37 @@ def _check_gradient(gradient: np.ndarray) -> None:
 
 
 def _adam(m, v, t: int, params, gradient, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Step ``t`` of bias-corrected ascent: the new moments and params."""
-    m = beta1 * m + (1 - beta1) * gradient
-    v = beta2 * v + (1 - beta2) * gradient**2
-    m_hat = m / (1 - beta1**t)
-    v_hat = v / (1 - beta2**t)
-    return m, v, params + lr * m_hat / (np.sqrt(v_hat) + eps)
+    """Step ``t`` of bias-corrected ascent (Kingma & Ba 2015), in place: the
+    moments ``m``, ``v`` and ``params`` take their new values. Each float is
+    the one the textbook expression gives, m_hat = m / (1 - beta1^t),
+    v_hat = v / (1 - beta2^t), params + lr m_hat / (sqrt(v_hat) + eps);
+    only the two work arrays ``step`` and ``d`` are allocated."""
+    step = (1 - beta1) * gradient
+    m *= beta1
+    m += step
+    np.square(gradient, out=step)
+    step *= 1 - beta2
+    v *= beta2
+    v += step
+    np.divide(m, 1 - beta1**t, out=step)
+    step *= lr
+    d = v / (1 - beta2**t)
+    np.sqrt(d, out=d)
+    d += eps
+    step /= d
+    params += step
 
 
 def adam_step(
     state: AdamState, params: np.ndarray, gradient: np.ndarray, lr: float,
     beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
 ) -> Tuple[AdamState, np.ndarray]:
-    """One bias-corrected ascent step; returns (new state, new params)."""
+    """One bias-corrected ascent step; returns (new state, new params). The
+    step runs on copies, so ``state`` and ``params`` are left as they are."""
     _check_gradient(gradient)
     t = state.t + 1
-    m, v, params = _adam(state.m, state.v, t, params, gradient, lr, beta1, beta2, eps)
+    m, v, params = (np.array(a, dtype=float) for a in (state.m, state.v, params))
+    _adam(m, v, t, params, gradient, lr, beta1, beta2, eps)
     return AdamState(m, v, t), params
 
 
@@ -774,6 +808,11 @@ class _Cells:
         size = max(1, min(self.steps, _BLOCK_BYTES // (8 * self.n * len(cfgs))))
         shape = (size, len(cfgs), self.k) if self.batched else (size, self.k)
         self.block = np.empty(shape), np.empty(shape)
+        # the block's policy rows over all n, zero off the support columns,
+        # and a scratch of that width for the trace's reductions over all n
+        shape = shape[:-1] + (self.n,)
+        self.full_p = None if self.cols is None else np.zeros(shape)
+        self.scratch = np.empty(shape)
 
     def flush(self, stop: int) -> None:
         """Compute the trace of the steps from ``block_start`` to ``stop``
@@ -785,7 +824,13 @@ class _Cells:
         # stack pays for broadcasting against the (n,) rewards and target
         lone = not self.batched and stop - start == 1
         rows = 0 if lone else slice(0, stop - start)
-        values = _trace_fields(self.prob, lp[rows], p[rows], self.target_probs, self.above)
+        lp, p = lp[rows], p[rows]
+        full_p = p
+        if self.cols is not None:
+            full_p = self.full_p[rows]
+            full_p[..., self.cols] = p
+        values = _trace_fields(self.prob, lp, p, full_p, self.scratch[rows],
+                               self.target_probs, self.above)
         for column, value in zip(self.trace, values):
             if column is not None:
                 column[start:stop] = value if lone else value[..., 0]
@@ -807,7 +852,7 @@ class _Cells:
             if self.maras is not None:
                 for history, anchor in zip(self.anchors, anchors):
                     history.append(anchor)
-            m, v, x = _adam(m, v, step + 1, x, g, lr)
+            _adam(m, v, step + 1, x, g, lr)
             _check_logits(x)
             if step - self.block_start == len(self.block[0]):
                 self.flush(step)

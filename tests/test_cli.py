@@ -96,6 +96,19 @@ def test_target_of_a_reward_near_the_float_limit(capsys, tmp_path):
     assert [float(row[1]) for row in rows] == [1.0, 0.0, 0.0]
 
 
+def test_target_forward_of_a_reward_near_the_float_limit(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "n": 3, "reference": [0.2, 0.3, 0.5],
+                                "rewards": [1e308, 0.5, 1.0]}))
+    code, out, err = run(capsys, "target", "--scenario", str(path), "--kind", "forward",
+                         "--beta", "0.5")
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    assert float(lines[0].split("=")[1]) == 1e308
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    assert float(rows[0][1]) == 1.0 and all(float(row[1]) < 1e-300 for row in rows[1:])
+
+
 @pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
 def test_train_rejects_a_learning_rate_that_is_not_positive_and_finite(capsys, tmp_path, lr):
     code, out, err = run(capsys, "train", "--scenario", "two_point", "--beta", "1",

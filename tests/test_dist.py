@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kllab.dist import (
+    NORMALIZATION_TOL,
     Categorical,
     RewardVector,
     Scenario,
@@ -49,6 +50,91 @@ def test_normalize_rejects_nan_and_posinf():
         normalize(np.array([0.0, np.nan]))
     with pytest.raises(InvalidDistribution):
         normalize(np.array([0.0, np.inf]))
+
+
+def _normalize_formula(lw):
+    """``normalize``'s arithmetic written out with fresh arrays: the
+    log-sum-exp shift, then one renormalization over the finite entries."""
+    lw = np.array(lw, dtype=float)
+    m = np.max(lw)
+    shifted = lw - float(m + np.log(np.sum(np.exp(lw - m))))
+    mask = np.isfinite(shifted)
+    shifted[mask] -= np.log(np.sum(np.exp(shifted[mask])))
+    return shifted, mask
+
+
+def _seeded_log_weights():
+    rng = np.random.Generator(np.random.PCG64(2024))
+    for case in range(400):
+        n = 1 if case % 10 == 0 else int(rng.integers(2, 300))
+        lw = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 300)
+        if case % 4 == 1:  # masked
+            lw[rng.random(n) < 0.4] = -np.inf
+            lw[rng.integers(n)] = rng.normal()
+        elif case % 4 == 2 and n > 1:  # all but one index masked
+            keep = rng.integers(n)
+            lw[:] = -np.inf
+            lw[keep] = rng.normal() * 1e3
+        yield lw
+
+
+def test_normalize_equals_its_formula_byte_for_byte():
+    # masked and full supports, n = 1, a single finite entry, magnitudes up
+    # to 1e300; the input itself is not written
+    seen = set()
+    for lw in _seeded_log_weights():
+        before = lw.tobytes()
+        d = normalize(lw)
+        shifted, mask = _normalize_formula(lw)
+        assert lw.tobytes() == before
+        assert d.log_weights.tobytes() == shifted.tobytes()
+        assert d.support_mask.tobytes() == mask.tobytes()
+        seen.add((lw.size == 1, bool(mask.all()), int(mask.sum()) == 1,
+                  bool(np.abs(lw[mask]).max() > 1e200)))
+    assert {(True, True, True, False), (False, True, False, True),
+            (False, False, False, False), (False, False, True, False)} <= seen
+
+
+@pytest.mark.parametrize("lw, message", [
+    ([0.0, np.nan], "log_weights must be finite or -inf"),
+    ([0.0, np.inf], "log_weights must be finite or -inf"),
+    ([np.inf, np.nan, 1.0], "log_weights must be finite or -inf"),
+    ([-np.inf, -np.inf], "no finite log-weight to normalize"),
+    ([], "no finite log-weight to normalize"),
+    # with no finite entry, that fault is named first
+    ([np.nan, -np.inf], "no finite log-weight to normalize"),
+    ([np.inf], "no finite log-weight to normalize"),
+])
+def test_normalize_names_the_first_fault(lw, message):
+    with pytest.raises(InvalidDistribution) as info:
+        normalize(np.array(lw, dtype=float))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("lw, mask, message", [
+    ([0.0, np.nan], None, "log_weights must be finite or -inf"),
+    ([0.0, np.inf], None, "log_weights must be finite or -inf"),
+    ([0.0, np.nan], [True, True], "log_weights must be finite or -inf"),
+    ([np.log(0.5), np.log(0.5)], [True, False], "support_mask inconsistent with log_weights"),
+    ([0.0, -np.inf], [True, True], "support_mask inconsistent with log_weights"),
+    ([-np.inf, -np.inf], None, "empty support"),
+    ([0.0, 0.0], [True], "support_mask length mismatch"),
+    ([], None, "log_weights must be a non-empty 1-d vector"),
+])
+def test_categorical_names_each_fault(lw, mask, message):
+    with pytest.raises(InvalidDistribution) as info:
+        Categorical(np.array(lw, dtype=float), mask)
+    assert str(info.value) == message
+
+
+def test_categorical_checks_its_mass_sum_against_the_tolerance():
+    off = np.log([0.5, 0.5 + 10 * NORMALIZATION_TOL])
+    with pytest.raises(InvalidDistribution, match=r"^masses sum to \S*1\.0000000000\d+\)?, not 1$"):
+        Categorical(off)
+    inside = np.log([0.5, 0.5 + 0.5 * NORMALIZATION_TOL])
+    assert Categorical(inside).support_mask.tolist() == [True, True]
+    masked = Categorical(np.array([np.log(0.25), -np.inf, np.log(0.75)]))
+    assert masked.support_mask.tolist() == [True, False, True]
 
 
 def test_categorical_rejects_unnormalized():

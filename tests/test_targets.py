@@ -134,6 +134,23 @@ def test_forward_solve_near_the_float_limit_off_support_warns_nothing():
         forward_kl_target(make_scenario([1.0, 0.0], [0.0, 0.5]), 1e308)
 
 
+def test_forward_target_of_a_bracket_near_the_float_limit():
+    # the bracket's ends sit near 1.8e308, where 0.5 * (lo + hi) overflows:
+    # a reward that dwarfs the others takes all the mass
+    s = make_scenario([0.2, 0.3, 0.5], [1e308, 0.5, 1.0])
+    sol = forward_kl_target(s, 0.5)
+    assert sol.lam == 1e308 and not sol.boundary_case
+    probs = sol.distribution.probs
+    assert probs[0] == 1.0
+    # subnormal: beta ref / (lam - R), to the few bits such floats keep
+    np.testing.assert_allclose(probs[1:], [1.5e-309, 2.5e-309], rtol=1e-12)
+    # a beta near the float limit leaves the reference about as it is
+    s = make_scenario(np.linspace(1.0, 2.0, 10), np.linspace(0.0, 1.0, 10))
+    sol = forward_kl_target(s, 1e308)
+    assert np.isfinite(sol.lam)
+    assert sol.distribution.log_weights.tobytes() == s.reference.log_weights.tobytes()
+
+
 def test_reverse_two_point(two_point):
     g = reverse_kl_target(two_point, beta=1.0)
     np.testing.assert_allclose(g.probs, [1.0 - SIG1, SIG1], atol=1e-12)

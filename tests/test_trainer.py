@@ -368,6 +368,30 @@ def test_adam_rejects_non_finite_gradient():
         adam_step(state, np.zeros(2), np.array([1.0, np.nan]), lr=0.01)
 
 
+def test_adam_step_leaves_its_inputs_and_equals_the_textbook_step():
+    # the step runs in place, on copies: the caller's moments and params,
+    # read-only ones included, keep their bytes
+    rng = np.random.Generator(np.random.PCG64(41))
+    for case in range(200):
+        n = int(rng.integers(1, 50))
+        m = rng.normal(size=n)
+        v = rng.uniform(0.0, 2.0, n)
+        params = rng.normal(size=n) * 10.0
+        g = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
+        t, lr = int(rng.integers(0, 5000)), 10.0 ** rng.uniform(-4, -1)
+        inputs = (m, v, params)
+        if case % 2:
+            for a in inputs:
+                a.setflags(write=False)
+        before = [a.tobytes() for a in inputs]
+        state, new = adam_step(AdamState(m, v, t), params, g, lr)
+        assert [a.tobytes() for a in inputs] == before
+        om, ov, ot, oparams = _oracle_adam(m, v, t, params, g, lr)
+        assert state.t == ot
+        assert state.m.tobytes() == om.tobytes() and state.v.tobytes() == ov.tobytes()
+        assert new.tobytes() == oparams.tobytes()
+
+
 # --------------------------------------------------------------------------
 # training loop
 
