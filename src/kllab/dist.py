@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -28,15 +29,6 @@ def _reduce_through_init(self):
     """Pickle a dataclass as a call of its constructor, so that unpickling
     validates and freezes its arrays again."""
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-
-def log_sum_exp(values: np.ndarray) -> float:
-    """Stable log(sum(exp(values))); ignores -inf entries, returns -inf if all are."""
-    values = np.asarray(values, dtype=float)
-    m = np.max(values)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(values - m))))
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,7 @@ def normalize(log_weights) -> Categorical:
             raise InvalidDistribution("no finite log-weight to normalize")
         raise InvalidDistribution("log_weights must be finite or -inf")
     shifted = np.subtract(lw, top)
-    # log_sum_exp(lw), its terms written into the buffer
+    # the log-sum-exp of lw, its terms written into the buffer
     lse = top + np.log(np.sum(np.exp(shifted, out=shifted)))
     np.subtract(lw, lse, out=shifted)
     # one exact renormalization pass to land within NORMALIZATION_TOL; the
@@ -170,10 +162,11 @@ def inverse_cdf(log_weights: np.ndarray, support_mask: np.ndarray):
     return cdf_table(active, np.exp(log_weights[active]))
 
 
-def cdf_table(active: np.ndarray, masses: np.ndarray):
+def cdf_table(active: Optional[np.ndarray], masses: np.ndarray):
     """The :func:`draw` table of ``masses`` at the indices ``active``: their
     running sum along the last axis, its last entry pinned to 1. Each row
-    of a 2-d ``masses`` gives the table of one row of uniforms."""
+    of a 2-d ``masses`` gives the table of one row of uniforms. With
+    ``active`` None the table draws positions along that axis."""
     cdf = masses.cumsum(axis=-1)
     cdf[..., -1] = 1.0
     return active, cdf
@@ -181,11 +174,14 @@ def cdf_table(active: np.ndarray, masses: np.ndarray):
 
 def draw(table, u: np.ndarray) -> np.ndarray:
     """Map uniforms ``u`` in [0, 1) to indices through an :func:`inverse_cdf`
-    table; a table of rows maps the row of ``u`` with the same index."""
+    table; a table of rows maps the row of ``u`` with the same index. A
+    table without indices (``active`` None) gives the positions themselves."""
     active, cdf = table
     if cdf.ndim == 1:
-        return active[cdf.searchsorted(u, side="right")]
-    return active[np.stack([c.searchsorted(v, side="right") for c, v in zip(cdf, u)])]
+        pos = cdf.searchsorted(u, side="right")
+    else:
+        pos = np.stack([c.searchsorted(v, side="right") for c, v in zip(cdf, u)])
+    return pos if active is None else active[pos]
 
 
 @dataclass(frozen=True)

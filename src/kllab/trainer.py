@@ -17,8 +17,14 @@ function (``_mc_gradient``) and the trace fields (``_trace_fields``). A
 columns and, per row, the rewards and reference restricted to them. The
 public functions (``SoftmaxPolicy.log_probs``/``probs``,
 ``exact_gradient``, ``exact_objective``, ``mc_gradient`` and its seeded
-forms) check their inputs, compress them to the columns, call the kernels
-on one row and scatter the result back to length n.
+forms) check their inputs (the policy's length against the problem's n
+first), compress them to the columns, call the kernels on one row and
+scatter the result back to length n. The Monte-Carlo batch is drawn in
+column positions through an inverse-CDF table over the columns: the
+policy's own for ``mc_gradient``, built on its first draw and then kept
+with the policy, and one built from each step's rows in training. The
+seeded forms build their objective and estimator once per argument tuple,
+so that many seeds of one estimator share them.
 
 ``train_cells`` trains the cells that share a scenario and a
 ``batch_key`` as one program over a (C, k) logits matrix, with one Adam
@@ -31,7 +37,9 @@ results, at the cost of the failed batch plus one run per cell. The trace
 is not built per step: the softmax writes each step's rows into a block
 buffer, and the trace fields are computed once per block as row
 reductions into a columnar ``Trace``. ``train()`` runs one cell, whose
-arrays stay 1-d, on the same program.
+arrays stay 1-d, on the same program. A step makes one finiteness check,
+of the logits after Adam: a non-finite gradient always leaves them NaN, so
+the gradient is checked, and its bad coordinates named, only then.
 
 At large n an array freed and allocated again costs the allocator about
 as much as its arithmetic, so a run works in arrays it owns: Adam
@@ -52,7 +60,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -62,7 +70,7 @@ from .dist import (
     Categorical, Scenario, _frozen, _reduce_through_init, cdf_table, draw, normalize,
     sample,
 )
-from .errors import InfiniteDivergence, NonFiniteGradient
+from .errors import InfiniteDivergence, InvalidDistribution, NonFiniteGradient
 from .mara import MaraConfig
 from .targets import TargetSpec, analytic_target
 
@@ -171,7 +179,9 @@ def _sample_coefficients(lp_ys, rewards, ref_lp, beta, eta):
     gradient)."""
     log_ratio = None
     if beta is not None:
-        if not np.isfinite(ref_lp).all():
+        # a log-mass is finite or -inf, so one min finds an index off the
+        # support, and NaN fails the comparison too
+        if not np.minimum.reduce(ref_lp, axis=None) > -np.inf:
             raise InfiniteDivergence("sampled index outside the reference support")
         log_ratio = lp_ys - ref_lp
     return _coefficients(rewards, lp_ys, log_ratio, beta, eta)
@@ -226,10 +236,6 @@ class _Problem:
     def log_ratio(self, lp: np.ndarray) -> Optional[np.ndarray]:
         """log(p / ref) on the columns under a reverse-KL term, else None."""
         return lp - self.lref_k if self.kl_term else None
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        return np.arange(self.n if self.cols is None else self.cols.size)
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -325,12 +331,17 @@ def _uniforms(rngs, count: int, batched: bool) -> np.ndarray:
     return np.stack([g.random(count) for g in rngs]) if batched else rngs[0].random(count)
 
 
-def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras):
+def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras, table=None):
     """One batch per row, row i drawn from ``rngs[i]`` and augmented by
     ``maras[i]`` (``maras`` None without augmentation): the estimates on the
-    support columns and each row's anchor; see :func:`mc_gradient`."""
+    support columns and each row's anchor; see :func:`mc_gradient`. The
+    batch is drawn through ``table``, the inverse-CDF table of ``p`` over
+    the support columns, which is built from ``p`` when None."""
     s, rows = prob.s, len(rngs)
-    pos = draw(cdf_table(prob.positions, p), _uniforms(rngs, mc.batch, prob.batched))
+    if table is None:
+        table = cdf_table(None, p)
+    # column positions, mapped to indices over all n under a partial support
+    pos = draw(table, _uniforms(rngs, mc.batch, prob.batched))
     ys = pos if prob.cols is None else prob.cols[pos]
     anchors = [None] * rows
     if maras is not None:
@@ -387,7 +398,10 @@ class SoftmaxPolicy:
     ``probs()`` return the same read-only arrays on every call, so every
     function handed the policy shares one softmax. ``probs()`` scatters the
     probabilities to length n on its first call, so a policy that is only
-    asked for its ``distribution()`` never builds them.
+    asked for its ``distribution()`` never builds them. Likewise the
+    inverse-CDF table that :func:`mc_gradient` samples from is built on its
+    first draw and then kept, read-only, as ``Scenario.reference_table`` is
+    for the reference; it draws column positions.
     """
 
     logits: np.ndarray
@@ -423,6 +437,11 @@ class SoftmaxPolicy:
         cols, _, p = self._rows
         return _frozen(_to_n(p, cols, self.n))
 
+    @cached_property
+    def _table(self):
+        _, cdf = cdf_table(None, self._rows[2])
+        return None, _frozen(cdf)
+
     def distribution(self) -> Categorical:
         return normalize(self.log_probs())
 
@@ -435,10 +454,23 @@ def uniform_policy(n: int, support_mask=None) -> SoftmaxPolicy:
 # exact objective and gradients
 
 
+def _check_length(size: int, n: int) -> None:
+    if size != n:
+        raise InvalidDistribution("length mismatch")
+
+
+def _policy_rows(policy: SoftmaxPolicy, n: int):
+    """The policy's support columns and rows, once its length is checked
+    against the problem's ``n``."""
+    _check_length(policy.n, n)
+    return policy._rows
+
+
 def _exact_inputs(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec):
-    """Check the supports, then the kernels' inputs for ``policy``."""
+    """Check the length and the supports, then the kernels' inputs for
+    ``policy``."""
+    cols, lp, p = _policy_rows(policy, s.n)
     _check_support(s, spec, policy.support_mask)
-    cols, lp, p = policy._rows
     return _Problem([(s, spec)], cols), lp, p
 
 
@@ -456,9 +488,9 @@ def exact_gradient(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> np.n
 
 def kl_gradient_to_target(policy: SoftmaxPolicy, target: Categorical) -> np.ndarray:
     """Gradient of KL(policy || target) with respect to the logits."""
+    cols, lp, p = _policy_rows(policy, target.n)
     if np.any(policy.support_mask & ~target.support_mask):
         raise InfiniteDivergence("policy mass outside the target support")
-    cols, lp, p = policy._rows
     log_target = target.log_weights if cols is None else target.log_weights[cols]
     return _to_n(_centered(p, lp - log_target), cols, policy.n)
 
@@ -496,11 +528,15 @@ def reverse_coefficients(
     policy: SoftmaxPolicy, ys: np.ndarray, rewards: np.ndarray,
     ref_logprobs: np.ndarray, beta: float,
 ) -> np.ndarray:
-    """Per-sample coefficient r - beta * log(p(y) / ref(y)).
+    """Per-sample coefficient r - beta * log(p(y) / ref(y)); ``rewards``
+    and the reference log-masses ``ref_logprobs`` hold one entry per
+    sample in ``ys``.
 
     At beta = 0 the reference plays no part, so samples outside its
     support are allowed (as in the exact gradient).
     """
+    for a in (rewards, ref_logprobs):
+        _check_length(np.size(a), np.size(ys))
     return _sample_coefficients(policy.log_probs()[ys], rewards, ref_logprobs,
                                 beta if beta > 0 else None, None)
 
@@ -525,10 +561,18 @@ def mc_gradient(
     augmented rewards for reverse, the anchored reference for forward.
     Returns the gradient and the batch's anchor (None if none).
     """
-    cols, lp, p = policy._rows
+    cols, lp, p = _policy_rows(policy, s.n)
     g, (anchor,) = _mc_gradient(_Problem([(s, spec)], cols), lp, p, mc, [rng],
-                                None if mara is None else [mara])
+                                None if mara is None else [mara], policy._table)
     return _to_n(g, cols, policy.n), anchor
+
+
+@lru_cache(maxsize=128)
+def _seeded_inputs(kind: str, beta: float, batch: int, baseline: str, sampled: bool):
+    """The validated objective and estimator of a seeded form, built once per
+    argument tuple: many seeds of one estimator share them (an invalid
+    tuple raises on every call, since a raise is not cached)."""
+    return TargetSpec(kind, beta), MonteCarlo(batch, baseline, sampled)
 
 
 def mc_gradient_reverse(
@@ -537,7 +581,7 @@ def mc_gradient_reverse(
 ) -> np.ndarray:
     """:func:`mc_gradient` for reverse KL on one batch drawn from ``seed``."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    spec, mc = TargetSpec("reverse", beta), MonteCarlo(batch, baseline)
+    spec, mc = _seeded_inputs("reverse", beta, batch, baseline, False)
     return mc_gradient(policy, s, spec, mc, rng)[0]
 
 
@@ -549,8 +593,8 @@ def mc_gradient_forward(
     the regularizer is exact, or sampled from the same stream when
     ``sampled_regularizer`` is set."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    spec = TargetSpec("forward", beta)
-    mc = MonteCarlo(batch, sampled_regularizer=sampled_regularizer)
+    # forward takes no baseline; MonteCarlo's default one is validated as before
+    spec, mc = _seeded_inputs("forward", beta, batch, "batch_mean", sampled_regularizer)
     return mc_gradient(policy, s, spec, mc, rng)[0]
 
 
@@ -559,6 +603,7 @@ def matching_step_sft(
 ) -> np.ndarray:
     """Estimated gradient of KL(target || policy): the negative mean of
     grad log p over target samples (maximum likelihood on target draws)."""
+    _check_length(policy.n, target.n)
     g = policy.probs() - _empirical_mass(sample(target, seed, batch), policy.n)
     g[~policy.support_mask] = 0.0
     return g
@@ -575,14 +620,11 @@ class AdamState:
     t: int = 0
 
 
-def _nonfinite_gradient(gradient: np.ndarray) -> NonFiniteGradient:
-    bad = np.flatnonzero(~np.isfinite(gradient))
-    return NonFiniteGradient(f"non-finite gradient at coordinates {bad[:8].tolist()}")
-
-
 def _check_gradient(gradient: np.ndarray) -> None:
-    if not np.isfinite(gradient).all():
-        raise _nonfinite_gradient(gradient)
+    finite = np.isfinite(gradient)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise NonFiniteGradient(f"non-finite gradient at coordinates {bad[:8].tolist()}")
 
 
 def _adam(m, v, t: int, params, gradient, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -846,14 +888,17 @@ class _Cells:
                 g = _gradient(self.prob, lp, p)
             else:
                 g, anchors = _mc_gradient(self.mc_prob, lp, p, mc, self.rngs, self.maras)
-            if not np.isfinite(g).all():
-                # name the coordinates over all n, not over the support columns
-                raise _nonfinite_gradient(_to_n(g, self.cols, self.n))
+            _adam(m, v, step + 1, x, g, lr)
+            if not np.isfinite(x).all():
+                # a non-finite gradient always leaves NaN logits: NaN spreads,
+                # and +-inf makes m_hat / sqrt(v_hat) inf / inf. So the
+                # gradient, which Adam does not write, is checked only here;
+                # its coordinates are named over all n, not over the columns
+                _check_gradient(_to_n(g, self.cols, self.n))
+                _check_logits(x)  # else the logits overflowed
             if self.maras is not None:
                 for history, anchor in zip(self.anchors, anchors):
                     history.append(anchor)
-            _adam(m, v, step + 1, x, g, lr)
-            _check_logits(x)
             if step - self.block_start == len(self.block[0]):
                 self.flush(step)
             slot = step - self.block_start

@@ -12,7 +12,6 @@ from kllab.dist import (
     entropy,
     from_probs,
     kl,
-    log_sum_exp,
     normalize,
     sample,
     tv_distance,
@@ -146,10 +145,6 @@ def test_categorical_arrays_are_read_only():
     d = normalize(np.zeros(3))
     with pytest.raises(ValueError):
         d.log_weights[0] = 0.0
-
-
-def test_log_sum_exp_all_masked():
-    assert log_sum_exp(np.array([-np.inf, -np.inf])) == -np.inf
 
 
 def test_entropy_uniform_and_point_mass():

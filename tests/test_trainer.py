@@ -6,7 +6,9 @@ import pytest
 from conftest import make_scenario, random_scenario
 from kllab import trainer
 from kllab.dist import RewardVector, Scenario, normalize
-from kllab.errors import InfiniteDivergence, NonFiniteGradient, SolverFailure
+from kllab.errors import (
+    InfiniteDivergence, InvalidDistribution, NonFiniteGradient, SolverFailure,
+)
 from kllab.harness import MARA_TOY_TAU, scenario_by_name
 from kllab.mara import (
     BatchPercentile,
@@ -118,6 +120,46 @@ def test_unpickled_policy_is_read_only_and_equal():
             copied[0] = 5.0
 
 
+def test_policy_table_is_built_once_and_read_only():
+    policy = SoftmaxPolicy([0.3, -1.2, 2.0, 0.5], [True, True, False, True])
+    table = policy._table
+    assert policy._table is table
+    active, cdf = table
+    # column positions: no indices to gather through
+    assert active is None
+    want = np.cumsum(policy._rows[2])
+    want[-1] = 1.0
+    assert cdf.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        cdf[0] = 0.5
+
+
+def test_training_and_the_softmax_arrays_never_build_the_policy_table(monkeypatch, two_point):
+    policy = SoftmaxPolicy([0.3, -1.2, 2.0], [True, False, True])
+    policy.log_probs(), policy.probs(), policy.distribution()
+    assert "_table" not in vars(policy)
+
+    def unread(self):
+        raise AssertionError("the policy table was built")
+
+    monkeypatch.setattr(SoftmaxPolicy, "_table", property(unread))
+    for mode in (Exact(), MonteCarlo(8)):
+        for spec in (TargetSpec("reverse", 0.5), TargetSpec("forward", 0.5)):
+            train(two_point, TrainConfig(spec, mode, steps=5, learning_rate=0.05))
+
+
+def test_policy_table_is_rebuilt_not_pickled():
+    policy = SoftmaxPolicy([0.1, 0.2, 0.3], [True, False, True])
+    before = pickle.dumps(policy)
+    table = policy._table
+    assert pickle.dumps(policy) == before
+    copy = pickle.loads(pickle.dumps(policy))
+    assert "_table" not in vars(copy)
+    active, cdf = copy._table
+    assert active is None and cdf.tobytes() == table[1].tobytes()
+    assert not cdf.flags.writeable
+
+
 # --------------------------------------------------------------------------
 # exact objective and gradients
 
@@ -173,6 +215,34 @@ def test_forward_objective_rejects_partial_policy():
     policy = uniform_policy(2, np.array([True, False]))
     with pytest.raises(InfiniteDivergence):
         exact_objective(policy, s, TargetSpec("forward", 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 5, 200])
+def test_public_functions_reject_a_policy_of_the_wrong_length(n):
+    s = scenario_by_name("fig2_two_mode")
+    assert s.n == 100
+    policy = uniform_policy(n)
+    calls = [
+        lambda: exact_gradient(policy, s, TargetSpec("reverse", 0.1)),
+        lambda: exact_gradient(policy, s, TargetSpec("forward", 0.1)),
+        lambda: exact_gradient(policy, s, TargetSpec("generalized", 0.1, 0.05)),
+        lambda: exact_objective(policy, s, TargetSpec("forward", 0.1)),
+        lambda: mc_gradient(policy, s, TargetSpec("reverse", 0.1), MonteCarlo(8),
+                            np.random.Generator(np.random.PCG64(0))),
+        lambda: mc_gradient_reverse(policy, s, 0.1, 8, "none", 0),
+        lambda: mc_gradient_forward(policy, s, 0.1, 8, 0, sampled_regularizer=True),
+        lambda: kl_gradient_to_target(policy, reverse_kl_target(s, 0.1)),
+        lambda: matching_step_sft(policy, reverse_kl_target(s, 0.1), 8, 0),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidDistribution, match="^length mismatch$"):
+            call()
+    # the coefficients take one reward and one reference log-mass per sample
+    ys = np.zeros(2, dtype=int)
+    lref = s.reference.log_weights[ys]
+    for rewards, ref in ((np.zeros(n), lref), (np.zeros(2), np.zeros(n))):
+        with pytest.raises(InvalidDistribution, match="^length mismatch$"):
+            reverse_coefficients(policy, ys, rewards, ref, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -404,6 +474,54 @@ def test_train_names_a_non_finite_gradient_over_all_indices():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteGradient, match=r"coordinates \[3\]$"):
             train(s, cfg)
+
+
+def _poisoned_gradient(monkeypatch, name, step, column, value):
+    """Make ``trainer.<name>``, the exact or the Monte-Carlo gradient kernel,
+    put ``value`` at ``column`` of its ``step``-th estimate."""
+    real, calls = getattr(trainer, name), [0]
+
+    def poisoned(*args):
+        out = real(*args)
+        g = out if name == "_gradient" else out[0]
+        calls[0] += 1
+        if calls[0] == step:
+            g[column] = value
+        return out
+
+    monkeypatch.setattr(trainer, name, poisoned)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", [Exact(), MonteCarlo(8)], ids=["exact", "mc"])
+def test_train_checks_the_gradient_once_the_logits_turn_non_finite(monkeypatch, mode, value):
+    # the support is indices 0, 2, 3 and 4, so column 2 is index 3. Adam
+    # turns a non-finite gradient into NaN logits, and only then is the
+    # gradient checked, its coordinates named over all n; an infinite one
+    # makes Adam divide inf by inf, whose warning is silenced here
+    s = make_scenario([0.2, 0.0, 0.3, 0.1, 0.4], [0.5, 0.0, 1.0, -0.5, 0.2])
+    cfg = TrainConfig(TargetSpec("reverse", 0.5), mode, steps=10, learning_rate=0.05)
+    name = "_gradient" if isinstance(mode, Exact) else "_mc_gradient"
+    _poisoned_gradient(monkeypatch, name, 6, 2, value)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteGradient, match=r"coordinates \[3\]$"):
+            train(s, cfg)
+
+
+def test_train_raises_on_overflowing_logits_with_a_finite_gradient(two_point):
+    # at learning rate 1e308 the first step moves the logits to +-1e308. The
+    # exact gradient is then NaN at step 2; the Monte-Carlo one stays finite,
+    # and the logits overflow at step 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mode, steps in ((Exact(), 1), (MonteCarlo(8), 2)):
+            train(two_point, TrainConfig(TargetSpec("reverse", 0.5), mode, steps=steps,
+                                         learning_rate=1e308))
+        with pytest.raises(NonFiniteGradient, match=r"coordinates \[0, 1\]$"):
+            train(two_point, TrainConfig(TargetSpec("reverse", 0.5), Exact(), steps=2,
+                                         learning_rate=1e308))
+        with pytest.raises(ValueError, match="^logits must be finite$"):
+            train(two_point, TrainConfig(TargetSpec("reverse", 0.5), MonteCarlo(8), steps=3,
+                                         learning_rate=1e308))
 
 
 def test_train_config_validation():
@@ -810,6 +928,42 @@ def test_public_functions_equal_the_full_length_formulas_byte_for_byte():
                          _outcome(_oracle_coefficients, lp, ys, r, lref, beta))
     # both outcomes occur: values and the support checks' raises
     assert checked > 500 and 20 < raised < checked
+
+
+def test_seeded_estimators_equal_the_oracle_on_every_seed():
+    # criterion 9's pattern: one policy, many seeds; every call draws through
+    # the policy's one cached table, in column positions of a masked support
+    rng = np.random.Generator(np.random.PCG64(909))
+    lw = rng.uniform(-1.0, 1.0, 12)
+    lw[[3, 8]] = -np.inf
+    s = Scenario(normalize(lw), RewardVector(rng.uniform(-1.0, 1.0, 12)))
+    reverse_mask = np.array(s.reference.support_mask)
+    # forward needs the reference support; index 3 is on, index 8 off
+    forward_mask = reverse_mask.copy()
+    forward_mask[3] = True
+    cases = [
+        (reverse_mask, TargetSpec("reverse", 0.5), MonteCarlo(16, "none"),
+         lambda policy, seed: mc_gradient_reverse(policy, s, 0.5, 16, "none", seed)),
+        (forward_mask, TargetSpec("forward", 0.5), MonteCarlo(16, sampled_regularizer=True),
+         lambda policy, seed: mc_gradient_forward(policy, s, 0.5, 16, seed,
+                                                  sampled_regularizer=True)),
+    ]
+    for mask, spec, mc, estimate in cases:
+        policy = SoftmaxPolicy(rng.uniform(-1.0, 1.0, 12), mask)
+        lp, p = _oracle_softmax(policy.logits, mask)
+        table = policy._table
+        for seed in range(2000):
+            want, _ = _oracle_mc_gradient(lp, p, mask, s, spec, mc,
+                                          np.random.Generator(np.random.PCG64(seed)), None)
+            assert _same(estimate(policy, seed), want), (spec.kind, seed)
+        assert policy._table is table
+    # the seeded forms build their objective and estimator once per argument
+    # tuple; an invalid tuple is never kept, so it raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="beta"):
+            mc_gradient_reverse(policy, s, -0.5, 16, "none", 0)
+        with pytest.raises(ValueError, match="needs batch >= 2"):
+            mc_gradient_forward(policy, s, 0.5, 1, 0)
 
 
 # --------------------------------------------------------------------------
