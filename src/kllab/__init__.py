@@ -41,7 +41,6 @@ from .trainer import (
     Exact,
     MonteCarlo,
     SoftmaxPolicy,
-    StepRecord,
     Trace,
     TrainConfig,
     TrainResult,
@@ -65,7 +64,7 @@ __all__ = [
     "ForwardSolution", "TargetSpec", "analytic_target", "flip_beta",
     "forward_kl_target", "generalized_target", "log_prob_ratio",
     "reverse_kl_target",
-    "Exact", "MonteCarlo", "SoftmaxPolicy", "StepRecord", "Trace", "TrainConfig",
+    "Exact", "MonteCarlo", "SoftmaxPolicy", "Trace", "TrainConfig",
     "TrainResult", "adam_step", "batch_key", "exact_gradient", "exact_objective",
     "matching_step_sft", "mc_gradient", "mc_gradient_forward", "mc_gradient_reverse",
     "train", "train_cells",

@@ -164,22 +164,23 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / f"{s.name}_{args.kind}_trace.csv"
     trace = result.trace
+    steps = trace.tv_to_target.size
     above = trace.above_threshold_mass
     columns = [trace.objective_value, trace.tv_to_target, trace.entropy]
     columns = [[f"{v:.17g}" for v in c.tolist()] for c in columns]
-    columns.append([""] * len(trace) if above is None else [f"{v:.17g}" for v in above.tolist()])
+    columns.append([""] * steps if above is None else [f"{v:.17g}" for v in above.tolist()])
     with open(trace_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "objective", "tv_to_target", "entropy",
                          "above_threshold_mass"])
-        writer.writerows(zip(range(1, len(trace) + 1), *columns))
+        writer.writerows(zip(range(1, steps + 1), *columns))
     policy_path = out / f"{s.name}_{args.kind}_policy.csv"
     with open(policy_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "mass"])
         for i, mass in enumerate(result.final_policy.probs):
             writer.writerow([i, f"{mass:.17g}"])
-    print(f"final TV to target: {result.trace[-1].tv_to_target:.6g}")
+    print(f"final TV to target: {trace.tv_to_target[-1]:.6g}")
     print(f"wrote {trace_path} and {policy_path}")
     return EXIT_OK
 

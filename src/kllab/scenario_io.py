@@ -30,10 +30,20 @@ from pathlib import Path
 import numpy as np
 
 from .dist import Categorical, RewardVector, Scenario, from_probs, normalize
+from .errors import InvalidDistribution
 
 
 class ScenarioFormatError(ValueError):
     """Scenario config is malformed (wrong shapes, length mismatches)."""
+
+
+def _check_bumps(shape: str, centers, widths, scales) -> None:
+    """Reject bump parameter lists of unequal length or a width that is not
+    positive (a zero width divides by zero)."""
+    if not (len(centers) == len(widths) == len(scales)):
+        raise ScenarioFormatError(f"{shape} parameter lists must have equal length")
+    if not np.all(widths > 0):
+        raise ScenarioFormatError(f"{shape} widths must be positive")
 
 
 def reference_uniform(n: int) -> Categorical:
@@ -51,8 +61,7 @@ def reference_half_support(n: int, decay: float = 0.095) -> Categorical:
 def reference_mixture(n: int, centers, widths, weights) -> Categorical:
     """Full-support mixture of Gaussian bumps on the index line."""
     centers, widths, weights = map(np.asarray, (centers, widths, weights))
-    if not (len(centers) == len(widths) == len(weights)):
-        raise ScenarioFormatError("mixture parameter lists must have equal length")
+    _check_bumps("mixture", centers, widths, weights)
     x = np.arange(n)[:, None]
     masses = np.sum(
         weights * np.exp(-((x - centers) ** 2) / (2.0 * widths**2)), axis=1
@@ -63,8 +72,7 @@ def reference_mixture(n: int, centers, widths, weights) -> Categorical:
 def rewards_two_mode(n: int, centers, widths, heights) -> RewardVector:
     """Sum of Gaussian reward bumps over the index line."""
     centers, widths, heights = map(np.asarray, (centers, widths, heights))
-    if not (len(centers) == len(widths) == len(heights)):
-        raise ScenarioFormatError("two_mode parameter lists must have equal length")
+    _check_bumps("two_mode", centers, widths, heights)
     x = np.arange(n)[:, None]
     values = np.sum(
         heights * np.exp(-((x - centers) ** 2) / (2.0 * widths**2)), axis=1
@@ -104,11 +112,15 @@ def _build_rewards(n: int, spec) -> RewardVector:
 def scenario_from_dict(cfg: dict) -> Scenario:
     try:
         n = int(cfg["n"])
+        if n < 1:
+            raise ScenarioFormatError(f"n must be >= 1, not {n}")
         name = str(cfg.get("name", "scenario"))
         reference = _build_reference(n, cfg["reference"])
         rewards = _build_rewards(n, cfg["rewards"])
     except KeyError as exc:
         raise ScenarioFormatError(f"missing field {exc.args[0]!r}") from exc
+    except InvalidDistribution as exc:  # e.g. an all-zero mass list
+        raise ScenarioFormatError(f"reference: {exc}") from exc
     return Scenario(reference=reference, rewards=rewards, name=name)
 
 

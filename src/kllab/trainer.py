@@ -58,7 +58,6 @@ a row of a batch and its cell trained alone, agree bit for bit (Higham
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import List, Optional, Tuple, Union
@@ -359,9 +358,8 @@ def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras, table=Non
                       for tau, a in views]
             rewards = prob.per_row([r.rewards.values[y] for r, y in zip(ref_ss, by_row)])
         if mc.sampled_regularizer:
-            u = _uniforms(rngs, mc.batch, prob.batched)
-            ws = (draw(s.reference_table, u) if ref_ss is None else prob.per_row(
-                [draw(r.reference_table, v) for r, v in zip(ref_ss, u.reshape(rows, -1))]))
+            # augmentation keeps the exact regularizer (_check_augmentation)
+            ws = draw(s.reference_table, _uniforms(rngs, mc.batch, prob.batched))
             ref_mass = prob.at_cols(_empirical_mass(ws, s.n))
         elif ref_ss is None:
             ref_mass = prob.ref_k
@@ -412,6 +410,8 @@ class SoftmaxPolicy:
         _check_logits(logits)
         mask = self.support_mask
         mask = np.ones(logits.size, dtype=bool) if mask is None else np.asarray(mask, bool)
+        if mask.shape != logits.shape:
+            raise InvalidDistribution("length mismatch")
         object.__setattr__(self, "logits", _frozen(logits))
         object.__setattr__(self, "support_mask", _frozen(mask))
         cols = _columns(mask)
@@ -524,6 +524,20 @@ class MonteCarlo:
             raise ValueError(f"{self.baseline} needs batch >= 2")
 
 
+def _check_augmentation(spec: TargetSpec, mode, mara: MaraConfig) -> None:
+    """The one rule for augmenting ``spec`` by ``mara`` under the gradient
+    ``mode``, in :func:`train` and :func:`mc_gradient` alike."""
+    if spec.kind == "generalized":
+        raise ValueError("augmentation is defined for reverse and forward only")
+    if mara.beta != spec.beta:
+        # the augmented rewards and the target must tilt by one beta
+        raise ValueError("augmentation beta must equal the objective's beta")
+    if spec.kind == "forward" and isinstance(mode, MonteCarlo) and mode.sampled_regularizer:
+        # the anchored reference is built from the full reference, so
+        # drawing its mass would only add variance
+        raise ValueError("augmentation needs the exact forward regularizer")
+
+
 def reverse_coefficients(
     policy: SoftmaxPolicy, ys: np.ndarray, rewards: np.ndarray,
     ref_logprobs: np.ndarray, beta: float,
@@ -559,9 +573,12 @@ def mc_gradient(
     the reward term, ref drawn from ``rng`` after the policy batch when
     ``mc.sampled_regularizer`` is set. ``mara`` applies its batch view:
     augmented rewards for reverse, the anchored reference for forward.
-    Returns the gradient and the batch's anchor (None if none).
+    Returns the gradient and the batch's anchor (None if none). ``mara``
+    must pass the augmentation rule that :class:`TrainConfig` applies.
     """
     cols, lp, p = _policy_rows(policy, s.n)
+    if mara is not None:
+        _check_augmentation(spec, mc, mara)
     g, (anchor,) = _mc_gradient(_Problem([(s, spec)], cols), lp, p, mc, [rng],
                                 None if mara is None else [mara], policy._table)
     return _to_n(g, cols, policy.n), anchor
@@ -689,33 +706,19 @@ class TrainConfig:
         # a comparison, which NaN fails too
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive and finite, not {self.learning_rate!r}")
-        if self.mara is not None and self.objective.kind == "generalized":
-            raise ValueError("augmentation is defined for reverse and forward only")
-        if self.mara is not None and self.mara.beta != self.objective.beta:
-            # the augmented rewards and the target must tilt by one beta
-            raise ValueError("augmentation beta must equal the objective's beta")
-        mode = self.gradient_mode
-        sampled = isinstance(mode, MonteCarlo) and mode.sampled_regularizer
-        if self.mara is not None and self.objective.kind == "forward" and sampled:
-            # the anchored reference is built from the full reference, so
-            # drawing its mass would only add variance
-            raise ValueError("augmentation needs the exact forward regularizer")
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    objective_value: float
-    tv_to_target: float
-    entropy: float
-    above_threshold_mass: Optional[float]
+        if not isinstance(self.gradient_mode, (Exact, MonteCarlo)):
+            # anything else would train in exact mode unnoticed
+            raise ValueError(f"gradient_mode must be an Exact or MonteCarlo instance,"
+                             f" not {self.gradient_mode!r}")
+        if self.mara is not None:
+            _check_augmentation(self.objective, self.gradient_mode, self.mara)
 
 
 @dataclass(frozen=True, eq=False)
-class Trace(Sequence):
+class Trace:
     """A run's trace, one read-only array per field, one entry per step;
-    ``above_threshold_mass`` is None without augmentation. It reads as a
-    sequence of :class:`StepRecord`: ``trace[-1]``, ``len``, iteration,
-    and ``==`` against a list of records."""
+    ``above_threshold_mass`` is None without augmentation. Equality is
+    identity: compare the columns."""
 
     objective_value: np.ndarray
     tv_to_target: np.ndarray
@@ -730,30 +733,6 @@ class Trace(Sequence):
 
     # unpickling rebuilds the trace: frozen columns
     __reduce__ = _reduce_through_init
-
-    def __len__(self) -> int:
-        return self.objective_value.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        above = self.above_threshold_mass
-        return StepRecord(float(self.objective_value[i]), float(self.tv_to_target[i]),
-                          float(self.entropy[i]), None if above is None else float(above[i]))
-
-    def __iter__(self):
-        above = self.above_threshold_mass
-        above = [None] * len(self) if above is None else above.tolist()
-        columns = (self.objective_value.tolist(), self.tv_to_target.tolist(),
-                   self.entropy.tolist(), above)
-        return (StepRecord(*values) for values in zip(*columns))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)

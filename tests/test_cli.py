@@ -268,6 +268,25 @@ def test_malformed_config_reports_position(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("cfg", [
+    {"n": 0, "reference": {"shape": "uniform"}, "rewards": []},
+    {"n": 2, "reference": [0.0, 0.0], "rewards": [0.0, 1.0]},
+    {"n": 3, "reference": {"shape": "mixture", "centers": [1], "widths": [0], "weights": [1]},
+     "rewards": [0.0, 1.0, 2.0]},
+    {"n": 3, "reference": {"shape": "uniform"},
+     "rewards": {"shape": "two_mode", "centers": [1], "widths": [-1.0], "heights": [1]}},
+], ids=["n-zero", "all-zero-reference", "mixture-zero-width", "two-mode-negative-width"])
+@pytest.mark.filterwarnings("error")  # a zero width must not reach NumPy's division
+def test_malformed_scenario_values_are_usage_errors(capsys, tmp_path, cfg):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(
+        capsys, "target", "--scenario", str(path), "--kind", "reverse", "--beta", "1",
+    )
+    assert code == 2 and not out
+    assert err.startswith("error: ")
+
+
 def test_target_from_config_file(capsys, tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps({
@@ -360,13 +379,12 @@ def test_train_trace_csv_rows_are_the_trace_records(capsys, tmp_path, extra):
     with open(tmp_path / "mara_toy_reverse_trace.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["step", "objective", "tv_to_target", "entropy", "above_threshold_mass"]
-    assert len(rows) == 1 + len(trace) == 31
+    assert len(rows) == 1 + trace.tv_to_target.size == 31
+    above = trace.above_threshold_mass
     for t, row in enumerate(rows[1:], start=1):
-        rec = trace[t - 1]
-        assert row == [str(t), f"{rec.objective_value:.17g}", f"{rec.tv_to_target:.17g}",
-                       f"{rec.entropy:.17g}",
-                       "" if rec.above_threshold_mass is None
-                       else f"{rec.above_threshold_mass:.17g}"]
+        assert row == [str(t), f"{trace.objective_value[t - 1]:.17g}",
+                       f"{trace.tv_to_target[t - 1]:.17g}", f"{trace.entropy[t - 1]:.17g}",
+                       "" if above is None else f"{above[t - 1]:.17g}"]
     assert (rows[1][4] == "") == (not extra)
 
 

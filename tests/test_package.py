@@ -1,9 +1,13 @@
+import contextlib
+import io
+import json
 import re
 import types
 from pathlib import Path
 
 import kllab
 from kllab import dist, mara, targets, trainer
+from kllab.scenario_io import scenario_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +32,22 @@ def test_readme_library_names_are_exported():
             names.add(word)
     assert {"Scenario", "TargetSpec", "train", "mc_gradient"} <= names
     assert names - set(kllab.__all__) == set()
+
+
+def _readme_block(section: str, language: str) -> str:
+    """The first ``language`` code block under the README heading ``section``."""
+    text = README.read_text().split(f"## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{language}\n(.*?)```", text, re.S).group(1)
+
+
+def test_readme_library_example_runs_and_converges():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(_readme_block("Library", "python"), "README.md", "exec"), {})
+    # the last line it prints is the trained policy's final TV to its target
+    assert float(out.getvalue().splitlines()[-1]) < 0.01
+
+
+def test_readme_scenario_config_loads():
+    s = scenario_from_dict(json.loads(_readme_block("Scenarios", "json")))
+    assert s.name == "my_scenario" and s.n == 100

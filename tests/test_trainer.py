@@ -34,7 +34,6 @@ from kllab.trainer import (
     Exact,
     MonteCarlo,
     SoftmaxPolicy,
-    StepRecord,
     Trace,
     TrainConfig,
     _apply_baseline,
@@ -85,6 +84,14 @@ def test_softmax_policy_masks_indices():
 def test_softmax_policy_rejects_non_finite_logits():
     with pytest.raises(ValueError):
         SoftmaxPolicy(np.array([0.0, np.inf]))
+
+
+@pytest.mark.parametrize("mask", [[True, False], [True, True, True, True, False]],
+                         ids=["short", "long"])
+def test_softmax_policy_rejects_a_mask_of_the_wrong_length(mask):
+    # a short mask would silently mask the indices past its end
+    with pytest.raises(InvalidDistribution, match="^length mismatch$"):
+        SoftmaxPolicy(np.zeros(3), mask)
 
 
 def test_softmax_policy_arrays_are_computed_once_and_read_only():
@@ -547,12 +554,32 @@ def test_train_config_validation():
     # the augmented rewards and the target tilt by one beta
     with pytest.raises(ValueError):
         TrainConfig(TargetSpec("reverse", 0.1), mara=MaraConfig(Constant(0.5), beta=1.0))
+    # anything but an Exact or MonteCarlo instance would train in exact mode
+    for mode in ("mc", MonteCarlo, None):
+        with pytest.raises(ValueError, match="gradient_mode"):
+            TrainConfig(TargetSpec("reverse", 0.1), gradient_mode=mode)
+
+
+@pytest.mark.parametrize("spec,mc,mara", [
+    (TargetSpec("generalized", 0.1, 0.05), MonteCarlo(8), MaraConfig(Constant(0.5), beta=0.1)),
+    (TargetSpec("reverse", 0.1), MonteCarlo(8), MaraConfig(Constant(0.5), beta=1.0)),
+    (TargetSpec("forward", 0.1), MonteCarlo(8, sampled_regularizer=True),
+     MaraConfig(Constant(0.5), beta=0.1)),
+], ids=["generalized", "unequal-beta", "forward-sampled-regularizer"])
+def test_train_and_mc_gradient_reject_the_same_augmentations(spec, mc, mara):
+    s = scenario_by_name("mara_toy")
+    message = "^augmentation "
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(spec, gradient_mode=mc, mara=mara)
+    with pytest.raises(ValueError, match=message):
+        mc_gradient(uniform_policy(s.n), s, spec, mc, np.random.Generator(np.random.PCG64(0)),
+                    mara)
 
 
 def test_train_trace_length_matches_steps(two_point):
     cfg = TrainConfig(TargetSpec("reverse", 1.0), steps=1)
-    result = train(two_point, cfg)
-    assert len(result.trace) == 1
+    trace = train(two_point, cfg).trace
+    assert trace.objective_value.shape == trace.tv_to_target.shape == trace.entropy.shape == (1,)
 
 
 def test_train_is_deterministic(two_point):
@@ -569,14 +596,14 @@ def test_train_exact_reverse_converges():
     s = make_scenario([0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.5, -0.5])
     cfg = TrainConfig(TargetSpec("reverse", 0.25), steps=1500)
     result = train(s, cfg)
-    assert result.trace[-1].tv_to_target <= 0.02
-    assert result.trace[-1].tv_to_target < result.trace[0].tv_to_target
+    assert result.trace.tv_to_target[-1] <= 0.02
+    assert result.trace.tv_to_target[-1] < result.trace.tv_to_target[0]
 
 
 def test_train_exact_forward_converges(two_point):
     cfg = TrainConfig(TargetSpec("forward", 1.0), steps=1500)
     result = train(two_point, cfg)
-    assert result.trace[-1].tv_to_target <= 0.02
+    assert result.trace.tv_to_target[-1] <= 0.02
 
 
 def test_train_records_anchor_history():
@@ -590,7 +617,7 @@ def test_train_records_anchor_history():
     result = train(s, cfg)
     assert len(result.anchor_history) == 20
     assert all(a in (0, 1, None) for a in result.anchor_history)
-    assert all(rec.above_threshold_mass is not None for rec in result.trace)
+    assert result.trace.above_threshold_mass.shape == (20,)
 
 
 def test_train_mara_reaches_uniform_above_threshold():
@@ -617,7 +644,7 @@ def test_train_mc_generalized_beta_zero_allows_masked_reference():
     p = result.final_policy.probs
     assert np.all(np.isfinite(p))
     tv = 0.5 * np.sum(np.abs(p - generalized_target(s, 0.0, 0.1).probs))
-    assert tv <= 0.05 < result.trace[0].tv_to_target
+    assert tv <= 0.05 < result.trace.tv_to_target[0]
 
 
 # --------------------------------------------------------------------------
@@ -746,7 +773,8 @@ def _oracle_adam(m, v, t, params, g, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def _reference_train(s, cfg):
     """``train()`` written out over all n with the oracle formulas above.
-    Returns (final distribution, trace, anchor history, target)."""
+    Returns (final distribution, trace columns by name, anchor history,
+    target); the above-threshold column is None without augmentation."""
     spec = cfg.objective
     mc = cfg.gradient_mode if isinstance(cfg.gradient_mode, MonteCarlo) else None
     full = spec.kind == "forward" or (spec.kind == "generalized" and spec.beta == 0)
@@ -769,7 +797,7 @@ def _reference_train(s, cfg):
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed)) if mc is not None else None
     m, v, t = np.zeros(s.n), np.zeros(s.n), 0
-    trace, anchors = [], []
+    trace, anchors = {name: [] for name in _TRACE_COLUMNS}, []
     lp, p = _oracle_softmax(logits, mask)
     for _ in range(cfg.steps):
         if mc is None:
@@ -783,15 +811,28 @@ def _reference_train(s, cfg):
         assert np.all(np.isfinite(g))
         m, v, t, logits = _oracle_adam(m, v, t, logits, g, cfg.learning_rate)
         lp, p = _oracle_softmax(logits, mask)
-        trace.append(StepRecord(
-            objective_value=_oracle_objective(lp, p, mask, scenario, spec),
-            tv_to_target=float(0.5 * np.sum(np.abs(p - target.probs))),
-            entropy=float(-np.sum(p[mask] * lp[mask])),
-            above_threshold_mass=(
-                float(np.sum(p[s.rewards.values >= tau])) if tau is not None else None
-            ),
-        ))
-    return normalize(lp), trace, anchors, target
+        trace["objective_value"].append(_oracle_objective(lp, p, mask, scenario, spec))
+        trace["tv_to_target"].append(float(0.5 * np.sum(np.abs(p - target.probs))))
+        trace["entropy"].append(float(-np.sum(p[mask] * lp[mask])))
+        if tau is not None:
+            trace["above_threshold_mass"].append(float(np.sum(p[s.rewards.values >= tau])))
+    columns = {name: np.array(values) for name, values in trace.items()}
+    if tau is None:
+        columns["above_threshold_mass"] = None
+    return normalize(lp), columns, anchors, target
+
+
+_TRACE_COLUMNS = ("objective_value", "tv_to_target", "entropy", "above_threshold_mass")
+
+
+def _assert_trace_equals(trace, columns):
+    """Each column of ``trace`` equals the oracle's, float for float."""
+    for name in _TRACE_COLUMNS:
+        got, want = getattr(trace, name), columns[name]
+        if want is None:
+            assert got is None, name
+        else:
+            np.testing.assert_array_equal(got, want, strict=True, err_msg=name)
 
 
 _MARA = MaraConfig(Constant(MARA_TOY_TAU), beta=0.1)
@@ -843,7 +884,7 @@ def test_train_matches_fresh_policy_reference_bit_for_bit(scenario, objective, m
     final, trace, anchors, target = _reference_train(s, cfg)
     np.testing.assert_array_equal(result.final_policy.log_weights, final.log_weights)
     np.testing.assert_array_equal(result.target.log_weights, target.log_weights)
-    assert result.trace == trace
+    _assert_trace_equals(result.trace, trace)
     assert result.anchor_history == anchors
 
 
@@ -857,7 +898,8 @@ def test_a_block_of_one_step_is_traced_as_a_full_one():
     result = train(s, cfg)
     final, trace, anchors, target = _reference_train(s, cfg)
     np.testing.assert_array_equal(result.final_policy.log_weights, final.log_weights)
-    assert len(trace) == steps and result.trace == trace
+    assert trace["tv_to_target"].size == steps
+    _assert_trace_equals(result.trace, trace)
 
 
 def _outcome(fn, *args):
@@ -970,42 +1012,19 @@ def test_seeded_estimators_equal_the_oracle_on_every_seed():
 # the columnar trace
 
 
-def _records(trace):
-    return [StepRecord(*values) for values in zip(
-        trace.objective_value.tolist(), trace.tv_to_target.tolist(), trace.entropy.tolist(),
-        [None] * len(trace) if trace.above_threshold_mass is None
-        else trace.above_threshold_mass.tolist())]
-
-
-def test_trace_reads_as_a_sequence_of_step_records():
-    cfg = TrainConfig(TargetSpec("reverse", 0.1), MonteCarlo(8), _MARA, steps=5, seed=3)
-    trace = train(scenario_by_name("mara_toy"), cfg).trace
-    records = _records(trace)
-    assert len(trace) == 5 and len(records) == 5
-    assert trace[-1] == records[-1] and trace[-5] == records[0] == trace[0]
-    assert trace[1:3] == records[1:3]
-    assert list(trace) == records and list(reversed(trace)) == records[::-1]
-    assert all(type(x) is float for rec in trace for x in vars(rec).values())
-    with pytest.raises(IndexError):
-        trace[5]
-    # equal to the list of records, and to nothing shorter or different
-    assert trace == records and records == trace
-    assert trace != records[:-1] and trace != records[::-1] and trace != "trace"
-
-
 def test_trace_has_no_above_threshold_column_without_augmentation():
     trace = train(scenario_by_name("mara_toy"), TrainConfig(TargetSpec("reverse", 0.1),
                                                             steps=3)).trace
     assert trace.above_threshold_mass is None
-    assert [rec.above_threshold_mass for rec in trace] == [None] * 3
+    assert trace.objective_value.shape == trace.tv_to_target.shape == trace.entropy.shape == (3,)
 
 
 def test_trace_pickles_to_an_equal_read_only_trace():
     cfg = TrainConfig(TargetSpec("forward", 0.1), mara=_MARA, steps=4)
     trace = train(scenario_by_name("mara_toy"), cfg).trace
     copy = pickle.loads(pickle.dumps(trace))
-    assert isinstance(copy, Trace) and copy == trace
-    for name in ("objective_value", "tv_to_target", "entropy", "above_threshold_mass"):
+    assert isinstance(copy, Trace)
+    for name in _TRACE_COLUMNS:
         column = getattr(copy, name)
         np.testing.assert_array_equal(column, getattr(trace, name))
         with pytest.raises(ValueError):
