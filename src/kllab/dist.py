@@ -98,12 +98,14 @@ def normalize(log_weights) -> Categorical:
     lse = top + np.log(np.sum(np.exp(shifted, out=shifted)))
     np.subtract(lw, lse, out=shifted)
     # one exact renormalization pass to land within NORMALIZATION_TOL; the
-    # entries off the mask are -inf (lw <= lse), and -inf minus a finite
+    # entries off the support are -inf (lw <= lse), and -inf minus a finite
     # shift stays -inf, so the pass runs over the whole buffer
-    mask = np.isfinite(shifted)
-    terms = shifted[mask]
+    terms = shifted[np.isfinite(shifted)]
     shifted -= np.log(np.sum(np.exp(terms, out=terms)))
-    return Categorical(shifted, mask)
+    # freed before Categorical gathers the masses again: it finds the
+    # support itself, from the finite entries it validates
+    del terms
+    return Categorical(shifted)
 
 
 def from_probs(probs) -> Categorical:

@@ -102,8 +102,17 @@ def resolve_anchor(idx, s: Scenario, cfg: MaraConfig) -> Tuple[float, Optional[i
 
 
 def global_anchor(s: Scenario, tau: float) -> Optional[int]:
-    """Anchor over the whole support rather than a sampled batch."""
-    return select_anchor(np.arange(s.n), s, tau)
+    """Anchor over the whole support rather than a sampled batch: the
+    :func:`select_anchor` of every index, read without gathering them.
+
+    The earliest treated index with the treated set's largest reference
+    log-mass, so ties go to the earliest index as there."""
+    treated = _treated(s, tau, slice(None))
+    if not treated.any():
+        return None
+    lref = s.reference.log_weights
+    treated &= lref == np.max(lref, where=treated, initial=-np.inf)
+    return int(np.argmax(treated))
 
 
 def reward_view(s: Scenario, beta: float, tau: float, anchor: int, idx) -> np.ndarray:
@@ -194,6 +203,9 @@ def mara_target(s: Scenario, beta: float, tau: float, anchor: int) -> Categorica
     check_coefficients("reverse", beta)
     _check_anchor(s, tau, anchor)
     r, lref = s.rewards.values, s.reference.log_weights
-    anchored_mass = lref[anchor] + r[anchor] / beta
-    # masked indices keep their -inf reference log-mass
-    return normalize(np.where(_treated(s, tau, slice(None)), anchored_mass, lref + r / beta))
+    # one buffer: the tilt r / beta + lref (masked indices keep their -inf
+    # reference log-mass), then the anchor's log-mass where treated
+    log_masses = np.divide(r, beta)
+    log_masses += lref
+    np.copyto(log_masses, lref[anchor] + r[anchor] / beta, where=_treated(s, tau, slice(None)))
+    return normalize(log_masses)

@@ -38,8 +38,11 @@ class ScenarioFormatError(ValueError):
 
 
 def _check_bumps(shape: str, centers, widths, scales) -> None:
-    """Reject bump parameter lists of unequal length or a width that is not
-    positive (a zero width divides by zero)."""
+    """Reject bump parameters that are not lists of numbers (a string, a
+    number, null or a nested list), lists of unequal length, or a width
+    that is not positive (a zero width divides by zero)."""
+    if not all(a.ndim == 1 and a.dtype.kind in "iuf" for a in (centers, widths, scales)):
+        raise ScenarioFormatError(f"{shape} parameters must be lists of numbers")
     if not (len(centers) == len(widths) == len(scales)):
         raise ScenarioFormatError(f"{shape} parameter lists must have equal length")
     if not np.all(widths > 0):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Categorical, Scenario, from_probs, normalize
+from .dist import Categorical, Scenario, normalize
 from .errors import (
     InvalidCoefficient,
     NoFiniteFlip,
@@ -201,7 +201,8 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
                 lo = x
             else:
                 hi = x
-        nxt = x + f * (f - 1.0) / float(np.sum(q / gap))
+        # F's derivative is -sum(q / gap); the quotient overwrites gap
+        nxt = x + f * (f - 1.0) / float(np.sum(np.divide(q, gap, out=gap)))
         if nxt == x:
             # Newton has stopped moving (F is flat to the last bit here):
             # step toward the open side, one float and then twice as far
@@ -215,20 +216,62 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
     return float(_midpoint(lo, hi))
 
 
-def _on_support_masses(lam: float, w, ref_probs, rewards) -> np.ndarray:
-    """``w / (lam - R)``, ``w = beta * ref``. Indices where ``lam - R``
-    rounds to 0 (``lam`` within a float of the best reward) share the mass
-    the others leave, in proportion to their reference mass."""
+def _on_support_log_masses(lam: float, w, ref_probs, rewards) -> np.ndarray:
+    """The logs of ``w / (lam - R)``, ``w = beta * ref``. Indices where
+    ``lam - R`` rounds to 0 (``lam`` within a float of the best reward)
+    share the mass the others leave, in proportion to their reference mass."""
     gap = lam - rewards
     tied = gap == 0.0
     if not np.any(tied):
-        return w / gap
-    masses = np.zeros(gap.size)
-    free = ~tied
-    masses[free] = w[free] / gap[free]
-    leftover = max(0.0, 1.0 - float(np.sum(masses)))
-    masses[tied] = leftover * ref_probs[tied] / np.sum(ref_probs[tied])
-    return masses
+        masses = np.divide(w, gap, out=gap)
+    else:
+        masses = np.zeros(gap.size)
+        free = ~tied
+        masses[free] = w[free] / gap[free]
+        leftover = max(0.0, 1.0 - float(np.sum(masses)))
+        masses[tied] = leftover * ref_probs[tied] / np.sum(ref_probs[tied])
+    with np.errstate(divide="ignore"):  # a zero mass is a masked index
+        return np.log(masses, out=masses)
+
+
+def _forward_log_masses(s: Scenario, beta: float):
+    """The unnormalized log-masses of the forward-KL optimum, ``-inf`` off
+    its support, with the multiplier, the off-support mass and whether the
+    boundary regime holds. The length-k arrays of the solve are freed on
+    return, before the caller normalizes the log-masses."""
+    mask = s.reference.support_mask
+    values = s.rewards.values
+    # the gather is this call's own array: exponentiated in place
+    ref_probs = s.reference.log_weights[mask]
+    np.exp(ref_probs, out=ref_probs)
+    w = beta * ref_probs
+    r_on = values[mask]
+    r_max_in = float(np.max(r_on))
+    off = ~mask
+    r_max_out = float(np.max(values, where=off, initial=-np.inf))
+
+    boundary = False
+    off_mass = 0.0
+    # near beta's float limit w / (lam - R) overflows, reads as mass >= 1 and
+    # grows the bracket until it fails with SolverFailure
+    with np.errstate(over="ignore"):
+        if r_max_out > r_max_in:
+            at_out = _mass_terms(r_max_out, w, r_on)
+            z_out = at_out[0]
+            if z_out < 1.0:
+                lam = r_max_out
+                boundary = True
+                off_mass = 1.0 - z_out
+            else:
+                lam = _solve_lambda(beta, w, r_on, r_max_out, at_out)
+        else:
+            lam = _solve_lambda(beta, w, r_on, r_max_in)
+    log_masses = np.full(s.n, -np.inf)
+    log_masses[mask] = _on_support_log_masses(lam, w, ref_probs, r_on)
+    if boundary:
+        argmax_out = off & (values == r_max_out)
+        log_masses[argmax_out] = np.log(off_mass / np.count_nonzero(argmax_out))
+    return log_masses, float(lam), off_mass, boundary
 
 
 def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
@@ -242,36 +285,9 @@ def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
     argmax set.
     """
     check_coefficients("forward", beta)
-    mask = s.reference.support_mask
-    ref_probs = np.exp(s.reference.log_weights[mask])
-    w = beta * ref_probs
-    r_on = s.rewards.values[mask]
-    r_max_in = float(np.max(r_on))
-    off = ~mask
-    r_max_out = float(np.max(s.rewards.values[off])) if np.any(off) else -np.inf
-
-    boundary = False
-    off_mass = 0.0
-    masses = np.zeros(s.n)
-    # near beta's float limit w / (lam - R) overflows, reads as mass >= 1 and
-    # grows the bracket until it fails with SolverFailure
-    with np.errstate(over="ignore"):
-        if r_max_out > r_max_in:
-            at_out = _mass_terms(r_max_out, w, r_on)
-            z_out = at_out[0]
-            if z_out < 1.0:
-                lam = r_max_out
-                boundary = True
-                off_mass = 1.0 - z_out
-                argmax_out = off & (s.rewards.values == r_max_out)
-                masses[argmax_out] = off_mass / np.count_nonzero(argmax_out)
-            else:
-                lam = _solve_lambda(beta, w, r_on, r_max_out, at_out)
-        else:
-            lam = _solve_lambda(beta, w, r_on, r_max_in)
-    masses[mask] = _on_support_masses(lam, w, ref_probs, r_on)
+    log_masses, lam, off_mass, boundary = _forward_log_masses(s, beta)
     return ForwardSolution(
-        distribution=from_probs(masses), lam=float(lam), off_support_mass=off_mass,
+        distribution=normalize(log_masses), lam=lam, off_support_mass=off_mass,
         boundary_case=boundary,
     )
 

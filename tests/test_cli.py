@@ -275,7 +275,17 @@ def test_malformed_config_reports_position(capsys, tmp_path):
      "rewards": [0.0, 1.0, 2.0]},
     {"n": 3, "reference": {"shape": "uniform"},
      "rewards": {"shape": "two_mode", "centers": [1], "widths": [-1.0], "heights": [1]}},
-], ids=["n-zero", "all-zero-reference", "mixture-zero-width", "two-mode-negative-width"])
+    {"n": 3, "reference": {"shape": "uniform"},
+     "rewards": {"shape": "two_mode", "centers": [1], "widths": "2", "heights": [1]}},
+    {"n": 3, "reference": {"shape": "uniform"},
+     "rewards": {"shape": "two_mode", "centers": 1, "widths": [2], "heights": [1]}},
+    {"n": 3, "reference": {"shape": "uniform"},
+     "rewards": {"shape": "two_mode", "centers": [1], "widths": [2], "heights": None}},
+    {"n": 3, "reference": {"shape": "mixture", "centers": [1], "widths": ["a"], "weights": [1]},
+     "rewards": [0.0, 1.0, 2.0]},
+], ids=["n-zero", "all-zero-reference", "mixture-zero-width", "two-mode-negative-width",
+        "two-mode-string-widths", "two-mode-number-centers", "two-mode-null-heights",
+        "mixture-string-width-entry"])
 @pytest.mark.filterwarnings("error")  # a zero width must not reach NumPy's division
 def test_malformed_scenario_values_are_usage_errors(capsys, tmp_path, cfg):
     path = tmp_path / "bad.json"

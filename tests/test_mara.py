@@ -170,6 +170,57 @@ def test_global_anchor():
     assert global_anchor(s, tau=2.0) is None
 
 
+def _tied_scenarios(rng, count):
+    """Scenarios with few distinct masses and rewards, so that reference
+    and reward ties are common; zero masses are masked indices."""
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        masses = rng.choice([0.0, 1.0, 2.0, 3.0], size=n)
+        masses[rng.integers(n)] = 1.0
+        yield make_scenario(masses, rng.choice([0.0, 0.5, 1.0], size=n))
+
+
+def test_global_anchor_is_select_anchor_over_every_index():
+    rng = np.random.Generator(np.random.PCG64(75))
+    anchors = set()
+    for s in _tied_scenarios(rng, 400):
+        for tau in (0.0, 0.5, 1.0, 2.0):
+            expected = select_anchor(np.arange(s.n), s, tau)
+            assert global_anchor(s, tau) == expected
+            anchors.add(expected)
+    assert None in anchors and len(anchors) > 5
+
+
+def test_global_anchor_tie_goes_to_the_earliest_index():
+    # indices 1 and 3 tie on reference mass above tau; 0 is below it and
+    # 4, masked, has the best reward
+    s = make_scenario([0.4, 0.2, 0.2, 0.2, 0.0], [0.0, 1.0, 0.2, 1.0, 5.0])
+    assert global_anchor(s, 0.5) == 1
+    assert global_anchor(s, 4.0) is None
+
+
+def test_mara_target_equals_the_where_formula_byte_for_byte():
+    rng = np.random.Generator(np.random.PCG64(76))
+    checked = 0
+    for s in list(_tied_scenarios(rng, 150)) + [
+        random_scenario(rng) for _ in range(150)
+    ]:
+        r, lref = s.rewards.values, s.reference.log_weights
+        for tau in (0.0, 0.5, float(np.median(r))):
+            anchor = global_anchor(s, tau)
+            if anchor is None:
+                continue
+            for beta in (0.05, 0.5, 3.0):
+                treated = (r >= tau) & s.reference.support_mask
+                expected = normalize(np.where(
+                    treated, lref[anchor] + r[anchor] / beta, lref + r / beta))
+                got = mara_target(s, beta, tau, anchor)
+                assert got.log_weights.tobytes() == expected.log_weights.tobytes()
+                assert got.support_mask.tobytes() == expected.support_mask.tobytes()
+                checked += 1
+    assert checked > 500
+
+
 def test_augmented_reward_vector_validation():
     s = hand_scenario()
     with pytest.raises(InvalidAnchor):

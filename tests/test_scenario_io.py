@@ -54,6 +54,25 @@ def test_two_mode_rewards_peaks():
     assert np.argmax(r.values) == 70
 
 
+@pytest.mark.parametrize("shape, key", [
+    ("mixture", "centers"), ("mixture", "widths"), ("mixture", "weights"),
+    ("two_mode", "centers"), ("two_mode", "widths"), ("two_mode", "heights"),
+])
+@pytest.mark.parametrize("value", ["2", 1, None, ["a"], [1, "a"], [[1, 2]], [True, False]],
+                         ids=["string", "number", "null", "string-entry", "mixed-entries",
+                              "nested", "booleans"])
+def test_bump_parameters_must_be_lists_of_numbers(shape, key, value):
+    bumps = {"centers": [2, 7], "widths": [1.0, 2.0]}
+    if shape == "mixture":
+        reference = {"shape": "mixture", **bumps, "weights": [0.5, 0.5], key: value}
+        rewards = [0.0] * 10
+    else:
+        reference = {"shape": "uniform"}
+        rewards = {"shape": "two_mode", **bumps, "heights": [1.0, 2.0], key: value}
+    with pytest.raises(ScenarioFormatError, match="lists of numbers"):
+        scenario_from_dict({"n": 10, "reference": reference, "rewards": rewards})
+
+
 def test_scenario_from_dict_explicit_lists():
     s = scenario_from_dict(
         {"name": "tiny", "n": 2, "reference": [0.5, 0.5], "rewards": [0.0, 1.0]}

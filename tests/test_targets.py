@@ -450,6 +450,71 @@ def test_forward_lambda_is_unchanged_by_the_handed_over_evaluation():
         solved += 1
 
 
+def _forward_by_masses(s, beta, sol):
+    """The forward target built as ``from_probs`` of a zero-filled n-wide
+    mass array, the construction the direct log-masses replaced, at the
+    solution's own multiplier."""
+    mask = s.reference.support_mask
+    ref_probs = np.exp(s.reference.log_weights[mask])
+    w = beta * ref_probs
+    gap = sol.lam - s.rewards.values[mask]
+    tied = gap == 0.0
+    if np.any(tied):
+        on = np.zeros(gap.size)
+        on[~tied] = w[~tied] / gap[~tied]
+        leftover = max(0.0, 1.0 - float(np.sum(on)))
+        on[tied] = leftover * ref_probs[tied] / np.sum(ref_probs[tied])
+    else:
+        on = w / gap
+    masses = np.zeros(s.n)
+    if sol.boundary_case:
+        off = ~mask
+        argmax_out = off & (s.rewards.values == np.max(s.rewards.values[off]))
+        masses[argmax_out] = sol.off_support_mass / np.count_nonzero(argmax_out)
+    masses[mask] = on
+    return from_probs(masses)
+
+
+def _assert_same_bytes(a, b):
+    assert a.log_weights.tobytes() == b.log_weights.tobytes()
+    assert a.support_mask.tobytes() == b.support_mask.tobytes()
+
+
+def test_forward_target_equals_the_mass_construction_byte_for_byte():
+    rng = np.random.Generator(np.random.PCG64(41))
+    cases = [_forward_case(rng) for _ in range(600)]
+    cases += [
+        # lam - R rounds to 0 at the best reward: the tied path
+        (make_scenario([0.5, 0.5, 1e-12], [0.0, 0.0, 1.0]), 1e-4),
+        (make_scenario([0.2, 0.3, 0.5], [1e308, 0.5, 1.0]), 0.5),
+        # boundary regime with a tied off-support argmax
+        (make_scenario([0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 3.0, 3.0]), 1.0),
+        (make_scenario([0.0, 0.3, 0.0, 0.7, 0.0], [2.0, 0.0, 2.0, 0.5, 1.0]), 0.1),
+        (make_scenario([1.0], [0.3]), 0.5),
+    ]
+    for _ in range(40):
+        # three indices whose beta * ref falls below the float spacing at the
+        # best reward: they share the leftover mass
+        tiny = rng.uniform(1.0, 4.0, size=3) * 1e-12
+        cases.append((make_scenario([0.5, 0.5, *tiny], [0.0, 0.0, 1.0, 1.0, 1.0]),
+                      float(rng.uniform(0.5, 2.0)) * 1e-5))
+        # the best reward off the support at two to four tied indices
+        ties = int(rng.integers(2, 5))
+        cases.append((make_scenario([*rng.uniform(0.1, 1.0, size=3), *[0.0] * ties],
+                                    [*rng.uniform(0.0, 1.0, size=3), *[3.0] * ties]),
+                      float(rng.uniform(0.05, 1.0))))
+    seen = {"interior": 0, "boundary": 0, "tied": 0, "masked": 0, "n = 1": 0}
+    for s, beta in cases:
+        sol = forward_kl_target(s, beta)
+        _assert_same_bytes(sol.distribution, _forward_by_masses(s, beta, sol))
+        mask = s.reference.support_mask
+        seen["boundary" if sol.boundary_case else "interior"] += 1
+        seen["tied"] += bool(np.any(sol.lam == s.rewards.values[mask]))
+        seen["masked"] += not mask.all()
+        seen["n = 1"] += s.n == 1
+    assert min(seen.values()) >= 2, seen
+
+
 def test_log_prob_ratio_extreme_is_exact(two_point):
     s = make_scenario([0.5, 0.5], [0.1, 0.0])
     assert log_prob_ratio(s, 1e-3, 0, 1) == 100.0
