@@ -95,8 +95,9 @@ def select_anchor(
 
 
 def resolve_anchor(idx, s: Scenario, cfg: MaraConfig) -> Tuple[float, Optional[int]]:
-    """Threshold over the rewards at ``idx`` and the anchor among ``idx``:
-    a sampled batch, or the reference support for a whole-support run."""
+    """Threshold over the rewards at the batch ``idx`` and the anchor among
+    ``idx``. A whole-support run takes the threshold over the reference
+    support and the anchor from :func:`global_anchor`, which agrees."""
     tau = resolve_threshold(cfg.threshold_rule, s.rewards.values[idx])
     return tau, select_anchor(idx, s, tau)
 

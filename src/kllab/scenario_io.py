@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,13 @@ def _check_bumps(shape: str, centers, widths, scales) -> None:
         raise ScenarioFormatError(f"{shape} parameter lists must have equal length")
     if not np.all(widths > 0):
         raise ScenarioFormatError(f"{shape} widths must be positive")
+
+
+def _number(value, field: str):
+    """``value`` if it is a number (a boolean, though a Python int, is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioFormatError(f"{field} must be a number, not {value!r}")
+    return value
 
 
 def reference_uniform(n: int) -> Categorical:
@@ -94,7 +102,8 @@ def _build_reference(n: int, spec) -> Categorical:
     if shape == "uniform":
         return reference_uniform(n)
     if shape == "half_support":
-        return reference_half_support(n, decay=float(spec.get("decay", 0.095)))
+        decay = float(_number(spec.get("decay", 0.095), "half_support decay"))
+        return reference_half_support(n, decay=decay)
     if shape == "mixture":
         return reference_mixture(n, spec["centers"], spec["widths"], spec["weights"])
     raise ScenarioFormatError(f"unknown reference shape {shape!r}")
@@ -113,10 +122,14 @@ def _build_rewards(n: int, spec) -> RewardVector:
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
+    if not isinstance(cfg, dict):
+        raise ScenarioFormatError(f"a scenario must be a JSON object, not {type(cfg).__name__}")
     try:
-        n = int(cfg["n"])
-        if n < 1:
-            raise ScenarioFormatError(f"n must be >= 1, not {n}")
+        n = _number(cfg["n"], "n")
+        # 2.0 is an integer; 2.5, inf and NaN leave a nonzero (or NaN) remainder
+        if n % 1 or n < 1:
+            raise ScenarioFormatError(f"n must be an integer >= 1, not {n!r}")
+        n = int(n)
         name = str(cfg.get("name", "scenario"))
         reference = _build_reference(n, cfg["reference"])
         rewards = _build_rewards(n, cfg["rewards"])

@@ -44,16 +44,15 @@ the gradient is checked, and its bad coordinates named, only then.
 At large n an array freed and allocated again costs the allocator about
 as much as its arithmetic, so a run works in arrays it owns: Adam
 (``_adam``) updates the logits and both moments in place, the softmax
-writes into the block, and the trace's sums over all n run in an n-wide
-row and scratch kept beside the block. ``adam_step`` runs ``_adam`` on
-copies of its inputs.
+writes into the block, and the trace's sums run in a scratch of the
+block's shape. ``adam_step`` runs ``_adam`` on copies of its inputs.
 
-A reduction runs over the same elements in the same order as written
-over all n: sums that range over all n (E_p[r], TV) still do, masked sums
-run over the contiguous support row, and each row of a C-contiguous stack
-is summed as the 1-d row is. So a row and a full-length computation, and
-a row of a batch and its cell trained alone, agree bit for bit (Higham
-1993, "The accuracy of floating point summation").
+Every sum, E_p[r] and the TV to the target included, runs over the
+support columns: off them the policy and every target it trains toward
+carry exactly zero mass, so a sum over all n would add only zeros. Each
+row of a C-contiguous stack is summed as the 1-d row is, so a row of a
+batch and its cell trained alone agree bit for bit (Higham 1993, "The
+accuracy of floating point summation").
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ from .targets import TargetSpec, analytic_target
 _sum = np.add.reduce
 
 # the trace's block buffer holds at most this many bytes of policy rows over
-# all n, so that the block and the temporaries of its reductions stay small;
-# from n = 8192 on, a block is one row
+# the support columns, so that the block and the temporaries of its
+# reductions stay small; from k = 8192 columns on, a block is one row
 _BLOCK_BYTES = 1 << 16
 
 
@@ -212,7 +211,6 @@ class _Problem:
     def __init__(self, rows, cols: Optional[np.ndarray], batched: bool = False):
         self.rows, self.cols, self.batched = rows, cols, batched
         self.s, spec = rows[0]
-        self.n = self.s.n
         self.forward = spec.kind == "forward"
         # the generalized family carries a reverse-KL term at beta > 0
         self.kl_term = not self.forward and spec.beta > 0
@@ -237,12 +235,8 @@ class _Problem:
         return lp - self.lref_k if self.kl_term else None
 
     @cached_property
-    def r(self) -> np.ndarray:
-        return self.per_row([s.rewards.values for s, _ in self.rows])
-
-    @cached_property
     def r_k(self) -> np.ndarray:
-        return self.at_cols(self.r)
+        return self.per_row([self.at_cols(s.rewards.values) for s, _ in self.rows])
 
     @cached_property
     def lref_k(self) -> np.ndarray:
@@ -276,17 +270,17 @@ def _check_support(s: Scenario, spec: TargetSpec, mask: np.ndarray) -> None:
         raise InfiniteDivergence("policy mass outside the reference support")
 
 
-def _mean_reward(prob: _Problem, full_p: np.ndarray, out=None):
-    """E_p[r] over all n of the policy rows ``full_p``, their products with
-    the rewards written into ``out`` when given."""
-    return _rsum(np.multiply(full_p, prob.r, out=out))
+def _mean_reward(prob: _Problem, p: np.ndarray, out=None):
+    """E_p[r] of the policy rows ``p``, their products with the rewards
+    written into ``out`` when given."""
+    return _rsum(np.multiply(p, prob.r_k, out=out))
 
 
 def _gradient(prob: _Problem, lp, p) -> np.ndarray:
     """Exact logit gradient of the objective."""
     if prob.forward:
-        mean_reward = _mean_reward(prob, _to_n(p, prob.cols, prob.n))
-        return _forward_gradient(p * (prob.r_k - mean_reward), prob.ref_k, p, prob.beta)
+        reward_term = p * (prob.r_k - _mean_reward(prob, p))
+        return _forward_gradient(reward_term, prob.ref_k, p, prob.beta)
     return _centered(p, _coefficients(prob.r_k, lp, prob.log_ratio(lp), prob.beta, prob.eta))
 
 
@@ -308,20 +302,19 @@ def _entropy(lp: np.ndarray, p: np.ndarray):
     return -_rsum(p * lp)
 
 
-def _trace_fields(prob: _Problem, lp, p, full_p, scratch, target_probs,
-                  above: Optional[np.ndarray]):
+def _trace_fields(prob: _Problem, lp, p, scratch, target_probs, above: Optional[np.ndarray]):
     """The objective, TV to the target, entropy and (None without
-    augmentation) mass at the indices ``above`` of the policy rows;
-    ``full_p`` is ``p`` over all n, and ``scratch``, of its shape, holds
-    the terms of E_p[r] and then those of the TV."""
+    augmentation) mass at the column positions ``above`` of the policy
+    rows; ``scratch``, of their shape, holds the terms of E_p[r] and then
+    those of the TV."""
     entropy = _entropy(lp, p)
-    objective = _objective(prob, lp, p, _mean_reward(prob, full_p, out=scratch), entropy)
-    np.subtract(full_p, target_probs, out=scratch)
+    objective = _objective(prob, lp, p, _mean_reward(prob, p, out=scratch), entropy)
+    np.subtract(p, target_probs, out=scratch)
     return (
         objective,
         0.5 * _rsum(np.abs(scratch, out=scratch)),
         entropy,
-        None if above is None else _rsum(full_p.take(above, axis=-1)),
+        None if above is None else _rsum(p.take(above, axis=-1)),
     )
 
 
@@ -477,7 +470,7 @@ def _exact_inputs(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec):
 def exact_objective(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> float:
     """Expected reward minus the exact regularizer, by full summation."""
     prob, lp, p = _exact_inputs(policy, s, spec)
-    return float(_objective(prob, lp, p, _mean_reward(prob, policy.probs()), _entropy(lp, p)))
+    return float(_objective(prob, lp, p, _mean_reward(prob, p), _entropy(lp, p)))
 
 
 def exact_gradient(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> np.ndarray:
@@ -796,12 +789,14 @@ class _Cells:
         self.k = self.n if self.cols is None else self.cols.size
 
         # what does not change from step to step is computed once, here; the
-        # anchor is None when no index qualifies
-        tau = self.global_anchor = None
+        # anchor is None when no index qualifies, and ``above``, None without
+        # augmentation, holds the above-threshold indices as column positions
+        tau = self.global_anchor = self.above = None
         if cfg.mara is not None:
-            support = np.flatnonzero(s.reference.support_mask)
-            tau, self.global_anchor = mara_mod.resolve_anchor(support, s, cfg.mara)
-        self.augmented = cfg.mara is not None
+            r = s.rewards.values
+            tau = mara_mod.resolve_threshold(cfg.mara.threshold_rule, r[s.reference.support_mask])
+            self.global_anchor = mara_mod.global_anchor(s, tau)
+            self.above = np.flatnonzero(r[self.mask] >= tau)
         rows, self.targets = [], []
         for c in cfgs:
             target, train_scenario = _training_problem(s, c.objective, tau, self.global_anchor)
@@ -820,19 +815,14 @@ class _Cells:
             if cfg.mara is not None:
                 self.maras = [c.mara for c in cfgs]
         self.anchors: List[List[Optional[int]]] = [[] for _ in cfgs]
-        self.target_probs = self.prob.per_row([t.probs for t in self.targets])
-        self.above = np.flatnonzero(s.rewards.values >= tau) if tau is not None else None
+        self.target_probs = self.prob.per_row([self.prob.at_cols(t.probs) for t in self.targets])
         shape = (self.steps, len(cfgs)) if self.batched else (self.steps,)
         self.trace = [np.empty(shape) for _ in range(3)]
         self.trace.append(None if self.above is None else np.empty(shape))
         self.block_start = 0
-        size = max(1, min(self.steps, _BLOCK_BYTES // (8 * self.n * len(cfgs))))
+        size = max(1, min(self.steps, _BLOCK_BYTES // (8 * self.k * len(cfgs))))
         shape = (size, len(cfgs), self.k) if self.batched else (size, self.k)
         self.block = np.empty(shape), np.empty(shape)
-        # the block's policy rows over all n, zero off the support columns,
-        # and a scratch of that width for the trace's reductions over all n
-        shape = shape[:-1] + (self.n,)
-        self.full_p = None if self.cols is None else np.zeros(shape)
         self.scratch = np.empty(shape)
 
     def flush(self, stop: int) -> None:
@@ -841,16 +831,11 @@ class _Cells:
         start, lp, p = self.block_start, *self.block
         if stop == start:
             return
-        # a lone row is reduced as the 1-d row it is: at large n, a (1, n)
-        # stack pays for broadcasting against the (n,) rewards and target
+        # a lone row is reduced as the 1-d row it is: at large k, a (1, k)
+        # stack pays for broadcasting against the (k,) rewards and target
         lone = not self.batched and stop - start == 1
         rows = 0 if lone else slice(0, stop - start)
-        lp, p = lp[rows], p[rows]
-        full_p = p
-        if self.cols is not None:
-            full_p = self.full_p[rows]
-            full_p[..., self.cols] = p
-        values = _trace_fields(self.prob, lp, p, full_p, self.scratch[rows],
+        values = _trace_fields(self.prob, lp[rows], p[rows], self.scratch[rows],
                                self.target_probs, self.above)
         for column, value in zip(self.trace, values):
             if column is not None:
@@ -889,7 +874,7 @@ class _Cells:
             final = SoftmaxPolicy(_to_n(logits, self.cols, self.n), self.mask).distribution()
             columns = [None if c is None else (c[:, j] if self.batched else c)
                        for c in self.trace]
-            if not self.augmented:
+            if self.above is None:  # no augmentation
                 history = []
             elif self.maras is None:  # exact mode anchors over the whole support
                 history = [self.global_anchor] * self.steps

@@ -283,9 +283,15 @@ def test_malformed_config_reports_position(capsys, tmp_path):
      "rewards": {"shape": "two_mode", "centers": [1], "widths": [2], "heights": None}},
     {"n": 3, "reference": {"shape": "mixture", "centers": [1], "widths": ["a"], "weights": [1]},
      "rewards": [0.0, 1.0, 2.0]},
+    {"n": None, "reference": {"shape": "uniform"}, "rewards": [0.0, 1.0]},
+    {"n": 2.5, "reference": {"shape": "uniform"}, "rewards": [0.0, 1.0]},
+    {"n": True, "reference": {"shape": "uniform"}, "rewards": [0.0]},
+    {"n": 2, "reference": {"shape": "half_support", "decay": None}, "rewards": [0.0, 1.0]},
+    [1, 2],
 ], ids=["n-zero", "all-zero-reference", "mixture-zero-width", "two-mode-negative-width",
         "two-mode-string-widths", "two-mode-number-centers", "two-mode-null-heights",
-        "mixture-string-width-entry"])
+        "mixture-string-width-entry", "n-null", "n-fractional", "n-boolean",
+        "half-support-null-decay", "top-level-array"])
 @pytest.mark.filterwarnings("error")  # a zero width must not reach NumPy's division
 def test_malformed_scenario_values_are_usage_errors(capsys, tmp_path, cfg):
     path = tmp_path / "bad.json"

@@ -104,6 +104,34 @@ def test_scenario_from_dict_unknown_shape():
         )
 
 
+@pytest.mark.parametrize("n", [None, 2.5, True, "2", float("inf"), float("nan"), -1, 0.0],
+                         ids=["null", "fractional", "boolean", "string", "inf", "nan",
+                              "negative", "zero"])
+def test_n_must_be_a_positive_integer(n):
+    with pytest.raises(ScenarioFormatError, match="^n must be a"):
+        scenario_from_dict({"n": n, "reference": {"shape": "uniform"}, "rewards": [0.0, 1.0]})
+
+
+def test_an_integral_float_n_is_accepted():
+    s = scenario_from_dict({"n": 2.0, "reference": {"shape": "uniform"}, "rewards": [0.0, 1.0]})
+    assert s.n == 2 and type(s.n) is int
+
+
+@pytest.mark.parametrize("decay", [None, "0.1", True, [0.1]],
+                         ids=["null", "string", "boolean", "list"])
+def test_half_support_decay_must_be_a_number(decay):
+    reference = {"shape": "half_support", "decay": decay}
+    with pytest.raises(ScenarioFormatError, match="decay must be a number"):
+        scenario_from_dict({"n": 4, "reference": reference, "rewards": [0.0] * 4})
+
+
+@pytest.mark.parametrize("cfg", [[1, 2], None, "scenario", 3], ids=["array", "null", "string",
+                                                                    "number"])
+def test_a_scenario_must_be_an_object(cfg):
+    with pytest.raises(ScenarioFormatError, match="must be a JSON object"):
+        scenario_from_dict(cfg)
+
+
 def test_round_trip(tmp_path):
     s = make_scenario([0.2, 0.3, 0.5], [1.0, -0.5, math.pi], name="rt")
     path = tmp_path / "rt.json"

@@ -650,7 +650,8 @@ def test_train_mc_generalized_beta_zero_allows_masked_reference():
 # --------------------------------------------------------------------------
 # the bit-for-bit oracle: the formulas of the full-length implementation
 # that the support-column kernels replaced, written out here so that the
-# oracle shares no code with the trainer
+# oracle shares no code with the trainer; every sum runs over the policy's
+# support, off which the policy carries no mass
 
 
 def _oracle_softmax(logits, mask):
@@ -665,7 +666,7 @@ def _oracle_softmax(logits, mask):
 
 def _oracle_objective(lp, p, mask, s, spec):
     lref, r = s.reference.log_weights, s.rewards.values
-    value = float(np.sum(p * r))
+    value = float(np.sum(p[mask] * r[mask]))
     if spec.kind == "forward":
         if np.any(s.reference.support_mask & ~mask):
             raise InfiniteDivergence("reference mass outside the policy support")
@@ -688,7 +689,7 @@ def _oracle_gradient(lp, p, mask, s, spec):
     if spec.kind == "forward":
         if np.any(s.reference.support_mask & ~m):
             raise InfiniteDivergence("reference mass outside the policy support")
-        g[m] = p[m] * (r[m] - float(np.sum(p * r)))
+        g[m] = p[m] * (r[m] - float(np.sum(p[m] * r[m])))
         g[m] += spec.beta * (s.reference.probs[m] - p[m])
         return g
     if spec.beta > 0 and np.any(m & ~s.reference.support_mask):
@@ -812,10 +813,11 @@ def _reference_train(s, cfg):
         m, v, t, logits = _oracle_adam(m, v, t, logits, g, cfg.learning_rate)
         lp, p = _oracle_softmax(logits, mask)
         trace["objective_value"].append(_oracle_objective(lp, p, mask, scenario, spec))
-        trace["tv_to_target"].append(float(0.5 * np.sum(np.abs(p - target.probs))))
+        trace["tv_to_target"].append(float(0.5 * np.sum(np.abs(p[mask] - target.probs[mask]))))
         trace["entropy"].append(float(-np.sum(p[mask] * lp[mask])))
         if tau is not None:
-            trace["above_threshold_mass"].append(float(np.sum(p[s.rewards.values >= tau])))
+            above = mask & (s.rewards.values >= tau)
+            trace["above_threshold_mass"].append(float(np.sum(p[above])))
     columns = {name: np.array(values) for name, values in trace.items()}
     if tau is None:
         columns["above_threshold_mass"] = None
@@ -841,6 +843,14 @@ _MARA = MaraConfig(Constant(MARA_TOY_TAU), beta=0.1)
 def _oracle_scenario(name):
     if name == "one_point":
         return make_scenario([1.0], [0.3], name="one_point")
+    if name == "three_of_1000":
+        # a heavily masked support: 3 of 1000 indices carry reference mass,
+        # two of them, and many masked indices, at or above MARA_TOY_TAU
+        ref = np.zeros(1000)
+        ref[[17, 480, 912]] = [0.2, 0.5, 0.3]
+        rewards = np.random.Generator(np.random.PCG64(1000)).uniform(-1.0, 1.0, 1000)
+        rewards[[17, 480, 912]] = [0.9, 0.2, 0.7]
+        return make_scenario(ref, rewards, name="three_of_1000")
     return scenario_by_name(name)
 
 
@@ -868,13 +878,19 @@ def _oracle_scenario(name):
          MaraConfig(BatchPercentile(0.5), beta=0.1)),
         ("one_point", TargetSpec("reverse", 0.1), Exact(), None),
         ("one_point", TargetSpec("reverse", 0.1), MonteCarlo(8), None),
+        ("three_of_1000", TargetSpec("reverse", 0.1), Exact(), None),
+        ("three_of_1000", TargetSpec("reverse", 0.1), MonteCarlo(32), None),
+        ("three_of_1000", TargetSpec("reverse", 0.1), Exact(), _MARA),
+        ("three_of_1000", TargetSpec("reverse", 0.1), MonteCarlo(32), _MARA),
     ],
     ids=["exact-reverse", "exact-forward", "exact-generalized", "mc-reverse",
          "mc-forward", "mc-forward-sampled", "exact-mara", "exact-mara-forward",
          "mc-mara-reverse",
          "mc-mara-forward", "mc-mara-forward-percentile",
          "mc-generalized-leave-one-out", "exact-generalized-beta-zero",
-         "mc-reverse-none", "mc-mara-reverse-percentile", "n1-exact", "n1-mc"],
+         "mc-reverse-none", "mc-mara-reverse-percentile", "n1-exact", "n1-mc",
+         "masked-3-of-1000-exact", "masked-3-of-1000-mc", "masked-3-of-1000-exact-mara",
+         "masked-3-of-1000-mc-mara"],
 )
 def test_train_matches_fresh_policy_reference_bit_for_bit(scenario, objective, mode, mara):
     s = _oracle_scenario(scenario)
@@ -889,10 +905,12 @@ def test_train_matches_fresh_policy_reference_bit_for_bit(scenario, objective, m
 
 
 def test_a_block_of_one_step_is_traced_as_a_full_one():
-    # the trace is computed a block of steps at a time; one step past a full
-    # block, the last block holds a single row
+    # the trace is computed a block of steps at a time, a block sized by the
+    # support columns; one step past a full block, the last block holds a
+    # single row
     s = scenario_by_name("fig2_two_mode")
-    steps = trainer._BLOCK_BYTES // (8 * s.n) + 1
+    k = int(np.count_nonzero(s.reference.support_mask))
+    steps = trainer._BLOCK_BYTES // (8 * k) + 1
     cfg = TrainConfig(TargetSpec("generalized", 0.1, 0.05), MonteCarlo(32), steps=steps,
                       learning_rate=0.05, seed=5)
     result = train(s, cfg)
