@@ -26,9 +26,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _reduce_through_init(self):
-    """Pickle a dataclass as a call of its constructor, so that unpickling
-    validates and freezes its arrays again."""
-    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    """Pickle a dataclass as a call of its constructor on its init fields, so
+    that unpickling validates and freezes its arrays again."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass(frozen=True)
@@ -36,27 +36,23 @@ class Categorical:
     """Probability distribution over ``n`` indices, stored as log-masses.
 
     ``log_weights`` is normalized (masses sum to 1); masked indices hold
-    ``-inf`` and are never sampled. Instances are immutable.
+    ``-inf`` and are never sampled. ``support_mask``, the finite entries, is
+    derived from them. Instances are immutable.
     """
 
     log_weights: np.ndarray
-    support_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
+    support_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         lw = np.asarray(self.log_weights, dtype=float)
         if lw.ndim != 1 or lw.size < 1:
             raise InvalidDistribution("log_weights must be a non-empty 1-d vector")
-        finite = np.isfinite(lw)
-        mask = finite if self.support_mask is None else np.asarray(self.support_mask, dtype=bool)
-        if mask.shape != lw.shape:
-            raise InvalidDistribution("support_mask length mismatch")
         # the max is NaN if any entry is, else +inf if any entry is
         if not np.max(lw) < np.inf:
             raise InvalidDistribution("log_weights must be finite or -inf")
+        mask = np.isfinite(lw)
         if not np.any(mask):
             raise InvalidDistribution("empty support")
-        if mask is not finite and not np.array_equal(mask, finite):
-            raise InvalidDistribution("support_mask inconsistent with log_weights")
         masses = lw[mask]
         total = np.sum(np.exp(masses, out=masses))
         if abs(total - 1.0) > NORMALIZATION_TOL:

@@ -124,13 +124,6 @@ def reward_view(s: Scenario, beta: float, tau: float, anchor: int, idx) -> np.nd
     return np.where(_treated(s, tau, idx), bonus, r[idx])
 
 
-def _ref_view(s: Scenario, tau: float, anchor: int, idx) -> Tuple[np.ndarray, np.ndarray]:
-    """Rewards and reference log-masses at ``idx``, the anchor's where treated."""
-    treated = _treated(s, tau, idx)
-    r, lref = s.rewards.values, s.reference.log_weights
-    return np.where(treated, r[anchor], r[idx]), np.where(treated, lref[anchor], lref[idx])
-
-
 def _augment(
     batch_indices, s: Scenario, cfg: MaraConfig, ref_view: bool
 ) -> AugmentedBatch:
@@ -143,7 +136,9 @@ def _augment(
     if anchor is None:
         return AugmentedBatch(idx, raw, raw.copy(), None, tau, lref)
     if ref_view:
-        aug_r, aug_lref = _ref_view(s, tau, anchor, idx)
+        treated = _treated(s, tau, idx)
+        aug_r = np.where(treated, s.rewards.values[anchor], raw)
+        aug_lref = np.where(treated, s.reference.log_weights[anchor], lref)
     else:
         aug_r, aug_lref = reward_view(s, cfg.beta, tau, anchor, idx), lref
     return AugmentedBatch(idx, raw, aug_r, anchor, tau, aug_lref)
@@ -181,18 +176,26 @@ def augmented_reward_vector(
     return RewardVector(reward_view(s, beta, tau, anchor, slice(None)))
 
 
+def anchored_reference(s: Scenario, tau: float, anchor: int) -> Categorical:
+    """The reference with every treated index at the anchor's log-mass,
+    renormalized: the whole-support reference of the reference-probability
+    batch view."""
+    _check_anchor(s, tau, anchor)
+    lref = s.reference.log_weights
+    return normalize(np.where(_treated(s, tau, slice(None)), lref[anchor], lref))
+
+
 def anchored_scenario(s: Scenario, tau: float, anchor: int) -> Scenario:
     """Scenario with anchored reference and rewards (full-support view).
 
-    Above-threshold indices adopt the anchor's reference mass and reward;
-    the reference is renormalized. This is the whole-support analogue of
-    the reference-probability batch view.
+    Above-threshold indices adopt the anchor's reference mass
+    (:func:`anchored_reference`) and reward. This is the whole-support
+    analogue of the reference-probability batch view.
     """
-    _check_anchor(s, tau, anchor)
-    r, lref = _ref_view(s, tau, anchor, slice(None))
-    return Scenario(
-        reference=normalize(lref), rewards=RewardVector(r), name=f"{s.name}__anchored"
-    )
+    reference = anchored_reference(s, tau, anchor)
+    r = s.rewards.values
+    rewards = RewardVector(np.where(_treated(s, tau, slice(None)), r[anchor], r))
+    return Scenario(reference=reference, rewards=rewards, name=f"{s.name}__anchored")
 
 
 def mara_target(s: Scenario, beta: float, tau: float, anchor: int) -> Categorical:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,23 +39,38 @@ class ScenarioFormatError(ValueError):
     """Scenario config is malformed (wrong shapes, length mismatches)."""
 
 
-def _check_bumps(shape: str, centers, widths, scales) -> None:
-    """Reject bump parameters that are not lists of numbers (a string, a
-    number, null or a nested list), lists of unequal length, or a width
-    that is not positive (a zero width divides by zero)."""
-    if not all(a.ndim == 1 and a.dtype.kind in "iuf" for a in (centers, widths, scales)):
-        raise ScenarioFormatError(f"{shape} parameters must be lists of numbers")
+def _is_number(value) -> bool:
+    """Whether ``value`` is a finite number: not a boolean (though a Python
+    int), NaN, an infinity or an integer past the float range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _number(value, field: str):
+    """``value`` if it is a number (:func:`_is_number`)."""
+    if not _is_number(value):
+        raise ScenarioFormatError(f"{field} must be a number, not {value!r}")
+    return value
+
+
+def _numbers(values, message: str) -> np.ndarray:
+    """``values`` as floats if it is a list of numbers (:func:`_is_number`),
+    not a string, a number, null or a nested list; else raise ``message``."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or not all(map(_is_number, values)):
+        raise ScenarioFormatError(message)
+    return np.array(values, dtype=float)
+
+
+def _bumps(shape: str, centers, widths, scales):
+    """The bump parameters as float arrays: lists of numbers of equal length,
+    every width positive (a zero width divides by zero)."""
+    message = f"{shape} parameters must be lists of numbers"
+    centers, widths, scales = (_numbers(a, message) for a in (centers, widths, scales))
     if not (len(centers) == len(widths) == len(scales)):
         raise ScenarioFormatError(f"{shape} parameter lists must have equal length")
     if not np.all(widths > 0):
         raise ScenarioFormatError(f"{shape} widths must be positive")
-
-
-def _number(value, field: str):
-    """``value`` if it is a number (a boolean, though a Python int, is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ScenarioFormatError(f"{field} must be a number, not {value!r}")
-    return value
+    return centers, widths, scales
 
 
 def reference_uniform(n: int) -> Categorical:
@@ -71,8 +87,7 @@ def reference_half_support(n: int, decay: float = 0.095) -> Categorical:
 
 def reference_mixture(n: int, centers, widths, weights) -> Categorical:
     """Full-support mixture of Gaussian bumps on the index line."""
-    centers, widths, weights = map(np.asarray, (centers, widths, weights))
-    _check_bumps("mixture", centers, widths, weights)
+    centers, widths, weights = _bumps("mixture", centers, widths, weights)
     x = np.arange(n)[:, None]
     masses = np.sum(
         weights * np.exp(-((x - centers) ** 2) / (2.0 * widths**2)), axis=1
@@ -82,8 +97,7 @@ def reference_mixture(n: int, centers, widths, weights) -> Categorical:
 
 def rewards_two_mode(n: int, centers, widths, heights) -> RewardVector:
     """Sum of Gaussian reward bumps over the index line."""
-    centers, widths, heights = map(np.asarray, (centers, widths, heights))
-    _check_bumps("two_mode", centers, widths, heights)
+    centers, widths, heights = _bumps("two_mode", centers, widths, heights)
     x = np.arange(n)[:, None]
     values = np.sum(
         heights * np.exp(-((x - centers) ** 2) / (2.0 * widths**2)), axis=1
@@ -95,7 +109,7 @@ def _build_reference(n: int, spec) -> Categorical:
     if isinstance(spec, list):
         if len(spec) != n:
             raise ScenarioFormatError(f"reference has {len(spec)} masses, n={n}")
-        return from_probs(spec)
+        return from_probs(_numbers(spec, "reference masses must be finite numbers"))
     if not isinstance(spec, dict) or "shape" not in spec:
         raise ScenarioFormatError("reference must be a mass list or a shape object")
     shape = spec["shape"]
@@ -113,7 +127,7 @@ def _build_rewards(n: int, spec) -> RewardVector:
     if isinstance(spec, list):
         if len(spec) != n:
             raise ScenarioFormatError(f"rewards has {len(spec)} values, n={n}")
-        return RewardVector(np.asarray(spec, dtype=float))
+        return RewardVector(_numbers(spec, "rewards must be finite numbers"))
     if not isinstance(spec, dict) or "shape" not in spec:
         raise ScenarioFormatError("rewards must be a value list or a shape object")
     if spec["shape"] == "two_mode":

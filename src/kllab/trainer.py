@@ -15,6 +15,8 @@ value (beta, eta, a row sum) is a column. The kernels are the softmax
 function (``_mc_gradient``) and the trace fields (``_trace_fields``). A
 ``_Problem`` holds what stays fixed while the logits move: the support
 columns and, per row, the rewards and reference restricted to them. The
+Monte-Carlo step augments each row's batch by :mod:`kllab.mara`'s public
+views, and forward's anchored reference is ``mara.anchored_reference``. The
 public functions (``SoftmaxPolicy.log_probs``/``probs``,
 ``exact_gradient``, ``exact_objective``, ``mc_gradient`` and its seeded
 forms) check their inputs (the policy's length against the problem's n
@@ -323,49 +325,39 @@ def _uniforms(rngs, count: int, batched: bool) -> np.ndarray:
     return np.stack([g.random(count) for g in rngs]) if batched else rngs[0].random(count)
 
 
-def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras, table=None):
+def _mc_gradient(prob: _Problem, s: Scenario, lp, p, mc: "MonteCarlo", rngs, maras, table=None):
     """One batch per row, row i drawn from ``rngs[i]`` and augmented by
     ``maras[i]`` (``maras`` None without augmentation): the estimates on the
     support columns and each row's anchor; see :func:`mc_gradient`. The
     batch is drawn through ``table``, the inverse-CDF table of ``p`` over
-    the support columns, which is built from ``p`` when None."""
-    s, rows = prob.s, len(rngs)
+    the support columns, which is built from ``p`` when None. Rewards and
+    reference are those of the raw scenario ``s``."""
+    rows = len(rngs)
     if table is None:
         table = cdf_table(None, p)
     # column positions, mapped to indices over all n under a partial support
     pos = draw(table, _uniforms(rngs, mc.batch, prob.batched))
     ys = pos if prob.cols is None else prob.cols[pos]
-    anchors = [None] * rows
-    if maras is not None:
-        by_row = ys.reshape(rows, -1)
-        views = [mara_mod.resolve_anchor(y, s, cfg) for y, cfg in zip(by_row, maras)]
-        anchors = [anchor for _, anchor in views]
+    if maras is None:
+        anchors, rewards = [None] * rows, s.rewards.values[ys]
+    else:
+        view = mara_mod.augment_ref_view if prob.forward else mara_mod.augment_rewards
+        augs = [view(y, s, cfg) for y, cfg in zip(ys.reshape(rows, -1), maras)]
+        anchors = [a.anchor_index for a in augs]
+        rewards = prob.per_row([a.augmented_rewards for a in augs])
     if prob.forward:
-        if maras is None:
-            ref_ss = None
-            rewards = s.rewards.values[ys]
-        else:
-            # under augmentation the anchored scenario gives both the batch's
-            # rewards and the regularizer's reference
-            ref_ss = [s if a is None else mara_mod.anchored_scenario(s, tau, a)
-                      for tau, a in views]
-            rewards = prob.per_row([r.rewards.values[y] for r, y in zip(ref_ss, by_row)])
         if mc.sampled_regularizer:
             # augmentation keeps the exact regularizer (_check_augmentation)
             ws = draw(s.reference_table, _uniforms(rngs, mc.batch, prob.batched))
             ref_mass = prob.at_cols(_empirical_mass(ws, s.n))
-        elif ref_ss is None:
+        elif maras is None:  # then ``prob`` holds ``s`` itself
             ref_mass = prob.ref_k
         else:
-            ref_mass = prob.per_row([prob.at_cols(r.reference_probs) for r in ref_ss])
+            ref_mass = prob.per_row([prob.at_cols(
+                s.reference_probs if a.anchor_index is None else
+                mara_mod.anchored_reference(s, a.threshold_used, a.anchor_index).probs)
+                for a in augs])
         return _forward_gradient(_score(pos, rewards, p), ref_mass, p, prob.beta), anchors
-    if maras is None:
-        rewards = s.rewards.values[ys]
-    else:
-        rewards = prob.per_row([
-            s.rewards.values[y] if a is None else mara_mod.reward_view(s, cfg.beta, tau, a, y)
-            for y, cfg, (tau, a) in zip(by_row, maras, views)
-        ])
     coef = _sample_coefficients(_gather(lp, pos), rewards, s.reference.log_weights[ys],
                                 prob.beta if prob.kl_term else None, prob.eta)
     return _score(pos, _apply_baseline(coef, mc.baseline), p), anchors
@@ -572,7 +564,7 @@ def mc_gradient(
     cols, lp, p = _policy_rows(policy, s.n)
     if mara is not None:
         _check_augmentation(spec, mc, mara)
-    g, (anchor,) = _mc_gradient(_Problem([(s, spec)], cols), lp, p, mc, [rng],
+    g, (anchor,) = _mc_gradient(_Problem([(s, spec)], cols), s, lp, p, mc, [rng],
                                 None if mara is None else [mara], policy._table)
     return _to_n(g, cols, policy.n), anchor
 
@@ -783,7 +775,7 @@ class _Cells:
         cfg = cfgs[0]
         spec = cfg.objective
         self.steps, self.lr, self.batched = cfg.steps, cfg.learning_rate, len(cfgs) > 1
-        self.n = s.n
+        self.s, self.n = s, s.n
         self.mask = _policy_support(s, spec)
         self.cols = _columns(self.mask)
         self.k = self.n if self.cols is None else self.cols.size
@@ -805,9 +797,6 @@ class _Cells:
             self.targets.append(target)
         self.prob = _Problem(rows, self.cols, self.batched)
         self.mc = cfg.gradient_mode if isinstance(cfg.gradient_mode, MonteCarlo) else None
-        # the Monte-Carlo batch sees the raw scenario and applies the batch view
-        self.mc_prob = self.prob if self.global_anchor is None else _Problem(
-            [(s, sp) for _, sp in rows], self.cols, self.batched)
         # exact mode draws nothing, and its marker seed may be negative
         self.rngs = self.maras = None
         if self.mc is not None:
@@ -829,8 +818,6 @@ class _Cells:
         """Compute the trace of the steps from ``block_start`` to ``stop``
         from the block, as row reductions."""
         start, lp, p = self.block_start, *self.block
-        if stop == start:
-            return
         # a lone row is reduced as the 1-d row it is: at large k, a (1, k)
         # stack pays for broadcasting against the (k,) rewards and target
         lone = not self.batched and stop - start == 1
@@ -851,7 +838,7 @@ class _Cells:
             if mc is None:
                 g = _gradient(self.prob, lp, p)
             else:
-                g, anchors = _mc_gradient(self.mc_prob, lp, p, mc, self.rngs, self.maras)
+                g, anchors = _mc_gradient(self.prob, self.s, lp, p, mc, self.rngs, self.maras)
             _adam(m, v, step + 1, x, g, lr)
             if not np.isfinite(x).all():
                 # a non-finite gradient always leaves NaN logits: NaN spreads,
@@ -874,9 +861,8 @@ class _Cells:
             final = SoftmaxPolicy(_to_n(logits, self.cols, self.n), self.mask).distribution()
             columns = [None if c is None else (c[:, j] if self.batched else c)
                        for c in self.trace]
-            if self.above is None:  # no augmentation
-                history = []
-            elif self.maras is None:  # exact mode anchors over the whole support
+            if self.maras is None and self.above is not None:
+                # exact mode anchors over the whole support
                 history = [self.global_anchor] * self.steps
             results.append(TrainResult(final_policy=final, trace=Trace(*columns),
                                        anchor_history=history, target=target))

@@ -15,7 +15,7 @@ from kllab.dist import Categorical
 from kllab.harness import (
     EXACT_SEED, RunRecord, SweepSpec, mode_sets, records_to_csv, scenario_by_name,
 )
-from kllab.mara import Constant, MaraConfig
+from kllab.mara import BatchPercentile, Constant, MaraConfig
 from kllab.targets import TargetSpec
 from kllab.trainer import MonteCarlo, TrainConfig, train
 
@@ -288,10 +288,22 @@ def test_malformed_config_reports_position(capsys, tmp_path):
     {"n": True, "reference": {"shape": "uniform"}, "rewards": [0.0]},
     {"n": 2, "reference": {"shape": "half_support", "decay": None}, "rewards": [0.0, 1.0]},
     [1, 2],
+    # a number too large for a float, or a boolean, in a number field
+    {"n": 2, "reference": {"shape": "half_support", "decay": 10**400}, "rewards": [0.0, 1.0]},
+    {"n": 2, "reference": {"shape": "uniform"}, "rewards": [10**400, 1.0]},
+    {"n": 2, "reference": [10**400, 1.0], "rewards": [0.0, 1.0]},
+    {"n": 2, "reference": [True, 1], "rewards": [0.0, 1.0]},
+    {"n": 10, "reference": {"shape": "uniform"},
+     "rewards": {"shape": "two_mode", "centers": [True, 7], "widths": [1, 2], "heights": [1, 2]}},
+    {"n": 10, "reference": {"shape": "mixture", "centers": [2, 7], "widths": [1, 2],
+                            "weights": [1.5, True]},
+     "rewards": [0.0] * 10},
 ], ids=["n-zero", "all-zero-reference", "mixture-zero-width", "two-mode-negative-width",
         "two-mode-string-widths", "two-mode-number-centers", "two-mode-null-heights",
         "mixture-string-width-entry", "n-null", "n-fractional", "n-boolean",
-        "half-support-null-decay", "top-level-array"])
+        "half-support-null-decay", "top-level-array", "half-support-too-large-decay",
+        "rewards-too-large-entry", "reference-too-large-entry", "reference-boolean-entry",
+        "two-mode-boolean-center", "mixture-boolean-weight"])
 @pytest.mark.filterwarnings("error")  # a zero width must not reach NumPy's division
 def test_malformed_scenario_values_are_usage_errors(capsys, tmp_path, cfg):
     path = tmp_path / "bad.json"
@@ -324,6 +336,17 @@ def test_augment_prints_anchor_and_rewards(capsys):
     assert code == 0
     assert "# anchor = 1" in out
     assert "# threshold = 0.5" in out
+
+
+def test_augment_with_a_batch_percentile(capsys):
+    code, out, _ = run(
+        capsys, "augment", "--scenario", "mara_toy", "--beta", "0.1",
+        "--percentile", "0.5", "--indices", "15,16,35,60",
+    )
+    assert code == 0
+    rewards = scenario_by_name("mara_toy").rewards.values[[15, 16, 35, 60]]
+    assert f"# threshold = {np.quantile(rewards, 0.5):.12g}" in out
+    assert "# anchor = 15" in out
 
 
 def test_augment_without_threshold_is_usage_error(capsys):
@@ -384,12 +407,16 @@ def test_train_single_step_trace(capsys, tmp_path):
     assert (tmp_path / "two_point_reverse_policy.csv").exists()
 
 
-@pytest.mark.parametrize("extra", [[], ["--tau", "0.5"]], ids=["plain", "mara"])
+@pytest.mark.parametrize("extra", [[], ["--tau", "0.5"], ["--percentile", "0.5"]],
+                         ids=["plain", "mara", "mara-percentile"])
 def test_train_trace_csv_rows_are_the_trace_records(capsys, tmp_path, extra):
     code, _, _ = run(capsys, "train", "--scenario", "mara_toy", "--beta", "0.1",
                      "--mode", "mc", "--steps", "30", "--out", str(tmp_path), *extra)
     assert code == 0
-    mara = MaraConfig(Constant(0.5), beta=0.1) if extra else None
+    mara = None
+    if extra:
+        rule = Constant(0.5) if extra[0] == "--tau" else BatchPercentile(0.5)
+        mara = MaraConfig(rule, beta=0.1)
     cfg = TrainConfig(TargetSpec("reverse", 0.1), MonteCarlo(32), mara, steps=30)
     trace = train(scenario_by_name("mara_toy"), cfg).trace
     with open(tmp_path / "mara_toy_reverse_trace.csv", newline="") as fh:

@@ -110,19 +110,15 @@ def test_normalize_names_the_first_fault(lw, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("lw, mask, message", [
-    ([0.0, np.nan], None, "log_weights must be finite or -inf"),
-    ([0.0, np.inf], None, "log_weights must be finite or -inf"),
-    ([0.0, np.nan], [True, True], "log_weights must be finite or -inf"),
-    ([np.log(0.5), np.log(0.5)], [True, False], "support_mask inconsistent with log_weights"),
-    ([0.0, -np.inf], [True, True], "support_mask inconsistent with log_weights"),
-    ([-np.inf, -np.inf], None, "empty support"),
-    ([0.0, 0.0], [True], "support_mask length mismatch"),
-    ([], None, "log_weights must be a non-empty 1-d vector"),
+@pytest.mark.parametrize("lw, message", [
+    ([0.0, np.nan], "log_weights must be finite or -inf"),
+    ([0.0, np.inf], "log_weights must be finite or -inf"),
+    ([-np.inf, -np.inf], "empty support"),
+    ([], "log_weights must be a non-empty 1-d vector"),
 ])
-def test_categorical_names_each_fault(lw, mask, message):
+def test_categorical_names_each_fault(lw, message):
     with pytest.raises(InvalidDistribution) as info:
-        Categorical(np.array(lw, dtype=float), mask)
+        Categorical(np.array(lw, dtype=float))
     assert str(info.value) == message
 
 

@@ -58,9 +58,11 @@ def test_two_mode_rewards_peaks():
     ("mixture", "centers"), ("mixture", "widths"), ("mixture", "weights"),
     ("two_mode", "centers"), ("two_mode", "widths"), ("two_mode", "heights"),
 ])
-@pytest.mark.parametrize("value", ["2", 1, None, ["a"], [1, "a"], [[1, 2]], [True, False]],
+@pytest.mark.parametrize("value", ["2", 1, None, ["a"], [1, "a"], [[1, 2]], [True, False],
+                                   [True, 7], [1.5, True], [1.0, math.inf]],
                          ids=["string", "number", "null", "string-entry", "mixed-entries",
-                              "nested", "booleans"])
+                              "nested", "booleans", "boolean-and-integer", "float-and-boolean",
+                              "infinite-entry"])
 def test_bump_parameters_must_be_lists_of_numbers(shape, key, value):
     bumps = {"centers": [2, 7], "widths": [1.0, 2.0]}
     if shape == "mixture":
@@ -117,8 +119,8 @@ def test_an_integral_float_n_is_accepted():
     assert s.n == 2 and type(s.n) is int
 
 
-@pytest.mark.parametrize("decay", [None, "0.1", True, [0.1]],
-                         ids=["null", "string", "boolean", "list"])
+@pytest.mark.parametrize("decay", [None, "0.1", True, [0.1], 10**400],
+                         ids=["null", "string", "boolean", "list", "too-large-integer"])
 def test_half_support_decay_must_be_a_number(decay):
     reference = {"shape": "half_support", "decay": decay}
     with pytest.raises(ScenarioFormatError, match="decay must be a number"):

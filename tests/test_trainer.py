@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, random_scenario
-from kllab import trainer
+from kllab import mara, trainer
 from kllab.dist import RewardVector, Scenario, normalize
 from kllab.errors import (
     InfiniteDivergence, InvalidDistribution, NonFiniteGradient, SolverFailure,
@@ -904,6 +904,34 @@ def test_train_matches_fresh_policy_reference_bit_for_bit(scenario, objective, m
     assert result.anchor_history == anchors
 
 
+def test_monte_carlo_mara_runs_the_public_batch_views(monkeypatch):
+    # training augments each row's batch through the public views that the
+    # oracle above checks: one call per row per step, on one cell and on a
+    # batch of three
+    calls = {}
+
+    def counted(name):
+        real = getattr(mara, name)
+
+        def view(*args):
+            calls[name] += 1
+            return real(*args)
+        return view
+
+    for name in ("augment_rewards", "augment_ref_view"):
+        monkeypatch.setattr(mara, name, counted(name))
+    s = scenario_by_name("mara_toy")
+    for kind, view in (("reverse", "augment_rewards"), ("forward", "augment_ref_view")):
+        for betas in ([0.1], [0.05, 0.1, 0.5]):
+            cfgs = [TrainConfig(TargetSpec(kind, b), MonteCarlo(16),
+                                MaraConfig(Constant(MARA_TOY_TAU), b), steps=7, seed=i)
+                    for i, b in enumerate(betas)]
+            calls.update(augment_rewards=0, augment_ref_view=0)
+            outcomes = train_cells(s, cfgs)
+            assert all(len(o.anchor_history) == 7 for o in outcomes)
+            assert calls[view] == 7 * len(cfgs) and sum(calls.values()) == calls[view]
+
+
 def test_a_block_of_one_step_is_traced_as_a_full_one():
     # the trace is computed a block of steps at a time, a block sized by the
     # support columns; one step past a full block, the last block holds a
@@ -1155,8 +1183,8 @@ def _poisoned_mc_gradient(faults):
     of generators, kept alive here so that its id is not reused."""
     real, runs = trainer._mc_gradient, {}
 
-    def poisoned(prob, lp, p, mc, rngs, maras):
-        g, anchors = real(prob, lp, p, mc, rngs, maras)
+    def poisoned(prob, s, lp, p, mc, rngs, maras):
+        g, anchors = real(prob, s, lp, p, mc, rngs, maras)
         run = runs.setdefault(id(rngs), [rngs, 0])
         run[1] += 1
         for beta, step, fault in faults:
