@@ -15,8 +15,8 @@ import numpy as np
 from .dist import Categorical, Scenario
 from .errors import InvalidPartition
 from .mara import Constant, MaraConfig
-from .scenario_io import scenario_from_dict
-from .targets import TargetSpec, analytic_target, check_coefficients, flip_beta
+from .scenario_io import check_name, scenario_from_dict
+from .targets import KINDS, TargetSpec, analytic_target, check_coefficients, flip_beta
 # the sweep trains through train_cells; train stays importable as
 # harness.train, which the benchmark's tracer wraps
 from .trainer import (  # noqa: F401
@@ -395,7 +395,15 @@ def _format(value, kind) -> str:
     return str(value)
 
 
-def _parse(text: str, kind):
+def _parse(text: str, column: str):
+    """A field of ``column`` as the column's type, once it is checked."""
+    kind = _COLUMN_TYPES[column]
+    if kind is bool and text not in ("true", "false"):
+        raise ValueError(f"expected true or false, not {text!r}")
+    if column == "objective" and text not in KINDS:
+        raise ValueError(f"unknown objective {text!r}")
+    if column == "scenario":
+        check_name(text)
     return text == "true" if kind is bool else kind(text)
 
 
@@ -419,9 +427,13 @@ def records_from_csv(text: str) -> List[RunRecord]:
         if len(row) != len(CSV_COLUMNS):
             raise ValueError(f"records line {line}: {len(row)} fields, "
                              f"expected {len(CSV_COLUMNS)}")
-        out.append(RunRecord(**{
-            c: _parse(v, _COLUMN_TYPES[c]) for c, v in zip(CSV_COLUMNS, row)
-        }))
+        values = {}
+        for column, text in zip(CSV_COLUMNS, row):
+            try:
+                values[column] = _parse(text, column)
+            except ValueError as exc:
+                raise ValueError(f"records line {line}, {column}: {exc}") from None
+        out.append(RunRecord(**values))
     return out
 
 

@@ -3,20 +3,23 @@
 Batch-level reward transformation that replaces above-threshold rewards
 with the anchor's reward plus a reference-probability correction, so the
 induced reverse-KL optimum puts equal mass on every above-threshold
-index. Two equivalent views exist: augment the rewards, or keep the
-anchor's reward and swap in the anchor's reference probability. A batch
-and the whole support (index ``slice(None)``) reach each view the same way.
+index. Two equivalent views exist: augment the rewards
+(:func:`reward_view`), or keep the anchor's reward
+(:func:`anchored_rewards`) and swap in the anchor's reference probability
+(:func:`anchored_reference` over the whole support). Each view is one
+function of the indices ``idx``: a sampled batch, or the whole support at
+``slice(None)``, which is how exact-mode training reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dist import Categorical, RewardVector, Scenario, normalize
+from .dist import Categorical, Scenario, normalize
 from .errors import InvalidAnchor
 from .targets import check_coefficients
 
@@ -88,18 +91,14 @@ def select_anchor(
     Ties on reference probability go to the earliest batch position.
     """
     idx = np.asarray(batch_indices, dtype=int)
-    best = idx[_treated(s, threshold, idx)]
-    if best.size == 0:
-        return None
-    return int(best[np.argmax(s.reference.log_weights[best])])
+    return _best(idx[_treated(s, threshold, idx)], s)
 
 
-def resolve_anchor(idx, s: Scenario, cfg: MaraConfig) -> Tuple[float, Optional[int]]:
-    """Threshold over the rewards at the batch ``idx`` and the anchor among
-    ``idx``. A whole-support run takes the threshold over the reference
-    support and the anchor from :func:`global_anchor`, which agrees."""
-    tau = resolve_threshold(cfg.threshold_rule, s.rewards.values[idx])
-    return tau, select_anchor(idx, s, tau)
+def _best(candidates: np.ndarray, s: Scenario) -> Optional[int]:
+    """The earliest of ``candidates`` with the largest reference log-mass, or None."""
+    if candidates.size:
+        return int(candidates[np.argmax(s.reference.log_weights[candidates])])
+    return None
 
 
 def global_anchor(s: Scenario, tau: float) -> Optional[int]:
@@ -124,6 +123,13 @@ def reward_view(s: Scenario, beta: float, tau: float, anchor: int, idx) -> np.nd
     return np.where(_treated(s, tau, idx), bonus, r[idx])
 
 
+def anchored_rewards(s: Scenario, tau: float, anchor: int, idx) -> np.ndarray:
+    """Rewards at ``idx``, where treated the anchor's: the rewards of the
+    reference-probability view."""
+    r = s.rewards.values
+    return np.where(_treated(s, tau, idx), r[anchor], r[idx])
+
+
 def _augment(
     batch_indices, s: Scenario, cfg: MaraConfig, ref_view: bool
 ) -> AugmentedBatch:
@@ -132,12 +138,14 @@ def _augment(
         raise ValueError("batch must be nonempty")
     raw = s.rewards.values[idx]
     lref = s.reference.log_weights[idx]
-    tau, anchor = resolve_anchor(idx, s, cfg)
+    tau = resolve_threshold(cfg.threshold_rule, raw)
+    # select_anchor's rule on the mask that also anchors the reference log-masses
+    treated = _treated(s, tau, idx)
+    anchor = _best(idx[treated], s)
     if anchor is None:
         return AugmentedBatch(idx, raw, raw.copy(), None, tau, lref)
     if ref_view:
-        treated = _treated(s, tau, idx)
-        aug_r = np.where(treated, s.rewards.values[anchor], raw)
+        aug_r = anchored_rewards(s, tau, anchor, idx)
         aug_lref = np.where(treated, s.reference.log_weights[anchor], lref)
     else:
         aug_r, aug_lref = reward_view(s, cfg.beta, tau, anchor, idx), lref
@@ -164,18 +172,6 @@ def _check_anchor(s: Scenario, tau: float, anchor: int) -> None:
         raise InvalidAnchor("anchor has no reference mass")
 
 
-def augmented_reward_vector(
-    s: Scenario, beta: float, tau: float, anchor: int
-) -> RewardVector:
-    """Full-support augmented rewards with a fixed anchor.
-
-    Masked indices keep their raw reward; they carry no reference mass,
-    so the correction term is undefined (and irrelevant) there.
-    """
-    _check_anchor(s, tau, anchor)
-    return RewardVector(reward_view(s, beta, tau, anchor, slice(None)))
-
-
 def anchored_reference(s: Scenario, tau: float, anchor: int) -> Categorical:
     """The reference with every treated index at the anchor's log-mass,
     renormalized: the whole-support reference of the reference-probability
@@ -183,19 +179,6 @@ def anchored_reference(s: Scenario, tau: float, anchor: int) -> Categorical:
     _check_anchor(s, tau, anchor)
     lref = s.reference.log_weights
     return normalize(np.where(_treated(s, tau, slice(None)), lref[anchor], lref))
-
-
-def anchored_scenario(s: Scenario, tau: float, anchor: int) -> Scenario:
-    """Scenario with anchored reference and rewards (full-support view).
-
-    Above-threshold indices adopt the anchor's reference mass
-    (:func:`anchored_reference`) and reward. This is the whole-support
-    analogue of the reference-probability batch view.
-    """
-    reference = anchored_reference(s, tau, anchor)
-    r = s.rewards.values
-    rewards = RewardVector(np.where(_treated(s, tau, slice(None)), r[anchor], r))
-    return Scenario(reference=reference, rewards=rewards, name=f"{s.name}__anchored")
 
 
 def mara_target(s: Scenario, beta: float, tau: float, anchor: int) -> Categorical:

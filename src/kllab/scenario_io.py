@@ -39,6 +39,13 @@ class ScenarioFormatError(ValueError):
     """Scenario config is malformed (wrong shapes, length mismatches)."""
 
 
+def check_name(name: str) -> str:
+    """``name`` if it is a plain file name: not ``.``, ``..`` or empty, no ``/`` or ``\\``."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ScenarioFormatError(f"scenario name must be a plain file name, not {name!r}")
+    return name
+
+
 def _is_number(value) -> bool:
     """Whether ``value`` is a finite number: not a boolean (though a Python
     int), NaN, an infinity or an integer past the float range."""
@@ -144,7 +151,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         if n % 1 or n < 1:
             raise ScenarioFormatError(f"n must be an integer >= 1, not {n!r}")
         n = int(n)
-        name = str(cfg.get("name", "scenario"))
+        name = check_name(str(cfg.get("name", "scenario")))
         reference = _build_reference(n, cfg["reference"])
         rewards = _build_rewards(n, cfg["rewards"])
     except KeyError as exc:

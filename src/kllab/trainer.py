@@ -1,9 +1,9 @@
 """Softmax policy trained by policy gradient with a hand-rolled Adam.
 
 Supports exact (full-enumeration) gradients, which serve as the oracle,
-and Monte-Carlo score-function estimators with optional baselines. The
-augmentation hooks plug in at the batch level for Monte-Carlo runs and
-at the reward-vector level for exact runs.
+and Monte-Carlo score-function estimators with optional baselines. MARA
+augments each sampled batch in Monte-Carlo runs and the whole support in
+exact runs, by the same :mod:`kllab.mara` view functions.
 
 Layering: public wrapper -> kernel, and one training engine. Each formula
 is one private kernel that works on the trailing axis: rows over the
@@ -15,8 +15,9 @@ value (beta, eta, a row sum) is a column. The kernels are the softmax
 function (``_mc_gradient``) and the trace fields (``_trace_fields``). A
 ``_Problem`` holds what stays fixed while the logits move: the support
 columns and, per row, the rewards and reference restricted to them. The
-Monte-Carlo step augments each row's batch by :mod:`kllab.mara`'s public
-views, and forward's anchored reference is ``mara.anchored_reference``. The
+Monte-Carlo step augments each row's batch by :mod:`kllab.mara`'s batch
+views (forward's reference by ``mara.anchored_reference``), and an exact
+run reads the same views at ``slice(None)`` (``_training_problem``). The
 public functions (``SoftmaxPolicy.log_probs``/``probs``,
 ``exact_gradient``, ``exact_objective``, ``mc_gradient`` and its seeded
 forms) check their inputs (the policy's length against the problem's n
@@ -31,17 +32,17 @@ so that many seeds of one estimator share them.
 ``train_cells`` trains the cells that share a scenario and a
 ``batch_key`` as one program over a (C, k) logits matrix, with one Adam
 state, a beta and an eta column and one PCG64 stream per row. It computes
-the run invariants once (the columns, the ``_Problem``, the support
-checks, the targets) and then steps on the rows alone. The program runs
-to its end or raises; a batch that raises trains again cell by cell, so a
-failing cell gets the exception it raises alone and the others their
-results, at the cost of the failed batch plus one run per cell. The trace
-is not built per step: the softmax writes each step's rows into a block
-buffer, and the trace fields are computed once per block as row
-reductions into a columnar ``Trace``. ``train()`` runs one cell, whose
-arrays stay 1-d, on the same program. A step makes one finiteness check,
-of the logits after Adam: a non-finite gradient always leaves them NaN, so
-the gradient is checked, and its bad coordinates named, only then.
+the run invariants once (the columns, the ``_Problem``, the targets) and
+then steps on the rows alone. The program runs to its end or raises; a
+batch that raises trains again cell by cell, so a failing cell gets the
+exception it raises alone and the others their results, at the cost of
+the failed batch plus one run per cell. The trace is not built per step:
+the softmax writes each step's rows into a block buffer, and the trace
+fields are computed once per block as row reductions into a columnar
+``Trace``. ``train()`` runs one cell, whose arrays stay 1-d, on the same
+program. A step makes one finiteness check, of the logits after Adam: a
+non-finite gradient always leaves them NaN, so the gradient is checked,
+and its bad coordinates named, only then.
 
 At large n an array freed and allocated again costs the allocator about
 as much as its arithmetic, so a run works in arrays it owns: Adam
@@ -67,8 +68,8 @@ import numpy as np
 
 from . import mara as mara_mod
 from .dist import (
-    Categorical, Scenario, _frozen, _reduce_through_init, cdf_table, draw, normalize,
-    sample,
+    Categorical, RewardVector, Scenario, _frozen, _reduce_through_init, cdf_table, draw,
+    normalize, sample,
 )
 from .errors import InfiniteDivergence, InvalidDistribution, NonFiniteGradient
 from .mara import MaraConfig
@@ -254,22 +255,10 @@ class _Problem:
         reference mass and log-mass there, and the columns it occupies
         (None when it occupies all of them)."""
         m = self.s.reference.support_mask
-        at = m if self.cols is None else m[self.cols]
+        at = self.at_cols(m)
         ref_cols = None if at.all() else np.flatnonzero(at)
         return (self.per_row([s.reference_probs[m] for s, _ in self.rows]),
                 self.per_row([s.reference.log_weights[m] for s, _ in self.rows]), ref_cols)
-
-
-def _check_support(s: Scenario, spec: TargetSpec, mask: np.ndarray) -> None:
-    """Raise unless the exact objective is finite: forward needs the
-    reference support inside the policy's, a reverse-KL term the policy's
-    inside the reference's."""
-    ref = s.reference.support_mask
-    if spec.kind == "forward":
-        if np.any(ref & ~mask):
-            raise InfiniteDivergence("reference mass outside the policy support")
-    elif spec.beta > 0 and np.any(mask & ~ref):
-        raise InfiniteDivergence("policy mass outside the reference support")
 
 
 def _mean_reward(prob: _Problem, p: np.ndarray, out=None):
@@ -397,6 +386,8 @@ class SoftmaxPolicy:
         mask = np.ones(logits.size, dtype=bool) if mask is None else np.asarray(mask, bool)
         if mask.shape != logits.shape:
             raise InvalidDistribution("length mismatch")
+        if not mask.any():
+            raise InvalidDistribution("empty support")
         object.__setattr__(self, "logits", _frozen(logits))
         object.__setattr__(self, "support_mask", _frozen(mask))
         cols = _columns(mask)
@@ -452,10 +443,16 @@ def _policy_rows(policy: SoftmaxPolicy, n: int):
 
 
 def _exact_inputs(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec):
-    """Check the length and the supports, then the kernels' inputs for
-    ``policy``."""
+    """The kernels' inputs for ``policy``, once its length is checked and the
+    exact objective is finite: forward needs the reference support inside
+    the policy's, a reverse-KL term the policy's inside the reference's."""
     cols, lp, p = _policy_rows(policy, s.n)
-    _check_support(s, spec, policy.support_mask)
+    ref, mask = s.reference.support_mask, policy.support_mask
+    if spec.kind == "forward":
+        if np.any(ref & ~mask):
+            raise InfiniteDivergence("reference mass outside the policy support")
+    elif spec.beta > 0 and np.any(mask & ~ref):
+        raise InfiniteDivergence("policy mass outside the reference support")
     return _Problem([(s, spec)], cols), lp, p
 
 
@@ -740,19 +737,20 @@ def _training_problem(
     s: Scenario, spec: TargetSpec, tau: Optional[float], anchor: Optional[int]
 ) -> Tuple[Categorical, Scenario]:
     """The target ``train()`` converges to, and the scenario its exact
-    gradient and traced objective use: ``s`` itself without an anchor,
-    else the augmented rewards (reverse) or the anchored scenario
-    (forward)."""
+    gradient and traced objective use: ``s`` itself without an anchor, else
+    the MARA view that the Monte-Carlo step reads at its batch, read at
+    ``slice(None)``: ``reward_view`` (reverse), or ``anchored_rewards`` and
+    ``anchored_reference`` (forward). ``RewardVector`` rejects the rewards
+    that ``reward_view`` overflows to at a beta near the float limit."""
     if anchor is None:
         return analytic_target(s, spec), s
     if spec.kind == "forward":
-        anchored = mara_mod.anchored_scenario(s, tau, anchor)
+        anchored = Scenario(mara_mod.anchored_reference(s, tau, anchor), RewardVector(
+            mara_mod.anchored_rewards(s, tau, anchor, slice(None))), f"{s.name}__anchored")
         return analytic_target(anchored, spec), anchored
-    rewards = mara_mod.augmented_reward_vector(s, spec.beta, tau, anchor)
-    return (
-        mara_mod.mara_target(s, spec.beta, tau, anchor),
-        Scenario(s.reference, rewards, name=f"{s.name}__augmented"),
-    )
+    rewards = RewardVector(mara_mod.reward_view(s, spec.beta, tau, anchor, slice(None)))
+    return (mara_mod.mara_target(s, spec.beta, tau, anchor),
+            Scenario(s.reference, rewards, f"{s.name}__augmented"))
 
 
 def batch_key(cfg: TrainConfig) -> tuple:
@@ -791,8 +789,8 @@ class _Cells:
             self.above = np.flatnonzero(r[self.mask] >= tau)
         rows, self.targets = [], []
         for c in cfgs:
+            # no support check: the mask is _policy_support's, and anchors keep it
             target, train_scenario = _training_problem(s, c.objective, tau, self.global_anchor)
-            _check_support(train_scenario, c.objective, self.mask)
             rows.append((train_scenario, c.objective))
             self.targets.append(target)
         self.prob = _Problem(rows, self.cols, self.batched)
@@ -875,9 +873,8 @@ def train_cells(s: Scenario, cfgs) -> List[Union[TrainResult, Exception]]:
     equals its cell trained alone, bit for bit. A batch that raises trains
     again cell by cell through :func:`train`, so each cell gets its result
     or, in its place, the exception it raises alone; a failure costs the
-    batch plus one run per cell."""
-    key = batch_key(cfgs[0])
-    if any(batch_key(c) != key for c in cfgs[1:]):
+    batch plus one run per cell. No cells give no results."""
+    if any(batch_key(c) != batch_key(cfgs[0]) for c in cfgs[1:]):
         raise ValueError("the cells of a batch must share their batch_key")
     if len(cfgs) > 1:
         try:

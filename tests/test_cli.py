@@ -487,6 +487,38 @@ def test_report_out_below_a_file_exits_1(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_scenario_names_cannot_leave_the_output_directory(capsys, tmp_path):
+    config = tmp_path / "f.json"
+    config.write_text(json.dumps({"name": "../escaped", "n": 2,
+                                  "reference": {"shape": "uniform"}, "rewards": [0, 1]}))
+    code, out, err = run(capsys, "train", "--scenario", str(config), "--beta", "1",
+                         "--steps", "1", "--out", str(tmp_path / "out"))
+    assert code == 2 and not out and "plain file name" in err
+    records = tmp_path / "records.csv"
+    records.write_text(records_to_csv([RunRecord(
+        scenario="../evil", objective="reverse", beta=1.0, eta=0.0, seed=-1,
+        mara_enabled=False, tau_rule="", final_tv=0.01, answer_entropy=0.5,
+        mode1_mass=0.5, mode2_mass=0.5, anchor_churn=0, steps=1, wall_ms=0,
+    )]))
+    code, out, err = run(capsys, "report", "--records", str(records),
+                         "--out", str(tmp_path / "out"))
+    assert code == 2 and not out and "plain file name" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "records.csv"]
+
+
+def test_report_on_a_malformed_boolean_exits_2(capsys, tmp_path):
+    records = tmp_path / "records.csv"
+    records.write_text(records_to_csv([RunRecord(
+        scenario="two_point", objective="reverse", beta=1.0, eta=0.0, seed=-1,
+        mara_enabled=False, tau_rule="", final_tv=0.01, answer_entropy=0.5,
+        mode1_mass=0.5, mode2_mass=0.5, anchor_churn=0, steps=1, wall_ms=0,
+    )]).replace(",false,", ",True,"))
+    code, _, err = run(capsys, "report", "--records", str(records),
+                       "--out", str(tmp_path / "out"))
+    assert code == 2 and "line 2, mara_enabled" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_unknown_preset_exits_2(capsys):
     code, _, err = run(capsys, "sweep", "--preset", "nope")
     assert code == 2

@@ -402,6 +402,33 @@ def test_records_from_csv_rejects_a_short_row():
         records_from_csv(text.rsplit(",", 1)[0] + "\n")
 
 
+@pytest.mark.parametrize("value", ["True", "yes", "1", "", "FALSE"])
+def test_records_from_csv_rejects_a_malformed_boolean(value):
+    text = records_to_csv([_record()]).replace(",false,", f",{value},", 1)
+    with pytest.raises(ValueError, match=f"line 2, mara_enabled: expected true or false, "
+                                         f"not '{value}'"):
+        records_from_csv(text)
+
+
+@pytest.mark.parametrize("scenario", ["../evil", "a/b", "a\\b", ".", ".."])
+def test_records_from_csv_rejects_a_scenario_that_is_no_plain_file_name(scenario):
+    text = records_to_csv([_record(), _record(scenario=scenario)])
+    with pytest.raises(ValueError, match="line 3, scenario: scenario name must be a plain"):
+        records_from_csv(text)
+
+
+def test_records_from_csv_rejects_an_unknown_objective():
+    text = records_to_csv([_record(objective="sideways")])
+    with pytest.raises(ValueError, match="line 2, objective: unknown objective 'sideways'"):
+        records_from_csv(text)
+
+
+def test_records_from_csv_names_the_column_of_a_bad_number():
+    text = records_to_csv([_record()]).replace(",0.10000000000000001,", ",x,", 1)
+    with pytest.raises(ValueError, match="line 2, beta: could not convert"):
+        records_from_csv(text)
+
+
 def test_records_csv_bytes_are_pinned():
     records = [
         _record(final_tv=0.042130926411431046, answer_entropy=0.6931471805599453,

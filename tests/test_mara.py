@@ -9,14 +9,14 @@ from kllab.mara import (
     BatchPercentile,
     Constant,
     MaraConfig,
-    anchored_scenario,
+    anchored_reference,
+    anchored_rewards,
     augment_ref_view,
     augment_rewards,
-    augmented_reward_vector,
     global_anchor,
     mara_target,
-    resolve_anchor,
     resolve_threshold,
+    reward_view,
     select_anchor,
 )
 from kllab.targets import reverse_kl_target
@@ -143,7 +143,7 @@ def test_below_threshold_transparency():
 
 def test_augment_leaves_off_support_members_raw():
     # index 68 of fwd_off_support has reward 0.726 >= tau but no reference
-    # mass; like anchored_scenario, both batch views keep its raw reward
+    # mass; like the whole-support views, both batch views keep its raw reward
     s = scenario_by_name("fwd_off_support")
     assert not s.reference.support_mask[68]
     assert s.rewards.values[68] == pytest.approx(0.726, abs=5e-4)
@@ -153,8 +153,8 @@ def test_augment_leaves_off_support_members_raw():
     assert ref_batch.augmented_rewards[1] == s.rewards.values[68]
     assert ref_batch.augmented_ref_logprobs[1] == -np.inf
     assert augment_rewards([18, 68], s, cfg).augmented_rewards[1] == s.rewards.values[68]
-    anchored = anchored_scenario(s, 0.5, 18)
-    assert anchored.rewards.values[68] == ref_batch.augmented_rewards[1]
+    assert anchored_rewards(s, 0.5, 18, slice(None))[68] == ref_batch.augmented_rewards[1]
+    assert reward_view(s, 0.1, 0.5, 18, slice(None))[68] == s.rewards.values[68]
 
 
 def test_augment_duplicates_share_anchor():
@@ -221,10 +221,19 @@ def test_mara_target_equals_the_where_formula_byte_for_byte():
     assert checked > 500
 
 
-def test_augmented_reward_vector_validation():
+def test_whole_support_views_validate_the_anchor():
+    # index 2's reward lies below tau, and index 3 of a masked scenario
+    # carries no reference mass
     s = hand_scenario()
-    with pytest.raises(InvalidAnchor):
-        augmented_reward_vector(s, 0.1, tau=0.5, anchor=2)
+    with pytest.raises(InvalidAnchor, match="below threshold"):
+        anchored_reference(s, tau=0.5, anchor=2)
+    with pytest.raises(InvalidAnchor, match="below threshold"):
+        mara_target(s, 0.1, tau=0.5, anchor=2)
+    masked = make_scenario([0.5, 0.5, 0.0], [0.0, 1.0, 1.0])
+    with pytest.raises(InvalidAnchor, match="no reference mass"):
+        anchored_reference(masked, tau=0.5, anchor=2)
+    with pytest.raises(InvalidAnchor, match="no reference mass"):
+        mara_target(masked, 0.1, tau=0.5, anchor=2)
 
 
 def test_mara_target_uniform_above_threshold():
@@ -246,20 +255,20 @@ def test_mara_target_matches_augmented_reverse_target():
             continue
         direct = mara_target(s, beta, tau, anchor)
         via_rewards = reverse_kl_target(
-            Scenario(s.reference, augmented_reward_vector(s, beta, tau, anchor)),
+            Scenario(s.reference, RewardVector(reward_view(s, beta, tau, anchor, slice(None)))),
             beta,
         )
         np.testing.assert_allclose(direct.probs, via_rewards.probs, atol=1e-12)
 
 
-def test_anchored_scenario_shape():
+def test_anchored_views_shape():
     s = hand_scenario()
-    anchored = anchored_scenario(s, tau=0.5, anchor=0)
+    rewards = anchored_rewards(s, tau=0.5, anchor=0, idx=slice(None))
     # both qualifying indices now carry the anchor's reward and an equal
     # share of reference mass
-    assert anchored.rewards.values[1] == 1.0
-    assert anchored.rewards.values[2] == 0.2
-    p = anchored.reference.probs
+    assert rewards[1] == 1.0
+    assert rewards[2] == 0.2
+    p = anchored_reference(s, tau=0.5, anchor=0).probs
     assert p[0] == pytest.approx(p[1], rel=1e-12)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -301,14 +310,26 @@ def test_batch_views_are_the_full_support_views_at_the_batch():
         by_ref = augment_ref_view(ys, s, cfg)
         tau, anchor = by_rewards.threshold_used, by_rewards.anchor_index
         assert (tau, anchor) == (by_ref.threshold_used, by_ref.anchor_index)
-        assert resolve_anchor(ys, s, cfg) == (tau, anchor)
+        assert tau == resolve_threshold(rule, s.rewards.values[ys])
+        assert anchor == select_anchor(ys, s, tau)
+        lref = s.reference.log_weights
         if anchor is not None:
             anchored += 1
-            full = augmented_reward_vector(s, cfg.beta, tau, anchor).values
+            full = reward_view(s, cfg.beta, tau, anchor, slice(None))
             assert by_rewards.augmented_rewards.tobytes() == full[ys].tobytes()
-            full = anchored_scenario(s, tau, anchor).rewards.values
+            assert by_rewards.augmented_ref_logprobs.tobytes() == lref[ys].tobytes()
+            full = anchored_rewards(s, tau, anchor, slice(None))
             assert by_ref.augmented_rewards.tobytes() == full[ys].tobytes()
+            # the batch's anchored log-masses are the whole-support anchored
+            # reference before its renormalization, which shifts every
+            # supported index by one constant
+            full = anchored_reference(s, tau, anchor).log_weights[ys]
+            on = np.isfinite(full)
+            np.testing.assert_array_equal(np.isfinite(by_ref.augmented_ref_logprobs), on)
+            shift = by_ref.augmented_ref_logprobs[on] - full[on]
+            np.testing.assert_allclose(shift, shift[0], rtol=0, atol=1e-12)
         support = np.flatnonzero(s.reference.support_mask)
         tau_s = resolve_threshold(rule, s.rewards.values[s.reference.support_mask])
-        assert resolve_anchor(support, s, cfg) == (tau_s, global_anchor(s, tau_s))
+        whole = augment_rewards(support, s, cfg)
+        assert (whole.threshold_used, whole.anchor_index) == (tau_s, global_anchor(s, tau_s))
     assert 100 < anchored < 300

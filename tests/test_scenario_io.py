@@ -134,6 +134,21 @@ def test_a_scenario_must_be_an_object(cfg):
         scenario_from_dict(cfg)
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "/abs", "a\\b", "", ".", ".."],
+                         ids=["parent", "slash", "absolute", "backslash", "empty", "dot",
+                              "dot-dot"])
+def test_scenario_name_must_be_a_plain_file_name(name):
+    with pytest.raises(ScenarioFormatError, match="plain file name"):
+        scenario_from_dict({"name": name, "n": 2, "reference": {"shape": "uniform"},
+                            "rewards": [0.0, 1.0]})
+
+
+def test_a_name_with_dots_inside_is_accepted():
+    s = scenario_from_dict({"name": "..v2.run..", "n": 2, "reference": {"shape": "uniform"},
+                            "rewards": [0.0, 1.0]})
+    assert s.name == "..v2.run.."
+
+
 def test_round_trip(tmp_path):
     s = make_scenario([0.2, 0.3, 0.5], [1.0, -0.5, math.pi], name="rt")
     path = tmp_path / "rt.json"

@@ -14,10 +14,8 @@ from kllab.mara import (
     BatchPercentile,
     Constant,
     MaraConfig,
-    anchored_scenario,
     augment_ref_view,
     augment_rewards,
-    augmented_reward_vector,
     global_anchor,
     mara_target,
     resolve_threshold,
@@ -92,6 +90,27 @@ def test_softmax_policy_rejects_a_mask_of_the_wrong_length(mask):
     # a short mask would silently mask the indices past its end
     with pytest.raises(InvalidDistribution, match="^length mismatch$"):
         SoftmaxPolicy(np.zeros(3), mask)
+
+
+@pytest.mark.parametrize("args", [(np.zeros(3), [False] * 3), (np.zeros(0),)],
+                         ids=["all-masked", "empty"])
+def test_softmax_policy_rejects_an_empty_support(args):
+    with pytest.raises(InvalidDistribution, match="^empty support$"):
+        SoftmaxPolicy(*args)
+
+
+def test_train_cells_of_no_cells_is_empty():
+    assert train_cells(scenario_by_name("two_point"), []) == []
+
+
+@pytest.mark.parametrize("mode", [Exact(), MonteCarlo(8)], ids=["exact", "mc"])
+def test_train_rejects_augmented_rewards_that_overflow(mode):
+    # at a beta near the float limit the reward view's correction overflows
+    s = scenario_by_name("mara_toy")
+    cfg = TrainConfig(TargetSpec("reverse", 1e308), gradient_mode=mode,
+                      mara=MaraConfig(Constant(MARA_TOY_TAU), 1e308), steps=2)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="rewards must be finite"):
+        train(s, cfg)
 
 
 def test_softmax_policy_arrays_are_computed_once_and_read_only():
@@ -731,6 +750,19 @@ def _oracle_score(p, mask, ys, coef):
     return g
 
 
+def _oracle_treated(s, tau):
+    return (s.rewards.values >= tau) & s.reference.support_mask
+
+
+def _oracle_anchored_scenario(s, tau, anchor):
+    """Forward MARA over the whole support: treated indices take the anchor's
+    reward and reference log-mass, and the reference is renormalized."""
+    r, lref = s.rewards.values, s.reference.log_weights
+    treated = _oracle_treated(s, tau)
+    return Scenario(normalize(np.where(treated, lref[anchor], lref)),
+                    RewardVector(np.where(treated, r[anchor], r)))
+
+
 def _oracle_mc_gradient(lp, p, mask, s, spec, mc, rng, mara):
     """One batch's estimate and anchor, as the full-length estimator made it."""
     ys = _oracle_draw(lp, mask, rng.random(mc.batch))
@@ -741,7 +773,7 @@ def _oracle_mc_gradient(lp, p, mask, s, spec, mc, rng, mara):
             aug = augment_ref_view(ys, s, mara)
             anchor = aug.anchor_index
             if anchor is not None:
-                ref_s = anchored_scenario(s, aug.threshold_used, anchor)
+                ref_s = _oracle_anchored_scenario(s, aug.threshold_used, anchor)
         rewards = ref_s.rewards.values[ys]
         if mc.sampled_regularizer:
             ref = ref_s.reference
@@ -791,9 +823,12 @@ def _reference_train(s, cfg):
         target, scenario = analytic_target(s, spec), s
     elif spec.kind == "reverse":
         target = mara_target(s, spec.beta, tau, anchor)
-        scenario = Scenario(s.reference, augmented_reward_vector(s, spec.beta, tau, anchor))
+        r, lref = s.rewards.values, s.reference.log_weights
+        bonus = r[anchor] + spec.beta * (lref[anchor] - lref)
+        scenario = Scenario(s.reference,
+                            RewardVector(np.where(_oracle_treated(s, tau), bonus, r)))
     else:
-        scenario = anchored_scenario(s, tau, anchor)
+        scenario = _oracle_anchored_scenario(s, tau, anchor)
         target = forward_kl_target(scenario, spec.beta).distribution
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed)) if mc is not None else None
