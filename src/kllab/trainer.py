@@ -13,36 +13,34 @@ value (beta, eta, a row sum) is a column. The kernels are the softmax
 (``_softmax``), the exact gradient and objective of each family
 (``_gradient``, ``_objective``), the Monte-Carlo coefficients and score
 function (``_mc_gradient``) and the trace fields (``_trace_fields``). A
-``_Problem`` holds what stays fixed while the logits move: the support
-columns and, per row, the rewards and reference restricted to them. The
-Monte-Carlo step augments each row's batch by :mod:`kllab.mara`'s batch
-views (forward's reference by ``mara.anchored_reference``), and an exact
-run reads the same views at ``slice(None)`` (``_training_problem``). The
+``_Problem`` holds what stays fixed while the logits move: the raw
+scenario, the objectives, the support columns, and the rewards and
+reference that the exact gradient and the traced objective read. The
 public functions (``SoftmaxPolicy.log_probs``/``probs``,
 ``exact_gradient``, ``exact_objective``, ``mc_gradient`` and its seeded
 forms) check their inputs (the policy's length against the problem's n
 first), compress them to the columns, call the kernels on one row and
 scatter the result back to length n. The Monte-Carlo batch is drawn in
 column positions through an inverse-CDF table over the columns: the
-policy's own for ``mc_gradient``, built on its first draw and then kept
-with the policy, and one built from each step's rows in training. The
-seeded forms build their objective and estimator once per argument tuple,
-so that many seeds of one estimator share them.
+policy's own for ``mc_gradient``, kept with the policy, and one built from
+each step's rows in training.
 
 ``train_cells`` trains the cells that share a scenario and a
 ``batch_key`` as one program over a (C, k) logits matrix, with one Adam
-state, a beta and an eta column and one PCG64 stream per row. It computes
-the run invariants once (the columns, the ``_Problem``, the targets) and
-then steps on the rows alone. The program runs to its end or raises; a
-batch that raises trains again cell by cell, so a failing cell gets the
-exception it raises alone and the others their results, at the cost of
-the failed batch plus one run per cell. The trace is not built per step:
-the softmax writes each step's rows into a block buffer, and the trace
-fields are computed once per block as row reductions into a columnar
-``Trace``. ``train()`` runs one cell, whose arrays stay 1-d, on the same
-program. A step makes one finiteness check, of the logits after Adam: a
-non-finite gradient always leaves them NaN, so the gradient is checked,
-and its bad coordinates named, only then.
+state, a beta and an eta column and one PCG64 stream per row. Once per
+batch, ``_training_problem`` answers what the run trains toward: the
+``_Problem``, a target per row and MARA's global anchor, read at
+``slice(None)`` from the views that the Monte-Carlo step reads at its
+batches. The steps then work on the rows alone. The program runs to its
+end or raises; a batch that raises trains again cell by cell, so a
+failing cell gets the exception it raises alone and the others their
+results, at the cost of the failed batch plus one run per cell. The trace
+is not built per step: the softmax writes each step's rows into a block
+buffer, and the trace fields are computed once per block as row
+reductions into a columnar ``Trace``. ``train()`` runs one cell, whose
+arrays stay 1-d, on the same program. A step makes one finiteness check,
+of the logits after Adam: a non-finite gradient always leaves them NaN,
+so the gradient is checked, and its bad coordinates named, only then.
 
 At large n an array freed and allocated again costs the allocator about
 as much as its arithmetic, so a run works in arrays it owns: Adam
@@ -199,29 +197,27 @@ def _apply_baseline(coef: np.ndarray, baseline: str) -> np.ndarray:
 
 
 class _Problem:
-    """Scenarios and objectives on the policy's support columns ``cols``
-    (None when the support is full): what stays fixed while the logits
-    move, one row per cell.
+    """The objectives ``specs``, one per row, on the raw scenario ``s`` and
+    the policy's support columns ``cols`` (None when the support is full):
+    what stays fixed while the logits move. The rows share n, the family,
+    the kernel branches and the reference support. ``rewards`` (one row, or
+    a (C, n) stack of one per row) and ``reference`` are what the exact
+    gradient and the traced objective read, ``s``'s own when None; a value
+    that every row shares stays 1-d and broadcasts. A per-row value is a
+    float or a 1-d array for one row, else a column (C, 1) or a stack
+    (C, ...). Each piece is computed on first use and then kept."""
 
-    ``rows`` lists one (scenario, objective) pair per cell. The rows share
-    n, the objective family, the kernel branches (a reverse-KL term or not,
-    an entropy term or not) and the reference support. Unless ``batched``
-    there is one row, and a per-row value is a float or a 1-d array; else
-    it is a column (C, 1) or a stack (C, ...). Each piece is computed on
-    first use and then kept.
-    """
-
-    def __init__(self, rows, cols: Optional[np.ndarray], batched: bool = False):
-        self.rows, self.cols, self.batched = rows, cols, batched
-        self.s, spec = rows[0]
+    def __init__(self, s: Scenario, specs, cols: Optional[np.ndarray], batched: bool = False,
+                 rewards: Optional[np.ndarray] = None, reference: Optional[Categorical] = None):
+        self.s, self.cols, self.batched = s, cols, batched
+        self.rewards = s.rewards.values if rewards is None else rewards
+        self.reference = s.reference if reference is None else reference
+        spec = specs[0]
         self.forward = spec.kind == "forward"
         # the generalized family carries a reverse-KL term at beta > 0
         self.kl_term = not self.forward and spec.beta > 0
-        if batched:
-            self.beta = self.per_row([sp.beta for _, sp in rows])
-            self.eta = self.per_row([sp.eta for _, sp in rows]) if spec.eta > 0 else None
-        else:
-            self.beta, self.eta = spec.beta, spec.eta if spec.eta > 0 else None
+        self.beta = self.per_row([sp.beta for sp in specs])
+        self.eta = self.per_row([sp.eta for sp in specs]) if spec.eta > 0 else None
 
     def per_row(self, values: list):
         """A value per row as the kernels take it: the value itself for one
@@ -239,26 +235,27 @@ class _Problem:
 
     @cached_property
     def r_k(self) -> np.ndarray:
-        return self.per_row([self.at_cols(s.rewards.values) for s, _ in self.rows])
+        return self.at_cols(self.rewards)
 
     @cached_property
     def lref_k(self) -> np.ndarray:
-        return self.at_cols(self.per_row([s.reference.log_weights for s, _ in self.rows]))
+        return self.at_cols(self.reference.log_weights)
 
     @cached_property
     def ref_k(self) -> np.ndarray:
-        return self.at_cols(self.per_row([s.reference_probs for s, _ in self.rows]))
+        ref = self.reference  # ``s`` keeps the mass of its own
+        return self.at_cols(self.s.reference_probs if ref is self.s.reference else ref.probs)
 
     @cached_property
     def reference_terms(self):
         """Forward's regularizer sums over the reference support: the
         reference mass and log-mass there, and the columns it occupies
         (None when it occupies all of them)."""
-        m = self.s.reference.support_mask
+        m = self.reference.support_mask
         at = self.at_cols(m)
         ref_cols = None if at.all() else np.flatnonzero(at)
-        return (self.per_row([s.reference_probs[m] for s, _ in self.rows]),
-                self.per_row([s.reference.log_weights[m] for s, _ in self.rows]), ref_cols)
+        lref = self.reference.log_weights[m]
+        return np.exp(lref), lref, ref_cols
 
 
 def _mean_reward(prob: _Problem, p: np.ndarray, out=None):
@@ -314,14 +311,14 @@ def _uniforms(rngs, count: int, batched: bool) -> np.ndarray:
     return np.stack([g.random(count) for g in rngs]) if batched else rngs[0].random(count)
 
 
-def _mc_gradient(prob: _Problem, s: Scenario, lp, p, mc: "MonteCarlo", rngs, maras, table=None):
+def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras, table=None):
     """One batch per row, row i drawn from ``rngs[i]`` and augmented by
     ``maras[i]`` (``maras`` None without augmentation): the estimates on the
     support columns and each row's anchor; see :func:`mc_gradient`. The
     batch is drawn through ``table``, the inverse-CDF table of ``p`` over
     the support columns, which is built from ``p`` when None. Rewards and
-    reference are those of the raw scenario ``s``."""
-    rows = len(rngs)
+    reference are those of the raw scenario ``prob.s``."""
+    s, rows = prob.s, len(rngs)
     if table is None:
         table = cdf_table(None, p)
     # column positions, mapped to indices over all n under a partial support
@@ -339,7 +336,7 @@ def _mc_gradient(prob: _Problem, s: Scenario, lp, p, mc: "MonteCarlo", rngs, mar
             # augmentation keeps the exact regularizer (_check_augmentation)
             ws = draw(s.reference_table, _uniforms(rngs, mc.batch, prob.batched))
             ref_mass = prob.at_cols(_empirical_mass(ws, s.n))
-        elif maras is None:  # then ``prob`` holds ``s`` itself
+        elif maras is None:
             ref_mass = prob.ref_k
         else:
             ref_mass = prob.per_row([prob.at_cols(
@@ -442,18 +439,22 @@ def _policy_rows(policy: SoftmaxPolicy, n: int):
     return policy._rows
 
 
+def _check_covers(policy: SoftmaxPolicy, target_mask: np.ndarray, what: str) -> None:
+    """Forward's rule: the policy's support covers the target's."""
+    if np.any(target_mask & ~policy.support_mask):
+        raise InfiniteDivergence(f"{what} mass outside the policy support")
+
+
 def _exact_inputs(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec):
     """The kernels' inputs for ``policy``, once its length is checked and the
     exact objective is finite: forward needs the reference support inside
     the policy's, a reverse-KL term the policy's inside the reference's."""
     cols, lp, p = _policy_rows(policy, s.n)
-    ref, mask = s.reference.support_mask, policy.support_mask
     if spec.kind == "forward":
-        if np.any(ref & ~mask):
-            raise InfiniteDivergence("reference mass outside the policy support")
-    elif spec.beta > 0 and np.any(mask & ~ref):
+        _check_covers(policy, s.reference.support_mask, "reference")
+    elif spec.beta > 0 and np.any(policy.support_mask & ~s.reference.support_mask):
         raise InfiniteDivergence("policy mass outside the reference support")
-    return _Problem([(s, spec)], cols), lp, p
+    return _Problem(s, [spec], cols), lp, p
 
 
 def exact_objective(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> float:
@@ -556,12 +557,15 @@ def mc_gradient(
     ``mc.sampled_regularizer`` is set. ``mara`` applies its batch view:
     augmented rewards for reverse, the anchored reference for forward.
     Returns the gradient and the batch's anchor (None if none). ``mara``
-    must pass the augmentation rule that :class:`TrainConfig` applies.
+    must pass the augmentation rule that :class:`TrainConfig` applies, and
+    forward the support rule of :func:`exact_gradient`.
     """
     cols, lp, p = _policy_rows(policy, s.n)
     if mara is not None:
         _check_augmentation(spec, mc, mara)
-    g, (anchor,) = _mc_gradient(_Problem([(s, spec)], cols), s, lp, p, mc, [rng],
+    if cols is not None and spec.kind == "forward":
+        _check_covers(policy, s.reference.support_mask, "reference")
+    g, (anchor,) = _mc_gradient(_Problem(s, [spec], cols), lp, p, mc, [rng],
                                 None if mara is None else [mara], policy._table)
     return _to_n(g, cols, policy.n), anchor
 
@@ -600,12 +604,12 @@ def mc_gradient_forward(
 def matching_step_sft(
     policy: SoftmaxPolicy, target: Categorical, batch: int, seed: int
 ) -> np.ndarray:
-    """Estimated gradient of KL(target || policy): the negative mean of
-    grad log p over target samples (maximum likelihood on target draws)."""
+    """Estimated gradient of KL(target || policy), finite where the policy's
+    support covers the target's: the negative mean of grad log p over
+    target samples (maximum likelihood on target draws)."""
     _check_length(policy.n, target.n)
-    g = policy.probs() - _empirical_mass(sample(target, seed, batch), policy.n)
-    g[~policy.support_mask] = 0.0
-    return g
+    _check_covers(policy, target.support_mask, "target")
+    return policy.probs() - _empirical_mass(sample(target, seed, batch), policy.n)
 
 
 # --------------------------------------------------------------------------
@@ -733,24 +737,34 @@ def _policy_support(s: Scenario, spec: TargetSpec) -> np.ndarray:
     return np.asarray(s.reference.support_mask)
 
 
-def _training_problem(
-    s: Scenario, spec: TargetSpec, tau: Optional[float], anchor: Optional[int]
-) -> Tuple[Categorical, Scenario]:
-    """The target ``train()`` converges to, and the scenario its exact
-    gradient and traced objective use: ``s`` itself without an anchor, else
-    the MARA view that the Monte-Carlo step reads at its batch, read at
-    ``slice(None)``: ``reward_view`` (reverse), or ``anchored_rewards`` and
-    ``anchored_reference`` (forward). ``RewardVector`` rejects the rewards
-    that ``reward_view`` overflows to at a beta near the float limit."""
+def _training_problem(s: Scenario, cfgs, cols: Optional[np.ndarray], batched: bool):
+    """What the batch ``cfgs`` on ``s`` trains toward: its ``_Problem`` on the
+    columns ``cols``, a target per row, the above-threshold column positions
+    and the global anchor (each None without augmentation, the anchor also
+    when no index qualifies). An anchored run reads at ``slice(None)`` the
+    view that the Monte-Carlo step reads at its batch: ``reward_view`` per
+    row (reverse, which ``RewardVector`` checks finite), or
+    ``anchored_rewards`` and ``anchored_reference``, shared by every row."""
+    specs, mara = [c.objective for c in cfgs], cfgs[0].mara
+    above = anchor = rewards = reference = None
+    if mara is not None:
+        r = s.rewards.values
+        tau = mara_mod.resolve_threshold(mara.threshold_rule, r[s.reference.support_mask])
+        above = np.flatnonzero((r if cols is None else r[cols]) >= tau)
+        anchor = mara_mod.global_anchor(s, tau)
     if anchor is None:
-        return analytic_target(s, spec), s
-    if spec.kind == "forward":
-        anchored = Scenario(mara_mod.anchored_reference(s, tau, anchor), RewardVector(
-            mara_mod.anchored_rewards(s, tau, anchor, slice(None))), f"{s.name}__anchored")
-        return analytic_target(anchored, spec), anchored
-    rewards = RewardVector(mara_mod.reward_view(s, spec.beta, tau, anchor, slice(None)))
-    return (mara_mod.mara_target(s, spec.beta, tau, anchor),
-            Scenario(s.reference, rewards, f"{s.name}__augmented"))
+        targets = [analytic_target(s, sp) for sp in specs]
+    elif specs[0].kind == "forward":
+        reference = mara_mod.anchored_reference(s, tau, anchor)
+        anchored = RewardVector(mara_mod.anchored_rewards(s, tau, anchor, slice(None)))
+        targets = [analytic_target(Scenario(reference, anchored), sp) for sp in specs]
+        rewards = anchored.values
+    else:
+        rows = [RewardVector(mara_mod.reward_view(s, sp.beta, tau, anchor, slice(None))).values
+                for sp in specs]
+        rewards = np.stack(rows) if batched else rows[0]
+        targets = [mara_mod.mara_target(s, sp.beta, tau, anchor) for sp in specs]
+    return _Problem(s, specs, cols, batched, rewards, reference), targets, above, anchor
 
 
 def batch_key(cfg: TrainConfig) -> tuple:
@@ -771,29 +785,14 @@ class _Cells:
 
     def __init__(self, s: Scenario, cfgs):
         cfg = cfgs[0]
-        spec = cfg.objective
         self.steps, self.lr, self.batched = cfg.steps, cfg.learning_rate, len(cfgs) > 1
-        self.s, self.n = s, s.n
-        self.mask = _policy_support(s, spec)
+        self.n, self.mask = s.n, _policy_support(s, cfg.objective)
         self.cols = _columns(self.mask)
         self.k = self.n if self.cols is None else self.cols.size
-
-        # what does not change from step to step is computed once, here; the
-        # anchor is None when no index qualifies, and ``above``, None without
-        # augmentation, holds the above-threshold indices as column positions
-        tau = self.global_anchor = self.above = None
-        if cfg.mara is not None:
-            r = s.rewards.values
-            tau = mara_mod.resolve_threshold(cfg.mara.threshold_rule, r[s.reference.support_mask])
-            self.global_anchor = mara_mod.global_anchor(s, tau)
-            self.above = np.flatnonzero(r[self.mask] >= tau)
-        rows, self.targets = [], []
-        for c in cfgs:
-            # no support check: the mask is _policy_support's, and anchors keep it
-            target, train_scenario = _training_problem(s, c.objective, tau, self.global_anchor)
-            rows.append((train_scenario, c.objective))
-            self.targets.append(target)
-        self.prob = _Problem(rows, self.cols, self.batched)
+        # what does not change from step to step is computed once, here; no
+        # support check: the mask is _policy_support's, and anchors keep it
+        self.prob, self.targets, self.above, self.global_anchor = _training_problem(
+            s, cfgs, self.cols, self.batched)
         self.mc = cfg.gradient_mode if isinstance(cfg.gradient_mode, MonteCarlo) else None
         # exact mode draws nothing, and its marker seed may be negative
         self.rngs = self.maras = None
@@ -836,7 +835,7 @@ class _Cells:
             if mc is None:
                 g = _gradient(self.prob, lp, p)
             else:
-                g, anchors = _mc_gradient(self.prob, self.s, lp, p, mc, self.rngs, self.maras)
+                g, anchors = _mc_gradient(self.prob, lp, p, mc, self.rngs, self.maras)
             _adam(m, v, step + 1, x, g, lr)
             if not np.isfinite(x).all():
                 # a non-finite gradient always leaves NaN logits: NaN spreads,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -594,6 +595,19 @@ def test_report_on_the_paper_preset(capsys, tmp_path):
     assert code == 0
     for path in sorted((tmp_path / "a").iterdir()):
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+def test_report_on_a_nan_tv_says_fail(capsys, tmp_path):
+    # a hand-edited records.csv whose second exact cell has final_tv nan:
+    # the gate fails wherever the nan sits after sorting
+    records = harness.sort_records(_preset_records())
+    exact = [i for i, r in enumerate(records) if r.seed == EXACT_SEED and not r.mara_enabled]
+    records[exact[1]] = dataclasses.replace(records[exact[1]], final_tv=float("nan"))
+    (tmp_path / "records.csv").write_text(records_to_csv(records))
+    run(capsys, "report", "--records", str(tmp_path / "records.csv"),
+        "--out", str(tmp_path / "report"))
+    assert ("exact-mode convergence", "TV <= 0.05", "FAIL") in _summary_rows(tmp_path / "report")
+    assert (tmp_path / "report" / "summary.md").read_text().splitlines()[-1] == "overall: FAIL"
 
 
 def test_every_check_verdict_is_a_python_bool():

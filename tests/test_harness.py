@@ -547,6 +547,18 @@ GATE_EDGES = {
 }
 
 
+@pytest.mark.parametrize("tvs", [[0.01, np.nan], [np.nan, 0.01]], ids=["nan-last", "nan-first"])
+def test_tv_gates_fail_on_a_nan_tv_in_either_position(tvs):
+    # Python's max passes [0.01, nan] and fails [nan, 0.01]; both must fail
+    exact = [_record(beta=beta, final_tv=tv) for beta, tv in zip((0.1, 0.2), tvs)]
+    mc = [_record(beta=beta, seed=seed, final_tv=tv)
+          for beta, tv in zip((0.1, 0.2), tvs) for seed in (0, 1)]
+    for gate, records in ((exact_tv_gate, exact), (mc_tv_gate, mc)):
+        (check,) = gate(records)
+        assert not check.passed and "nan" in check.measured, gate.__name__
+        assert not _passes(gate(sort_records(records)))
+
+
 @pytest.mark.parametrize("case", sorted(GATE_EDGES))
 def test_gate_passes_at_its_threshold_and_fails_one_float_past(case):
     gate, records, edge, past = GATE_EDGES[case]

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_scenario, random_scenario
 from kllab import mara, trainer
-from kllab.dist import RewardVector, Scenario, normalize
+from kllab.dist import Categorical, RewardVector, Scenario, normalize
 from kllab.errors import (
     InfiniteDivergence, InvalidDistribution, NonFiniteGradient, SolverFailure,
 )
@@ -425,6 +425,34 @@ def test_matching_step_sft_point_mass_target():
     np.testing.assert_allclose(g, [0.5, -0.5], atol=1e-12)
 
 
+def test_forward_estimators_reject_reference_mass_off_the_policy_support():
+    # index 3 carries reference mass but no policy mass, so KL(ref || policy)
+    # is infinite: the estimators raise as the exact gradient does, rather
+    # than drop that mass
+    s = make_scenario([0.25] * 4, [0.0, 1.0, 0.5, 0.2])
+    policy = uniform_policy(4, np.array([True, True, True, False]))
+    spec = TargetSpec("forward", 0.5)
+    rng = np.random.Generator(np.random.PCG64(0))
+    calls = [
+        lambda: exact_gradient(policy, s, spec),
+        lambda: mc_gradient(policy, s, spec, MonteCarlo(8), rng),
+        lambda: mc_gradient(policy, s, spec, MonteCarlo(8), rng,
+                            MaraConfig(Constant(0.5), 0.5)),
+        lambda: mc_gradient_forward(policy, s, 0.5, 8, 0),
+        lambda: mc_gradient_forward(policy, s, 0.5, 8, 0, sampled_regularizer=True),
+    ]
+    for call in calls:
+        with pytest.raises(InfiniteDivergence,
+                           match="^reference mass outside the policy support$"):
+            call()
+    with pytest.raises(InfiniteDivergence, match="^target mass outside the policy support$"):
+        matching_step_sft(policy, s.reference, 8, 0)
+    # a masked index off the target's support is no loss: its gradient is 0
+    target = make_scenario([0.5, 0.5, 0.0, 0.0], [0.0] * 4).reference
+    g = matching_step_sft(policy, target, 8, 0)
+    assert g[3] == 0.0 and g.sum() == pytest.approx(0.0, abs=1e-15)
+
+
 def test_matching_step_sft_converges():
     s = make_scenario([0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.5, -0.5])
     target = reverse_kl_target(s, 0.5)
@@ -768,6 +796,8 @@ def _oracle_mc_gradient(lp, p, mask, s, spec, mc, rng, mara):
     ys = _oracle_draw(lp, mask, rng.random(mc.batch))
     anchor = None
     if spec.kind == "forward":
+        if np.any(s.reference.support_mask & ~mask):
+            raise InfiniteDivergence("reference mass outside the policy support")
         ref_s = s
         if mara is not None:
             aug = augment_ref_view(ys, s, mara)
@@ -1182,6 +1212,30 @@ def test_every_row_of_a_batch_equals_its_cell_trained_alone():
                     ("generalized", False), "Exact", "MonteCarlo", True, False}
 
 
+def test_a_batched_mara_run_equals_its_cells_trained_alone(monkeypatch):
+    # the random batches above may miss some of these; a forward batch
+    # builds its one anchored reference once, not once per row (a
+    # Monte-Carlo step builds one per row and anchor)
+    s = scenario_by_name("mara_toy")
+    real, built = mara.anchored_reference, []
+    monkeypatch.setattr(mara, "anchored_reference", lambda *a: built.append(a) or real(*a))
+    runs = _count_runs(monkeypatch)
+    for kind in ("reverse", "forward"):
+        for mode in (Exact(), MonteCarlo(16)):
+            cfgs = [TrainConfig(TargetSpec(kind, b), mode, MaraConfig(Constant(MARA_TOY_TAU), b),
+                                steps=25, learning_rate=0.05, seed=i)
+                    for i, b in enumerate((0.05, 0.1, 0.5))]
+            built.clear()
+            runs.clear()
+            batched = train_cells(s, cfgs)
+            assert runs == [3]  # one program, no retry cell by cell
+            if kind == "forward" and isinstance(mode, Exact):
+                assert len(built) == 1
+            for cfg, outcome in zip(cfgs, batched):
+                assert isinstance(outcome.final_policy, Categorical)
+                assert _fingerprint(outcome) == _fingerprint(train(s, cfg)), cfg
+
+
 def test_rows_that_raise_leave_the_others_bit_for_bit():
     # a reward near the float limit: a batch that samples it twice sums to
     # inf, so the row whose stream does so fails at its own step
@@ -1218,8 +1272,8 @@ def _poisoned_mc_gradient(faults):
     of generators, kept alive here so that its id is not reused."""
     real, runs = trainer._mc_gradient, {}
 
-    def poisoned(prob, s, lp, p, mc, rngs, maras):
-        g, anchors = real(prob, s, lp, p, mc, rngs, maras)
+    def poisoned(prob, lp, p, mc, rngs, maras):
+        g, anchors = real(prob, lp, p, mc, rngs, maras)
         run = runs.setdefault(id(rngs), [rngs, 0])
         run[1] += 1
         for beta, step, fault in faults:
