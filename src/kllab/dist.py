@@ -7,6 +7,7 @@ indices are exact (log-mass ``-inf``), never a tiny epsilon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
@@ -17,6 +18,14 @@ from .errors import InfiniteDivergence, InvalidDistribution
 
 # Normalized masses must sum to 1 within this tolerance.
 NORMALIZATION_TOL = 1e-12
+
+# the reductions that np.sum, np.max, np.any and np.all make, without their
+# Python wrappers, which cost more than reducing a hundred floats; the sums
+# are the same pairwise sums, bit for bit
+_sum = np.add.reduce
+_max = np.maximum.reduce
+_any = np.logical_or.reduce
+_all = np.logical_and.reduce
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -48,13 +57,13 @@ class Categorical:
         if lw.ndim != 1 or lw.size < 1:
             raise InvalidDistribution("log_weights must be a non-empty 1-d vector")
         # the max is NaN if any entry is, else +inf if any entry is
-        if not np.max(lw) < np.inf:
+        if not _max(lw) < np.inf:
             raise InvalidDistribution("log_weights must be finite or -inf")
         mask = np.isfinite(lw)
-        if not np.any(mask):
+        if not _any(mask):
             raise InvalidDistribution("empty support")
         masses = lw[mask]
-        total = np.sum(np.exp(masses, out=masses))
+        total = _sum(np.exp(masses, out=masses))
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise InvalidDistribution(f"masses sum to {total!r}, not 1")
         object.__setattr__(self, "log_weights", _frozen(lw))
@@ -83,21 +92,23 @@ def normalize(log_weights) -> Categorical:
     result's ``log_weights``; the input is not written.
     """
     lw = np.asarray(log_weights, dtype=float)
-    # NaN if any entry is, else +inf if any entry is, -inf if none is finite
-    top = np.max(lw) if lw.size else np.nan
-    if not np.isfinite(top):
-        if not np.isfinite(lw).any():
+    # NaN if any entry is, else +inf if any entry is, -inf if none is finite;
+    # over every axis, so that an input that is not 1-d reaches Categorical,
+    # which rejects it
+    top = _max(lw, axis=None) if lw.size else math.nan
+    if not math.isfinite(top):
+        if not _any(np.isfinite(lw)):
             raise InvalidDistribution("no finite log-weight to normalize")
         raise InvalidDistribution("log_weights must be finite or -inf")
     shifted = np.subtract(lw, top)
     # the log-sum-exp of lw, its terms written into the buffer
-    lse = top + np.log(np.sum(np.exp(shifted, out=shifted)))
+    lse = top + np.log(_sum(np.exp(shifted, out=shifted), axis=None))
     np.subtract(lw, lse, out=shifted)
     # one exact renormalization pass to land within NORMALIZATION_TOL; the
     # entries off the support are -inf (lw <= lse), and -inf minus a finite
     # shift stays -inf, so the pass runs over the whole buffer
     terms = shifted[np.isfinite(shifted)]
-    shifted -= np.log(np.sum(np.exp(terms, out=terms)))
+    shifted -= np.log(_sum(np.exp(terms, out=terms)))
     # freed before Categorical gathers the masses again: it finds the
     # support itself, from the finite entries it validates
     del terms
@@ -107,7 +118,7 @@ def normalize(log_weights) -> Categorical:
 def from_probs(probs) -> Categorical:
     """Build a Categorical from (possibly unnormalized) nonnegative masses."""
     p = np.asarray(probs, dtype=float)
-    if np.any(p < 0):
+    if _any(p < 0, axis=None):
         raise InvalidDistribution("negative mass")
     with np.errstate(divide="ignore"):
         return normalize(np.log(p))
@@ -116,7 +127,7 @@ def from_probs(probs) -> Categorical:
 def entropy(p: Categorical) -> float:
     """Shannon entropy in nats; masked indices contribute zero."""
     lw = p.log_weights[p.support_mask]
-    return float(-np.sum(np.exp(lw) * lw))
+    return float(-_sum(np.exp(lw) * lw))
 
 
 def kl(p: Categorical, q: Categorical) -> float:
@@ -127,18 +138,18 @@ def kl(p: Categorical, q: Categorical) -> float:
     """
     if p.n != q.n:
         raise InvalidDistribution("length mismatch")
-    if np.any(p.support_mask & ~q.support_mask):
+    if _any(p.support_mask & ~q.support_mask):
         raise InfiniteDivergence("support(p) not contained in support(q)")
     m = p.support_mask
     lw = p.log_weights[m]
-    return float(np.sum(np.exp(lw) * (lw - q.log_weights[m])))
+    return float(_sum(np.exp(lw) * (lw - q.log_weights[m])))
 
 
 def tv_distance(p: Categorical, q: Categorical) -> float:
     """Total variation distance, 0.5 * sum |p - q|."""
     if p.n != q.n:
         raise InvalidDistribution("length mismatch")
-    return float(0.5 * np.sum(np.abs(p.probs - q.probs)))
+    return float(0.5 * _sum(np.abs(p.probs - q.probs)))
 
 
 def sample(p: Categorical, rng_seed: int, count: int) -> np.ndarray:
@@ -192,7 +203,7 @@ class RewardVector:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("rewards must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(v)):
+        if not _all(np.isfinite(v)):
             raise ValueError("rewards must be finite")
         object.__setattr__(self, "values", _frozen(v))
 
@@ -237,3 +248,9 @@ class Scenario:
     def reference_table(self):
         active, cdf = inverse_cdf(self.reference.log_weights, self.reference.support_mask)
         return _frozen(active), _frozen(cdf)
+
+    @cached_property
+    def _reference_full(self) -> bool:
+        """Whether the reference has mass at every index, so that no
+        policy's support leaves it: read by the gradients' support rule."""
+        return bool(_all(self.reference.support_mask))

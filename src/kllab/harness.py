@@ -12,7 +12,9 @@ from typing import Dict, List, Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .dist import Categorical, Scenario
+# _any, _max and _sum are NumPy's reductions without the Python wrappers of np.any,
+# np.max and np.sum, which cost more than reducing a hundred floats
+from .dist import Categorical, Scenario, _any, _max, _sum
 from .errors import InvalidPartition
 from .mara import Constant, MaraConfig
 from .scenario_io import check_name, scenario_from_dict
@@ -130,6 +132,9 @@ MODE_FLOOR_FRAC = 0.3
 # the few runs that reach further are finished one peak at a time
 _RUN_WINDOW = 16
 _RUN_STEPS = np.array([[-1], [1]]) * np.arange(1, _RUN_WINDOW + 1)
+# the -inf entries that pad the rewards on each side
+_RUN_PAD = np.full(_RUN_WINDOW, -np.inf)
+_RUN_PAD.setflags(write=False)
 
 
 def _run_reach(padded: np.ndarray, peaks: np.ndarray, cut: np.ndarray) -> np.ndarray:
@@ -141,14 +146,15 @@ def _run_reach(padded: np.ndarray, peaks: np.ndarray, cut: np.ndarray) -> np.nda
     its run's length, not to the size of the array.
     """
     stops = padded[peaks[:, None, None] + _RUN_STEPS] <= cut[:, None, None]
-    reach = np.argmax(stops, axis=2)
-    for k, side in np.argwhere(~stops.any(axis=2)):
+    reach = stops.argmax(axis=2)
+    # the (peak, side) pairs whose run outlasts the window, in row order
+    for k, side in zip(*(~_any(stops, axis=2)).nonzero()):
         p = peaks[k]
         beyond = padded[p + 1:] if side else padded[p - 1::-1]
         width = _RUN_WINDOW
         while True:
             width *= 2
-            below = np.flatnonzero(beyond[:width] <= cut[k])
+            below = (beyond[:width] <= cut[k]).nonzero()[0]
             if below.size:
                 reach[k, side] = below[0]
                 break
@@ -163,12 +169,11 @@ def mode_sets(s: Scenario) -> List[np.ndarray]:
     where the reward exceeds half the peak height.
     """
     r = s.rewards.values
-    floor = MODE_FLOOR_FRAC * float(np.max(r))
+    floor = MODE_FLOOR_FRAC * float(_max(r))
     w = _RUN_WINDOW
-    pad = np.full(w, -np.inf)
-    padded = np.concatenate((pad, r, pad))
+    padded = np.concatenate((_RUN_PAD, r, _RUN_PAD))
     left, right = padded[w - 1:w - 1 + r.size], padded[w + 1:w + 1 + r.size]
-    peaks = np.flatnonzero((r >= floor) & (r >= left) & (r > right))
+    peaks = ((r >= floor) & (r >= left) & (r > right)).nonzero()[0]
     if peaks.size == 0:
         return []
     reach = _run_reach(padded, peaks + w, 0.5 * r[peaks])
@@ -176,7 +181,7 @@ def mode_sets(s: Scenario) -> List[np.ndarray]:
     # merge overlapping runs (plateaus produce duplicate peaks): a run
     # opens a new set when it starts past the end of every earlier run
     past = lo[1:] > np.maximum.accumulate(hi)[:-1]
-    opens = np.flatnonzero(np.concatenate(([True], past)))
+    opens = np.concatenate(([True], past)).nonzero()[0]
     ends = np.maximum.reduceat(hi, opens)
     return [np.arange(a, b + 1) for a, b in zip(lo[opens].tolist(), ends.tolist())]
 
@@ -190,13 +195,13 @@ def answer_entropy(policy: Categorical, partition: Sequence[np.ndarray]) -> floa
             raise InvalidPartition("partition cells overlap")
         seen |= cell_set
     p = policy.probs
-    masses = np.array([float(np.sum(p[np.asarray(cell, int)])) for cell in partition])
-    total = masses.sum()
+    masses = np.array([float(_sum(p[np.asarray(cell, int)])) for cell in partition])
+    total = _sum(masses)
     if total <= 0:
         return 0.0
     masses = masses / total
     nz = masses[masses > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(-_sum(nz * np.log(nz)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +280,7 @@ def _trained_record(cell, result, wall_ms: int, modes) -> RunRecord:
     """The record of a cell that trained; ``modes`` are its scenario's."""
     policy = result.final_policy
     p = policy.probs
-    mode_masses = [float(np.sum(p[m])) for m in modes[:2]]
+    mode_masses = [float(_sum(p[m])) for m in modes[:2]]
     while len(mode_masses) < 2:
         mode_masses.append(0.0)
     churn = sum(
@@ -493,12 +498,12 @@ def flip_gates(s: Scenario) -> List[SummaryCheck]:
     """``s``'s two reward modes trade places at ``FLIP_BETA``: the reverse-KL
     targets at the ``FLIP_BRACKET`` betas prefer opposite ones."""
     modes = mode_sets(s)[:2]
-    peaks = [int(m[np.argmax(s.rewards.values[m])]) for m in modes]
+    peaks = [int(m[s.rewards.values[m].argmax()]) for m in modes]
     beta_star = flip_beta(s, *peaks)
     prefs = []
     for beta in FLIP_BRACKET:
         t = analytic_target(s, TargetSpec("reverse", beta)).probs
-        prefs.append(float(np.sum(t[modes[0]]) - np.sum(t[modes[1]])))
+        prefs.append(float(_sum(t[modes[0]]) - _sum(t[modes[1]])))
     (lo, hi), (lo_pref, hi_pref) = FLIP_BRACKET, prefs
     return [
         SummaryCheck("preference flip coefficient", f"beta* = {beta_star:.4f}",
@@ -525,7 +530,7 @@ def equal_reward_gate(records: Sequence[RunRecord]) -> List[SummaryCheck]:
     s = scenario_by_name("equal_reward_unequal_support")
     modes = mode_sets(s)
     ref = s.reference_probs
-    ref_ratio = float(np.sum(ref[modes[0]]) / np.sum(ref[modes[1]]))
+    ref_ratio = float(_sum(ref[modes[0]]) / _sum(ref[modes[1]]))
     # np.max, unlike max, returns nan whenever one deviation is nan
     worst = float(np.max([
         abs(_ratio(r.mode1_mass, r.mode2_mass) - ref_ratio) / ref_ratio for r in eq
@@ -628,8 +633,8 @@ def emit_report(records: Sequence[RunRecord], out_dir,
                 t1, t2 = [], []
                 for b in betas:
                     t = analytic_target(s, TargetSpec(objective, b)).probs
-                    t1.append(float(np.sum(t[modes[0]])))
-                    t2.append(float(np.sum(t[modes[1]])))
+                    t1.append(float(_sum(t[modes[0]])))
+                    t2.append(float(_sum(t[modes[1]])))
                 chart.add_line("target mode 1", betas, t1, color="#17becf")
                 chart.add_line("target mode 2", betas, t2, color="#bcbd22")
         path = out / f"{scenario}_{objective}.svg"

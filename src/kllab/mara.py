@@ -19,7 +19,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dist import Categorical, Scenario, normalize
+# _any and _max are NumPy's reductions without the Python wrappers of np.any and
+# np.max, which cost more than reducing a hundred floats
+from .dist import Categorical, Scenario, _any, _max, normalize
 from .errors import InvalidAnchor
 from .targets import check_coefficients
 
@@ -97,7 +99,7 @@ def select_anchor(
 def _best(candidates: np.ndarray, s: Scenario) -> Optional[int]:
     """The earliest of ``candidates`` with the largest reference log-mass, or None."""
     if candidates.size:
-        return int(candidates[np.argmax(s.reference.log_weights[candidates])])
+        return int(candidates[s.reference.log_weights[candidates].argmax()])
     return None
 
 
@@ -108,11 +110,11 @@ def global_anchor(s: Scenario, tau: float) -> Optional[int]:
     The earliest treated index with the treated set's largest reference
     log-mass, so ties go to the earliest index as there."""
     treated = _treated(s, tau, slice(None))
-    if not treated.any():
+    if not _any(treated):
         return None
     lref = s.reference.log_weights
-    treated &= lref == np.max(lref, where=treated, initial=-np.inf)
-    return int(np.argmax(treated))
+    treated &= lref == _max(lref, where=treated, initial=-np.inf)
+    return int(treated.argmax())
 
 
 def reward_view(s: Scenario, beta: float, tau: float, anchor: int, idx) -> np.ndarray:

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Categorical, Scenario, normalize
+# _all, _any, _max and _sum are NumPy's reductions without the Python
+# wrappers of np.all, np.any, np.max and np.sum, which cost more than
+# reducing a hundred floats
+from .dist import Categorical, Scenario, _all, _any, _max, _sum, normalize
 from .errors import (
     InvalidCoefficient,
     NoFiniteFlip,
@@ -106,8 +109,8 @@ def generalized_target(s: Scenario, beta: float, eta: float) -> Categorical:
         support = s.reference.support_mask if beta > 0 else np.ones(s.n, dtype=bool)
         with np.errstate(over="ignore"):
             tilt = np.where(support, r / total, 0.0)
-            if not np.isfinite(tilt).all():
-                tilt = np.where(support, (r - r[support].max()) / total, 0.0)
+            if not _all(np.isfinite(tilt)):
+                tilt = np.where(support, (r - _max(r[support])) / total, 0.0)
     if beta == 0:
         return normalize(tilt)
     # in place, to keep one length-n array fewer alive: the tilt is this
@@ -121,7 +124,7 @@ def _mass_terms(lam: float, w, rewards):
     """``F(lam)`` with the terms Newton reuses: ``w / (lam - R)`` and ``lam - R``."""
     gap = lam - rewards
     q = w / gap
-    return float(np.sum(q)), q, gap
+    return float(_sum(q)), q, gap
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -148,7 +151,7 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
     at the lower bracket end climbs monotonically to the root. An iterate
     that leaves the bracket or is not finite is replaced by a bisection
     step. Every evaluation narrows the bracket ``F(lo) > 1 >= F(hi)``;
-    once Newton stops moving, steps of ``np.nextafter`` (doubling in
+    once Newton stops moving, steps of ``math.nextafter`` (doubling in
     length where F is flat over several floats) close it to adjacent
     floats. The result, their :func:`_midpoint`, is therefore the float
     that bisecting the same bracket to the end returns, since the computed
@@ -157,7 +160,7 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
     lo = lower
     hi = lower + beta + 1.0
     eps = 1e-12 * max(1.0, abs(lower))
-    open_end = bool(np.any(rewards >= lower))
+    open_end = bool(_any(rewards >= lower))
     # F and its Newton terms at lo, when the caller or the bracket search
     # evaluated them
     at_lo = at_lower
@@ -188,7 +191,7 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
     # Newton cannot start where F is infinite; a bisection step comes first
     x = None if open_end and lo == lower else lo
     crawl = 0
-    while np.nextafter(lo, hi) < hi:
+    while math.nextafter(lo, hi) < hi:
         if x is None:
             x = _midpoint(lo, hi)
         # Newton's start is the last lower point evaluated before the loop
@@ -202,12 +205,12 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
             else:
                 hi = x
         # F's derivative is -sum(q / gap); the quotient overwrites gap
-        nxt = x + f * (f - 1.0) / float(np.sum(np.divide(q, gap, out=gap)))
+        nxt = x + f * (f - 1.0) / float(_sum(np.divide(q, gap, out=gap)))
         if nxt == x:
             # Newton has stopped moving (F is flat to the last bit here):
             # step toward the open side, one float and then twice as far
             # each time, until the bracket closes
-            ulp = np.nextafter(x, hi if x == lo else lo) - x
+            ulp = math.nextafter(x, hi if x == lo else lo) - x
             nxt = x + ulp * 2.0 ** crawl
             crawl += 1
         else:
@@ -222,14 +225,14 @@ def _on_support_log_masses(lam: float, w, ref_probs, rewards) -> np.ndarray:
     share the mass the others leave, in proportion to their reference mass."""
     gap = lam - rewards
     tied = gap == 0.0
-    if not np.any(tied):
+    if not _any(tied):
         masses = np.divide(w, gap, out=gap)
     else:
         masses = np.zeros(gap.size)
         free = ~tied
         masses[free] = w[free] / gap[free]
-        leftover = max(0.0, 1.0 - float(np.sum(masses)))
-        masses[tied] = leftover * ref_probs[tied] / np.sum(ref_probs[tied])
+        leftover = max(0.0, 1.0 - float(_sum(masses)))
+        masses[tied] = leftover * ref_probs[tied] / _sum(ref_probs[tied])
     with np.errstate(divide="ignore"):  # a zero mass is a masked index
         return np.log(masses, out=masses)
 
@@ -246,9 +249,9 @@ def _forward_log_masses(s: Scenario, beta: float):
     np.exp(ref_probs, out=ref_probs)
     w = beta * ref_probs
     r_on = values[mask]
-    r_max_in = float(np.max(r_on))
+    r_max_in = float(_max(r_on))
     off = ~mask
-    r_max_out = float(np.max(values, where=off, initial=-np.inf))
+    r_max_out = float(_max(values, where=off, initial=-np.inf))
 
     boundary = False
     off_mass = 0.0
@@ -266,7 +269,9 @@ def _forward_log_masses(s: Scenario, beta: float):
                 lam = _solve_lambda(beta, w, r_on, r_max_out, at_out)
         else:
             lam = _solve_lambda(beta, w, r_on, r_max_in)
-    log_masses = np.full(s.n, -np.inf)
+    # np.full's allocation and fill, without its Python wrapper
+    log_masses = np.empty(s.n)
+    log_masses.fill(-np.inf)
     log_masses[mask] = _on_support_log_masses(lam, w, ref_probs, r_on)
     if boundary:
         argmax_out = off & (values == r_max_out)
@@ -322,7 +327,7 @@ def flip_beta(s: Scenario, i: int, j: int) -> float:
     if dref == 0.0:
         raise NoFiniteFlip("equal reference log-probs: no coefficient equalizes")
     beta_star = dr / dref
-    if not np.isfinite(beta_star) or beta_star <= 0:
+    if not math.isfinite(beta_star) or beta_star <= 0:
         raise NoFiniteFlip(f"computed coefficient {beta_star!r} is not positive")
     return float(beta_star)
 

@@ -65,17 +65,15 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import mara as mara_mod
+# _any and _sum are NumPy's reductions without the Python wrappers of np.any
+# and np.sum, which cost more than reducing a hundred floats
 from .dist import (
-    Categorical, RewardVector, Scenario, _frozen, _reduce_through_init, cdf_table, draw,
-    normalize, sample,
+    Categorical, RewardVector, Scenario, _any, _frozen, _reduce_through_init, _sum, cdf_table,
+    draw, normalize, sample,
 )
 from .errors import InfiniteDivergence, InvalidDistribution, NonFiniteGradient
 from .mara import MaraConfig
 from .targets import TargetSpec, analytic_target
-
-# np.sum's pairwise sum without its Python wrapper, which costs more than
-# summing a hundred floats
-_sum = np.add.reduce
 
 # the trace's block buffer holds at most this many bytes of policy rows over
 # the support columns, so that the block and the temporaries of its
@@ -441,19 +439,29 @@ def _policy_rows(policy: SoftmaxPolicy, n: int):
 
 def _check_covers(policy: SoftmaxPolicy, target_mask: np.ndarray, what: str) -> None:
     """Forward's rule: the policy's support covers the target's."""
-    if np.any(target_mask & ~policy.support_mask):
+    if _any(target_mask & ~policy.support_mask):
         raise InfiniteDivergence(f"{what} mass outside the policy support")
+
+
+def _check_supports(policy: SoftmaxPolicy, cols: Optional[np.ndarray], s: Scenario,
+                    spec: TargetSpec) -> None:
+    """Raise unless the objective is finite: forward needs the reference
+    support inside the policy's, which a full policy support (``cols``
+    None) holds; a reverse-KL term needs the policy's inside the
+    reference's, which a full reference support holds."""
+    ref = s.reference.support_mask
+    if spec.kind == "forward":
+        if cols is not None:
+            _check_covers(policy, ref, "reference")
+    elif spec.beta > 0 and not s._reference_full and _any(policy.support_mask & ~ref):
+        raise InfiniteDivergence("policy mass outside the reference support")
 
 
 def _exact_inputs(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec):
     """The kernels' inputs for ``policy``, once its length is checked and the
-    exact objective is finite: forward needs the reference support inside
-    the policy's, a reverse-KL term the policy's inside the reference's."""
+    exact objective is finite (:func:`_check_supports`)."""
     cols, lp, p = _policy_rows(policy, s.n)
-    if spec.kind == "forward":
-        _check_covers(policy, s.reference.support_mask, "reference")
-    elif spec.beta > 0 and np.any(policy.support_mask & ~s.reference.support_mask):
-        raise InfiniteDivergence("policy mass outside the reference support")
+    _check_supports(policy, cols, s, spec)
     return _Problem(s, [spec], cols), lp, p
 
 
@@ -472,7 +480,7 @@ def exact_gradient(policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec) -> np.n
 def kl_gradient_to_target(policy: SoftmaxPolicy, target: Categorical) -> np.ndarray:
     """Gradient of KL(policy || target) with respect to the logits."""
     cols, lp, p = _policy_rows(policy, target.n)
-    if np.any(policy.support_mask & ~target.support_mask):
+    if _any(policy.support_mask & ~target.support_mask):
         raise InfiniteDivergence("policy mass outside the target support")
     log_target = target.log_weights if cols is None else target.log_weights[cols]
     return _to_n(_centered(p, lp - log_target), cols, policy.n)
@@ -558,13 +566,14 @@ def mc_gradient(
     augmented rewards for reverse, the anchored reference for forward.
     Returns the gradient and the batch's anchor (None if none). ``mara``
     must pass the augmentation rule that :class:`TrainConfig` applies, and
-    forward the support rule of :func:`exact_gradient`.
+    the supports the support rule of :func:`exact_gradient`, both checked
+    before any draw: a batch that missed the policy's mass off the
+    reference support would otherwise estimate an infinite objective.
     """
     cols, lp, p = _policy_rows(policy, s.n)
     if mara is not None:
         _check_augmentation(spec, mc, mara)
-    if cols is not None and spec.kind == "forward":
-        _check_covers(policy, s.reference.support_mask, "reference")
+    _check_supports(policy, cols, s, spec)
     g, (anchor,) = _mc_gradient(_Problem(s, [spec], cols), lp, p, mc, [rng],
                                 None if mara is None else [mara], policy._table)
     return _to_n(g, cols, policy.n), anchor

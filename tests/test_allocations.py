@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from kllab import mara, targets
+from kllab import dist, mara, targets
 from kllab.scenario_io import scenario_from_dict
 
 N = 65536
@@ -65,6 +65,15 @@ def test_the_scenarios_are_in_their_regimes():
     (targets.forward_kl_target, (BOUNDARY, 0.1), 5.0),
     (mara.global_anchor, (MARA, TAU), 0.5),
     (mara.mara_target, (MARA, 0.1, TAU, mara.global_anchor(MARA, TAU)), 3.5),
-], ids=["forward-interior", "forward-boundary", "global-anchor", "mara-target"])
+    # measured at 2.63, 2.63, 3.13, 1.63, 2.13 and 3.13 arrays, rounded up
+    (targets.reverse_kl_target, (INTERIOR, 0.1), 2.75),
+    (targets.generalized_target, (INTERIOR, 0.1, 0.05), 2.75),
+    (targets.generalized_target, (MARA, 0.1, 0.05), 3.25),
+    (dist.normalize, (INTERIOR.reference.log_weights,), 1.75),
+    (dist.normalize, (MARA.reference.log_weights,), 2.25),
+    (mara.anchored_reference, (MARA, TAU, mara.global_anchor(MARA, TAU)), 3.25),
+], ids=["forward-interior", "forward-boundary", "global-anchor", "mara-target",
+        "reverse-interior", "generalized-interior", "generalized-mara",
+        "normalize-interior", "normalize-mara", "anchored-reference"])
 def test_solver_peak_allocation(fn, args, bound):
     assert _peak_arrays(fn, *args) <= bound

@@ -236,6 +236,31 @@ def test_reverse_objective_rejects_off_support_policy():
         exact_gradient(policy, s, TargetSpec("reverse", 1.0))
 
 
+def test_estimators_reject_policy_mass_outside_the_reference_support_before_drawing():
+    # the exact objective is infinite; a batch of 8 nearly always misses the
+    # off-support index (mass 1.7e-4), so an estimator that only checked its
+    # samples would return a finite estimate
+    s = make_scenario([0.5, 0.5, 0.0], [0.0, 1.0, 0.5])
+    policy = SoftmaxPolicy(np.array([0.0, 0.0, -8.0]))
+    message = "^policy mass outside the reference support$"
+    for spec in (TargetSpec("reverse", 0.5), TargetSpec("generalized", 0.5, 0.1)):
+        with pytest.raises(InfiniteDivergence, match=message):
+            exact_gradient(policy, s, spec)
+        for seed in range(50):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            with pytest.raises(InfiniteDivergence, match=message):
+                mc_gradient(policy, s, spec, MonteCarlo(8, "none"), rng)
+            # nothing was drawn
+            assert rng.random() == np.random.Generator(np.random.PCG64(seed)).random()
+    for seed in range(50):
+        with pytest.raises(InfiniteDivergence, match=message):
+            mc_gradient_reverse(policy, s, 0.5, 8, "none", seed)
+    # without a reverse-KL term the reference plays no part
+    g, _ = mc_gradient(policy, s, TargetSpec("generalized", 0.0, 0.1), MonteCarlo(8, "none"),
+                       np.random.Generator(np.random.PCG64(0)))
+    assert np.isfinite(g).all()
+
+
 def test_forward_objective_rejects_partial_policy():
     s = make_scenario([0.5, 0.5], [0.0, 1.0])
     policy = uniform_policy(2, np.array([True, False]))
@@ -814,6 +839,8 @@ def _oracle_mc_gradient(lp, p, mask, s, spec, mc, rng, mara):
         reg = ref_mass - p
         reg[~mask] = 0.0
         return _oracle_score(p, mask, ys, rewards) + spec.beta * reg, anchor
+    if spec.beta > 0 and np.any(mask & ~s.reference.support_mask):
+        raise InfiniteDivergence("policy mass outside the reference support")
     rewards, ref_lp = s.rewards.values[ys], s.reference.log_weights[ys]
     if mara is not None:
         aug = augment_rewards(ys, s, mara)
