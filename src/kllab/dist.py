@@ -100,6 +100,9 @@ def normalize(log_weights) -> Categorical:
         if not _any(np.isfinite(lw)):
             raise InvalidDistribution("no finite log-weight to normalize")
         raise InvalidDistribution("log_weights must be finite or -inf")
+    if lw.ndim == 0:
+        # Categorical's rule; the buffer below would be a scalar, not an array
+        raise InvalidDistribution("log_weights must be a non-empty 1-d vector")
     shifted = np.subtract(lw, top)
     # the log-sum-exp of lw, its terms written into the buffer
     lse = top + np.log(_sum(np.exp(shifted, out=shifted), axis=None))

@@ -301,22 +301,20 @@ def _run_batch(batch) -> List[RunRecord]:
     program and measure each cell; a cell's ``wall_ms`` is the batch's
     training time over its number of cells."""
     scenario, cfgs = batch
+    modes = mode_sets(scenario)
     t0 = time.perf_counter()
     try:
         outcomes = train_cells(scenario, cfgs)
     except Exception as exc:  # cell failures never abort the sweep
         outcomes = [exc] * len(cfgs)
     wall_ms = int((time.perf_counter() - t0) * 1000 / len(cfgs))
-    modes = None
     records = []
     for cfg, outcome in zip(cfgs, outcomes):
         cell = (scenario, cfg)
         if isinstance(outcome, Exception):
             records.append(_failed_record(cell, outcome, wall_ms))
-            continue
-        if modes is None:
-            modes = mode_sets(scenario)
-        records.append(_trained_record(cell, outcome, wall_ms, modes))
+        else:
+            records.append(_trained_record(cell, outcome, wall_ms, modes))
     return records
 
 

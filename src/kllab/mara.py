@@ -19,9 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-# _any and _max are NumPy's reductions without the Python wrappers of np.any and
-# np.max, which cost more than reducing a hundred floats
-from .dist import Categorical, Scenario, _any, _max, normalize
+from .dist import Categorical, Scenario, normalize
 from .errors import InvalidAnchor
 from .targets import check_coefficients
 
@@ -105,16 +103,8 @@ def _best(candidates: np.ndarray, s: Scenario) -> Optional[int]:
 
 def global_anchor(s: Scenario, tau: float) -> Optional[int]:
     """Anchor over the whole support rather than a sampled batch: the
-    :func:`select_anchor` of every index, read without gathering them.
-
-    The earliest treated index with the treated set's largest reference
-    log-mass, so ties go to the earliest index as there."""
-    treated = _treated(s, tau, slice(None))
-    if not _any(treated):
-        return None
-    lref = s.reference.log_weights
-    treated &= lref == _max(lref, where=treated, initial=-np.inf)
-    return int(treated.argmax())
+    :func:`select_anchor` of every index, so ties go to the earliest index."""
+    return _best(_treated(s, tau, slice(None)).nonzero()[0], s)
 
 
 def reward_view(s: Scenario, beta: float, tau: float, anchor: int, idx) -> np.ndarray:
@@ -192,9 +182,17 @@ def mara_target(s: Scenario, beta: float, tau: float, anchor: int) -> Categorica
     check_coefficients("reverse", beta)
     _check_anchor(s, tau, anchor)
     r, lref = s.rewards.values, s.reference.log_weights
-    # one buffer: the tilt r / beta + lref (masked indices keep their -inf
-    # reference log-mass), then the anchor's log-mass where treated
-    log_masses = np.divide(r, beta)
+    try:
+        with np.errstate(over="raise"):
+            # one buffer: the tilt r / beta + lref (masked indices keep their
+            # -inf reference log-mass), then the anchor's log-mass where treated
+            log_masses = np.divide(r, beta)
+    except FloatingPointError:
+        # a reward near the float limit: the tilt counts on the support's
+        # untreated indices alone, all below the anchor, shifted by its reward
+        keep = s.reference.support_mask & ~_treated(s, tau, slice(None))
+        with np.errstate(over="ignore"):
+            log_masses = np.where(keep, r - r[anchor], 0.0) / beta
     log_masses += lref
-    np.copyto(log_masses, lref[anchor] + r[anchor] / beta, where=_treated(s, tau, slice(None)))
+    np.copyto(log_masses, log_masses[anchor], where=_treated(s, tau, slice(None)))
     return normalize(log_masses)

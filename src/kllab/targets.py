@@ -301,14 +301,15 @@ def log_prob_ratio(s: Scenario, beta: float, i: int, j: int) -> float:
     """Closed-form log ratio of two indices under the reverse-KL optimum.
 
     Equals ``log(ref_i / ref_j) + (R_i - R_j) / beta``; the normalization
-    constant cancels, so no overflow for any beta.
+    constant cancels, so no overflow for any beta: in Python floats, a
+    quotient past the float limit is +-inf, without a warning.
     """
     check_coefficients("reverse", beta)
     if not (s.reference.support_mask[i] and s.reference.support_mask[j]):
         raise UndefinedRatio("both indices must carry reference mass")
     lref = s.reference.log_weights
     r = s.rewards.values
-    return float(lref[i] - lref[j] + (r[i] - r[j]) / beta)
+    return float(lref[i]) - float(lref[j]) + (float(r[i]) - float(r[j])) / beta
 
 
 def flip_beta(s: Scenario, i: int, j: int) -> float:
@@ -322,14 +323,15 @@ def flip_beta(s: Scenario, i: int, j: int) -> float:
         raise UndefinedRatio("both indices must carry reference mass")
     if i == j:
         raise NoFiniteFlip("identical indices never trade places")
-    dref = s.reference.log_weights[i] - s.reference.log_weights[j]
-    dr = s.rewards.values[j] - s.rewards.values[i]
+    # Python floats, as the error message shows them
+    dref = float(s.reference.log_weights[i]) - float(s.reference.log_weights[j])
+    dr = float(s.rewards.values[j]) - float(s.rewards.values[i])
     if dref == 0.0:
         raise NoFiniteFlip("equal reference log-probs: no coefficient equalizes")
     beta_star = dr / dref
     if not math.isfinite(beta_star) or beta_star <= 0:
         raise NoFiniteFlip(f"computed coefficient {beta_star!r} is not positive")
-    return float(beta_star)
+    return beta_star
 
 
 def analytic_target(s: Scenario, spec: TargetSpec) -> Categorical:

@@ -184,6 +184,14 @@ def _sample_coefficients(lp_ys, rewards, ref_lp, beta, eta):
     return _coefficients(rewards, lp_ys, log_ratio, beta, eta)
 
 
+def _per_row(values: list):
+    """A value per row as the kernels take it: the value itself for one row,
+    else a column of floats or a stack of arrays."""
+    if len(values) == 1:
+        return values[0]
+    return np.stack(values) if np.ndim(values[0]) else np.array(values)[:, None]
+
+
 def _apply_baseline(coef: np.ndarray, baseline: str) -> np.ndarray:
     """``batch_mean`` and ``leave_one_out`` are one estimator, since
     (c_i - mean c) b/(b-1) = c_i - (sum c - c_i)/(b-1); mean subtraction
@@ -205,24 +213,17 @@ class _Problem:
     float or a 1-d array for one row, else a column (C, 1) or a stack
     (C, ...). Each piece is computed on first use and then kept."""
 
-    def __init__(self, s: Scenario, specs, cols: Optional[np.ndarray], batched: bool = False,
+    def __init__(self, s: Scenario, specs, cols: Optional[np.ndarray],
                  rewards: Optional[np.ndarray] = None, reference: Optional[Categorical] = None):
-        self.s, self.cols, self.batched = s, cols, batched
+        self.s, self.cols = s, cols
         self.rewards = s.rewards.values if rewards is None else rewards
         self.reference = s.reference if reference is None else reference
         spec = specs[0]
         self.forward = spec.kind == "forward"
         # the generalized family carries a reverse-KL term at beta > 0
         self.kl_term = not self.forward and spec.beta > 0
-        self.beta = self.per_row([sp.beta for sp in specs])
-        self.eta = self.per_row([sp.eta for sp in specs]) if spec.eta > 0 else None
-
-    def per_row(self, values: list):
-        """A value per row as the kernels take it: the value itself for one
-        row, else a column of floats or a stack of arrays."""
-        if not self.batched:
-            return values[0]
-        return np.stack(values) if np.ndim(values[0]) else np.array(values)[:, None]
+        self.beta = _per_row([sp.beta for sp in specs])
+        self.eta = _per_row([sp.eta for sp in specs]) if spec.eta > 0 else None
 
     def at_cols(self, a: np.ndarray) -> np.ndarray:
         return a if self.cols is None else a.take(self.cols, axis=-1)
@@ -265,8 +266,7 @@ def _mean_reward(prob: _Problem, p: np.ndarray, out=None):
 def _gradient(prob: _Problem, lp, p) -> np.ndarray:
     """Exact logit gradient of the objective."""
     if prob.forward:
-        reward_term = p * (prob.r_k - _mean_reward(prob, p))
-        return _forward_gradient(reward_term, prob.ref_k, p, prob.beta)
+        return _forward_gradient(_centered(p, prob.r_k), prob.ref_k, p, prob.beta)
     return _centered(p, _coefficients(prob.r_k, lp, prob.log_ratio(lp), prob.beta, prob.eta))
 
 
@@ -304,9 +304,9 @@ def _trace_fields(prob: _Problem, lp, p, scratch, target_probs, above: Optional[
     )
 
 
-def _uniforms(rngs, count: int, batched: bool) -> np.ndarray:
+def _uniforms(rngs, count: int) -> np.ndarray:
     """The next ``count`` uniforms of each row's generator, a row each."""
-    return np.stack([g.random(count) for g in rngs]) if batched else rngs[0].random(count)
+    return rngs[0].random(count) if len(rngs) == 1 else np.stack([g.random(count) for g in rngs])
 
 
 def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras, table=None):
@@ -320,7 +320,7 @@ def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras, table=Non
     if table is None:
         table = cdf_table(None, p)
     # column positions, mapped to indices over all n under a partial support
-    pos = draw(table, _uniforms(rngs, mc.batch, prob.batched))
+    pos = draw(table, _uniforms(rngs, mc.batch))
     ys = pos if prob.cols is None else prob.cols[pos]
     if maras is None:
         anchors, rewards = [None] * rows, s.rewards.values[ys]
@@ -328,16 +328,16 @@ def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras, table=Non
         view = mara_mod.augment_ref_view if prob.forward else mara_mod.augment_rewards
         augs = [view(y, s, cfg) for y, cfg in zip(ys.reshape(rows, -1), maras)]
         anchors = [a.anchor_index for a in augs]
-        rewards = prob.per_row([a.augmented_rewards for a in augs])
+        rewards = _per_row([a.augmented_rewards for a in augs])
     if prob.forward:
         if mc.sampled_regularizer:
             # augmentation keeps the exact regularizer (_check_augmentation)
-            ws = draw(s.reference_table, _uniforms(rngs, mc.batch, prob.batched))
+            ws = draw(s.reference_table, _uniforms(rngs, mc.batch))
             ref_mass = prob.at_cols(_empirical_mass(ws, s.n))
         elif maras is None:
             ref_mass = prob.ref_k
         else:
-            ref_mass = prob.per_row([prob.at_cols(
+            ref_mass = _per_row([prob.at_cols(
                 s.reference_probs if a.anchor_index is None else
                 mara_mod.anchored_reference(s, a.threshold_used, a.anchor_index).probs)
                 for a in augs])
@@ -746,7 +746,7 @@ def _policy_support(s: Scenario, spec: TargetSpec) -> np.ndarray:
     return np.asarray(s.reference.support_mask)
 
 
-def _training_problem(s: Scenario, cfgs, cols: Optional[np.ndarray], batched: bool):
+def _training_problem(s: Scenario, cfgs, cols: Optional[np.ndarray]):
     """What the batch ``cfgs`` on ``s`` trains toward: its ``_Problem`` on the
     columns ``cols``, a target per row, the above-threshold column positions
     and the global anchor (each None without augmentation, the anchor also
@@ -769,11 +769,10 @@ def _training_problem(s: Scenario, cfgs, cols: Optional[np.ndarray], batched: bo
         targets = [analytic_target(Scenario(reference, anchored), sp) for sp in specs]
         rewards = anchored.values
     else:
-        rows = [RewardVector(mara_mod.reward_view(s, sp.beta, tau, anchor, slice(None))).values
-                for sp in specs]
-        rewards = np.stack(rows) if batched else rows[0]
+        views = [mara_mod.reward_view(s, sp.beta, tau, anchor, slice(None)) for sp in specs]
+        rewards = _per_row([RewardVector(v).values for v in views])
         targets = [mara_mod.mara_target(s, sp.beta, tau, anchor) for sp in specs]
-    return _Problem(s, specs, cols, batched, rewards, reference), targets, above, anchor
+    return _Problem(s, specs, cols, rewards, reference), targets, above, anchor
 
 
 def batch_key(cfg: TrainConfig) -> tuple:
@@ -801,7 +800,7 @@ class _Cells:
         # what does not change from step to step is computed once, here; no
         # support check: the mask is _policy_support's, and anchors keep it
         self.prob, self.targets, self.above, self.global_anchor = _training_problem(
-            s, cfgs, self.cols, self.batched)
+            s, cfgs, self.cols)
         self.mc = cfg.gradient_mode if isinstance(cfg.gradient_mode, MonteCarlo) else None
         # exact mode draws nothing, and its marker seed may be negative
         self.rngs = self.maras = None
@@ -810,7 +809,7 @@ class _Cells:
             if cfg.mara is not None:
                 self.maras = [c.mara for c in cfgs]
         self.anchors: List[List[Optional[int]]] = [[] for _ in cfgs]
-        self.target_probs = self.prob.per_row([self.prob.at_cols(t.probs) for t in self.targets])
+        self.target_probs = _per_row([self.prob.at_cols(t.probs) for t in self.targets])
         shape = (self.steps, len(cfgs)) if self.batched else (self.steps,)
         self.trace = [np.empty(shape) for _ in range(3)]
         self.trace.append(None if self.above is None else np.empty(shape))

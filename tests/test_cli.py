@@ -219,6 +219,22 @@ def test_flip_beta_fig2(capsys):
     assert float(out.split()[1]) == pytest.approx(0.1316, abs=0.0005)
 
 
+def test_ratio_past_the_float_limit_prints_inf_without_a_warning(capsys):
+    code, out, err = run(
+        capsys, "ratio", "--scenario", "two_point", "--beta", "1e-320", "--i", "0", "--j", "1",
+    )
+    assert (code, out.split(), err) == (0, ["log_ratio", "-inf"], "")
+
+
+def test_flip_beta_negative_coefficient_exits_3_with_a_plain_number(capsys):
+    code, _, err = run(
+        capsys, "flip-beta", "--scenario", "fig2_two_mode", "--i", "18", "--j", "28",
+    )
+    assert code == 3
+    assert "computed coefficient -0.7888557267380867 is not positive" in err
+    assert "np.float64" not in err
+
+
 def test_flip_beta_equal_reference_exits_3(capsys):
     code, _, err = run(
         capsys, "flip-beta", "--scenario", "equal_reference",

@@ -110,6 +110,17 @@ def test_normalize_names_the_first_fault(lw, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("build, value", [
+    (normalize, 3.0), (normalize, np.array(0.5)), (from_probs, 3.0), (from_probs, np.array(0.5)),
+])
+def test_normalize_and_from_probs_reject_a_0d_input(build, value):
+    # as an input of two dimensions is, by Categorical's rule
+    with pytest.raises(InvalidDistribution, match="^log_weights must be a non-empty 1-d vector$"):
+        build(value)
+    with pytest.raises(InvalidDistribution, match="^log_weights must be a non-empty 1-d vector$"):
+        build(np.full((1, 2), value))
+
+
 @pytest.mark.parametrize("lw, message", [
     ([0.0, np.nan], "log_weights must be finite or -inf"),
     ([0.0, np.inf], "log_weights must be finite or -inf"),

@@ -75,14 +75,16 @@ def test_select_anchor_tiebreaks():
 
 
 def _select_anchor_loop(batch_indices, s, threshold):
-    """Reference for select_anchor: one pass over the batch, keeping the
-    first member with the strictly best log ref."""
+    """The anchor rule written out, independent of the code under test: a
+    member is treated where its reward is >= the threshold and its reference
+    mass > 0; one pass keeps the first treated member with the strictly
+    largest reference log-mass, so ties go to the earliest position."""
     lref = s.reference.log_weights
     r = s.rewards.values
     best = best_key = None
     for y in batch_indices:
         y = int(y)
-        if r[y] < threshold or not s.reference.support_mask[y]:
+        if not (r[y] >= threshold and lref[y] > -np.inf):
             continue
         if best_key is None or lref[y] > best_key:
             best, best_key = y, lref[y]
@@ -181,14 +183,23 @@ def _tied_scenarios(rng, count):
 
 
 def test_global_anchor_is_select_anchor_over_every_index():
+    # both read mara._best, so each is checked against the rule written out
+    # as a loop: global_anchor and select_anchor over every index, and
+    # select_anchor over a shuffled batch with repeats, where ties go to the
+    # earliest batch position
     rng = np.random.Generator(np.random.PCG64(75))
-    anchors = set()
-    for s in _tied_scenarios(rng, 400):
-        for tau in (0.0, 0.5, 1.0, 2.0):
-            expected = select_anchor(np.arange(s.n), s, tau)
+    anchors, masked = set(), 0
+    for s in list(_tied_scenarios(rng, 400)) + [random_scenario(rng) for _ in range(200)]:
+        every = np.arange(s.n)
+        batch = rng.permutation(np.concatenate((every, rng.integers(0, s.n, size=s.n))))
+        masked += not s.reference.support_mask.all()
+        for tau in (0.0, 0.5, 1.0, 2.0, float(np.median(s.rewards.values))):
+            expected = _select_anchor_loop(every, s, tau)
             assert global_anchor(s, tau) == expected
+            assert select_anchor(every, s, tau) == expected
+            assert select_anchor(batch, s, tau) == _select_anchor_loop(batch, s, tau)
             anchors.add(expected)
-    assert None in anchors and len(anchors) > 5
+    assert None in anchors and len(anchors) > 5 and masked > 200
 
 
 def test_global_anchor_tie_goes_to_the_earliest_index():
@@ -219,6 +230,31 @@ def test_mara_target_equals_the_where_formula_byte_for_byte():
                 assert got.support_mask.tobytes() == expected.support_mask.tobytes()
                 checked += 1
     assert checked > 500
+
+
+@pytest.mark.parametrize("masses, rewards, probs", [
+    # the tilt of the treated indices 0 and 2 overflows
+    ([0.2, 0.3, 0.5], [1e308, 0.5, 1e308], [0.5, 0.0, 0.5]),
+    # ... with a masked index above tau and an untreated one far below
+    ([0.2, 0.3, 0.4, 0.0, 0.1], [1e308, 0.5, 1e308, 1e308, -1e308], [0.5, 0.0, 0.5, 0.0, 0.0]),
+])
+def test_mara_target_of_rewards_near_the_float_limit(masses, rewards, probs):
+    s = make_scenario(masses, rewards)
+    anchor = global_anchor(s, 0.9)
+    assert anchor == 2
+    got = mara_target(s, 0.5, 0.9, anchor)
+    np.testing.assert_allclose(got.probs, probs, rtol=1e-15, atol=0)
+
+
+def test_mara_target_of_an_overflowing_tilt_that_the_anchor_replaces():
+    # index 0's tilt overflows, but as a treated index it takes the anchor's
+    # log-mass, so the target is that of finite rewards
+    masses = [0.2, 0.3, 0.5]
+    s = make_scenario(masses, [1e308, 0.5, 1.0])
+    got = mara_target(s, 0.5, 0.9, 2)
+    expected = np.array([0.5 * np.e**2, 0.3 * np.e, 0.5 * np.e**2])
+    np.testing.assert_allclose(got.probs, expected / expected.sum(), rtol=1e-14)
+    np.testing.assert_allclose(got.probs, [0.4503, 0.0994, 0.4503], atol=5e-5)
 
 
 def test_whole_support_views_validate_the_anchor():

@@ -13,7 +13,7 @@ from conftest import make_scenario, random_scenario
 from kllab import targets
 from kllab.dist import RewardVector, Scenario, from_probs, normalize
 from kllab.errors import InvalidCoefficient, NoFiniteFlip, SolverFailure, UndefinedRatio
-from kllab.harness import SweepSpec
+from kllab.harness import SweepSpec, scenario_by_name
 from kllab.mara import Constant, MaraConfig, mara_target
 from kllab.targets import (
     TargetSpec,
@@ -520,6 +520,12 @@ def test_log_prob_ratio_extreme_is_exact(two_point):
     assert log_prob_ratio(s, 1e-3, 0, 1) == 100.0
 
 
+def test_log_prob_ratio_past_the_float_limit_is_inf_without_a_warning(two_point):
+    # (R_i - R_j) / beta overflows; a Python float quotient is +-inf silently
+    assert log_prob_ratio(two_point, 1e-320, 0, 1) == -np.inf
+    assert log_prob_ratio(two_point, 1e-320, 1, 0) == np.inf
+
+
 def test_log_prob_ratio_equal_rewards_beta_free():
     s = make_scenario([0.8, 0.2], [0.3, 0.3])
     expected = np.log(0.8 / 0.2)
@@ -552,6 +558,15 @@ def test_flip_beta_sign_change():
     lo = log_prob_ratio(s, 0.9 * bstar, 0, 1)
     hi = log_prob_ratio(s, 1.1 * bstar, 0, 1)
     assert lo * hi < 0
+
+
+def test_flip_beta_names_a_negative_coefficient_as_a_plain_number():
+    s = scenario_by_name("fig2_two_mode")
+    with pytest.raises(NoFiniteFlip) as info:
+        flip_beta(s, 18, 28)
+    assert str(info.value) == "computed coefficient -0.7888557267380867 is not positive"
+    ref = np.exp([0.0, -1.0])
+    assert type(flip_beta(make_scenario(ref / ref.sum(), [0.0, 0.5]), 0, 1)) is float
 
 
 def test_flip_beta_equal_reference_raises(two_point):

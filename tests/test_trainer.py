@@ -103,6 +103,16 @@ def test_train_cells_of_no_cells_is_empty():
     assert train_cells(scenario_by_name("two_point"), []) == []
 
 
+def test_a_problem_reads_its_row_count_from_its_objectives():
+    # one objective gives plain values, several a column with one row each
+    s = scenario_by_name("two_point")
+    one = trainer._Problem(s, [TargetSpec("generalized", 0.1, 0.2)], None)
+    assert (one.beta, one.eta) == (0.1, 0.2)
+    two = trainer._Problem(s, [TargetSpec("generalized", 0.1, 0.2),
+                               TargetSpec("generalized", 0.3, 0.4)], None)
+    assert two.beta.tolist() == [[0.1], [0.3]] and two.eta.tolist() == [[0.2], [0.4]]
+
+
 @pytest.mark.parametrize("mode", [Exact(), MonteCarlo(8)], ids=["exact", "mc"])
 def test_train_rejects_augmented_rewards_that_overflow(mode):
     # at a beta near the float limit the reward view's correction overflows
