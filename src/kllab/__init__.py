@@ -14,7 +14,6 @@ from .dist import (
     from_probs,
     kl,
     normalize,
-    sample,
     tv_distance,
 )
 from .mara import (
@@ -48,7 +47,6 @@ from .trainer import (
     batch_key,
     exact_gradient,
     exact_objective,
-    matching_step_sft,
     mc_gradient,
     mc_gradient_forward,
     mc_gradient_reverse,
@@ -58,7 +56,7 @@ from .trainer import (
 
 __all__ = [
     "Categorical", "RewardVector", "Scenario", "entropy", "from_probs", "kl",
-    "normalize", "sample", "tv_distance",
+    "normalize", "tv_distance",
     "AugmentedBatch", "BatchPercentile", "Constant", "MaraConfig",
     "augment_ref_view", "augment_rewards", "mara_target", "select_anchor",
     "ForwardSolution", "TargetSpec", "analytic_target", "flip_beta",
@@ -66,7 +64,7 @@ __all__ = [
     "reverse_kl_target",
     "Exact", "MonteCarlo", "SoftmaxPolicy", "Trace", "TrainConfig",
     "TrainResult", "adam_step", "batch_key", "exact_gradient", "exact_objective",
-    "matching_step_sft", "mc_gradient", "mc_gradient_forward", "mc_gradient_reverse",
+    "mc_gradient", "mc_gradient_forward", "mc_gradient_reverse",
     "train", "train_cells",
 ]
 

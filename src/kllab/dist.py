@@ -155,39 +155,22 @@ def tv_distance(p: Categorical, q: Categorical) -> float:
     return float(0.5 * _sum(np.abs(p.probs - q.probs)))
 
 
-def sample(p: Categorical, rng_seed: int, count: int) -> np.ndarray:
-    """Draw ``count`` indices from ``p``, deterministic for a given seed.
-
-    Uses PCG64 uniforms inverted through the CDF over the unmasked
-    indices, so masked indices can never be produced.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    return draw(inverse_cdf(p.log_weights, p.support_mask), rng.random(count))
-
-
-def inverse_cdf(log_weights: np.ndarray, support_mask: np.ndarray):
-    """The unmasked indices and their running mass, the last pinned to 1:
-    the table that :func:`draw` inverts. Masked indices can never be drawn."""
-    active = np.flatnonzero(support_mask)
-    return cdf_table(active, np.exp(log_weights[active]))
-
-
 def cdf_table(active: Optional[np.ndarray], masses: np.ndarray):
     """The :func:`draw` table of ``masses`` at the indices ``active``: their
     running sum along the last axis, its last entry pinned to 1. Each row
     of a 2-d ``masses`` gives the table of one row of uniforms. With
-    ``active`` None the table draws positions along that axis."""
+    ``active`` None the table draws positions along that axis. Indices
+    left out of ``active`` can never be drawn."""
     cdf = masses.cumsum(axis=-1)
     cdf[..., -1] = 1.0
     return active, cdf
 
 
 def draw(table, u: np.ndarray) -> np.ndarray:
-    """Map uniforms ``u`` in [0, 1) to indices through an :func:`inverse_cdf`
-    table; a table of rows maps the row of ``u`` with the same index. A
-    table without indices (``active`` None) gives the positions themselves."""
+    """Map uniforms ``u`` in [0, 1) to indices through a :func:`cdf_table`
+    table, the package's one inverse-CDF sampler; a table of rows maps the
+    row of ``u`` with the same index. A table without indices (``active``
+    None) gives the positions themselves."""
     active, cdf = table
     if cdf.ndim == 1:
         pos = cdf.searchsorted(u, side="right")
@@ -222,8 +205,8 @@ class Scenario:
     """A (reference distribution, reward vector) problem instance.
 
     ``reference_probs`` is the reference's mass and ``reference_table`` its
-    :func:`inverse_cdf` table, each built on first read and then kept,
-    read-only, for the scenario's lifetime.
+    :func:`cdf_table` table over the support indices, each built on first
+    read and then kept, read-only, for the scenario's lifetime.
     """
 
     reference: Categorical
@@ -249,7 +232,8 @@ class Scenario:
 
     @cached_property
     def reference_table(self):
-        active, cdf = inverse_cdf(self.reference.log_weights, self.reference.support_mask)
+        active = np.flatnonzero(self.reference.support_mask)
+        _, cdf = cdf_table(active, np.exp(self.reference.log_weights[active]))
         return _frozen(active), _frozen(cdf)
 
     @cached_property

@@ -69,7 +69,7 @@ from . import mara as mara_mod
 # and np.sum, which cost more than reducing a hundred floats
 from .dist import (
     Categorical, RewardVector, Scenario, _any, _frozen, _reduce_through_init, _sum, cdf_table,
-    draw, normalize, sample,
+    draw, normalize,
 )
 from .errors import InfiniteDivergence, InvalidDistribution, NonFiniteGradient
 from .mara import MaraConfig
@@ -331,9 +331,10 @@ def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras, table=Non
         rewards = _per_row([a.augmented_rewards for a in augs])
     if prob.forward:
         if mc.sampled_regularizer:
-            # augmentation keeps the exact regularizer (_check_augmentation)
+            # augmentation keeps the exact regularizer (_check_augmentation);
+            # the mass is each index's share of a row's reference draws
             ws = draw(s.reference_table, _uniforms(rngs, mc.batch))
-            ref_mass = prob.at_cols(_empirical_mass(ws, s.n))
+            ref_mass = prob.at_cols(_bincount_rows(ws, s.n) / mc.batch)
         elif maras is None:
             ref_mass = prob.ref_k
         else:
@@ -417,10 +418,6 @@ class SoftmaxPolicy:
         return normalize(self.log_probs())
 
 
-def uniform_policy(n: int, support_mask=None) -> SoftmaxPolicy:
-    return SoftmaxPolicy(np.zeros(n), support_mask)
-
-
 # --------------------------------------------------------------------------
 # exact objective and gradients
 
@@ -437,12 +434,6 @@ def _policy_rows(policy: SoftmaxPolicy, n: int):
     return policy._rows
 
 
-def _check_covers(policy: SoftmaxPolicy, target_mask: np.ndarray, what: str) -> None:
-    """Forward's rule: the policy's support covers the target's."""
-    if _any(target_mask & ~policy.support_mask):
-        raise InfiniteDivergence(f"{what} mass outside the policy support")
-
-
 def _check_supports(policy: SoftmaxPolicy, cols: Optional[np.ndarray], s: Scenario,
                     spec: TargetSpec) -> None:
     """Raise unless the objective is finite: forward needs the reference
@@ -451,8 +442,8 @@ def _check_supports(policy: SoftmaxPolicy, cols: Optional[np.ndarray], s: Scenar
     reference's, which a full reference support holds."""
     ref = s.reference.support_mask
     if spec.kind == "forward":
-        if cols is not None:
-            _check_covers(policy, ref, "reference")
+        if cols is not None and _any(ref & ~policy.support_mask):
+            raise InfiniteDivergence("reference mass outside the policy support")
     elif spec.beta > 0 and not s._reference_full and _any(policy.support_mask & ~ref):
         raise InfiniteDivergence("policy mass outside the reference support")
 
@@ -546,11 +537,6 @@ def reverse_coefficients(
                                 beta if beta > 0 else None, None)
 
 
-def _empirical_mass(ws: np.ndarray, n: int) -> np.ndarray:
-    """The share of each index 0..n-1 in each row of draws ``ws``."""
-    return _bincount_rows(ws, n) / ws.shape[-1]
-
-
 def mc_gradient(
     policy: SoftmaxPolicy, s: Scenario, spec: TargetSpec, mc: MonteCarlo,
     rng: np.random.Generator, mara: Optional[MaraConfig] = None,
@@ -608,17 +594,6 @@ def mc_gradient_forward(
     # forward takes no baseline; MonteCarlo's default one is validated as before
     spec, mc = _seeded_inputs("forward", beta, batch, "batch_mean", sampled_regularizer)
     return mc_gradient(policy, s, spec, mc, rng)[0]
-
-
-def matching_step_sft(
-    policy: SoftmaxPolicy, target: Categorical, batch: int, seed: int
-) -> np.ndarray:
-    """Estimated gradient of KL(target || policy), finite where the policy's
-    support covers the target's: the negative mean of grad log p over
-    target samples (maximum likelihood on target draws)."""
-    _check_length(policy.n, target.n)
-    _check_covers(policy, target.support_mask, "target")
-    return policy.probs() - _empirical_mass(sample(target, seed, batch), policy.n)
 
 
 # --------------------------------------------------------------------------

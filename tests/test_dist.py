@@ -9,11 +9,11 @@ from kllab.dist import (
     Categorical,
     RewardVector,
     Scenario,
+    draw,
     entropy,
     from_probs,
     kl,
     normalize,
-    sample,
     tv_distance,
 )
 from kllab.errors import InfiniteDivergence, InvalidDistribution
@@ -197,25 +197,21 @@ def test_tv_distance_values():
     assert tv_distance(u, from_probs([0.25, 0.75])) == pytest.approx(0.25)
 
 
+def _reference_draws(probs, seed: int, count: int) -> np.ndarray:
+    """``count`` draws through the reference table of a scenario whose
+    reference has the masses ``probs``, from PCG64 uniforms of ``seed``."""
+    s = Scenario(from_probs(probs), RewardVector(np.zeros(len(probs))))
+    return draw(s.reference_table, np.random.Generator(np.random.PCG64(seed)).random(count))
+
+
 def test_sample_point_mass():
-    d = from_probs([0.0, 1.0, 0.0])
-    assert np.all(sample(d, rng_seed=7, count=64) == 1)
-
-
-def test_sample_deterministic():
-    d = from_probs([0.2, 0.5, 0.3])
-    a = sample(d, rng_seed=123, count=1000)
-    b = sample(d, rng_seed=123, count=1000)
-    np.testing.assert_array_equal(a, b)
-    c = sample(d, rng_seed=124, count=1000)
-    assert not np.array_equal(a, c)
+    assert np.all(_reference_draws([0.0, 1.0, 0.0], 7, 64) == 1)
 
 
 def test_sample_frequencies():
     probs = np.array([0.1, 0.3, 0.6])
-    d = from_probs(probs)
     count = 200_000
-    ys = sample(d, rng_seed=2, count=count)
+    ys = _reference_draws(probs, 2, count)
     for i, p in enumerate(probs):
         freq = np.mean(ys == i)
         se = np.sqrt(p * (1 - p) / count)
@@ -223,14 +219,8 @@ def test_sample_frequencies():
 
 
 def test_sample_never_emits_masked():
-    d = from_probs([0.5, 0.0, 0.5])
-    ys = sample(d, rng_seed=11, count=50_000)
+    ys = _reference_draws([0.5, 0.0, 0.5], 11, 50_000)
     assert not np.any(ys == 1)
-
-
-def test_sample_rejects_bad_count():
-    with pytest.raises(ValueError):
-        sample(from_probs([1.0]), rng_seed=0, count=0)
 
 
 def test_reward_vector_rejects_non_finite():

@@ -20,7 +20,7 @@ from kllab.mara import (
     select_anchor,
 )
 from kllab.targets import reverse_kl_target
-from kllab.trainer import reverse_coefficients, uniform_policy
+from kllab.trainer import SoftmaxPolicy, reverse_coefficients
 
 
 def hand_scenario() -> Scenario:
@@ -318,7 +318,7 @@ def test_estimator_views_agree_per_sample():
         ys = rng.integers(0, s.n, size=16)
         a1 = augment_rewards(ys, s, cfg)
         a2 = augment_ref_view(ys, s, cfg)
-        policy = uniform_policy(s.n)
+        policy = SoftmaxPolicy(np.zeros(s.n))
         c1 = reverse_coefficients(
             policy, ys, a1.augmented_rewards, a1.augmented_ref_logprobs, beta
         )

@@ -39,14 +39,12 @@ from kllab.trainer import (
     exact_gradient,
     exact_objective,
     kl_gradient_to_target,
-    matching_step_sft,
     mc_gradient,
     mc_gradient_forward,
     mc_gradient_reverse,
     reverse_coefficients,
     train,
     train_cells,
-    uniform_policy,
 )
 
 
@@ -239,7 +237,7 @@ def test_forward_gradient_zero_at_solution(two_point):
 
 def test_reverse_objective_rejects_off_support_policy():
     s = make_scenario([1.0, 0.0], [0.0, 1.0])
-    policy = uniform_policy(2)
+    policy = SoftmaxPolicy(np.zeros(2))
     with pytest.raises(InfiniteDivergence):
         exact_objective(policy, s, TargetSpec("reverse", 1.0))
     with pytest.raises(InfiniteDivergence):
@@ -273,7 +271,7 @@ def test_estimators_reject_policy_mass_outside_the_reference_support_before_draw
 
 def test_forward_objective_rejects_partial_policy():
     s = make_scenario([0.5, 0.5], [0.0, 1.0])
-    policy = uniform_policy(2, np.array([True, False]))
+    policy = SoftmaxPolicy(np.zeros(2), np.array([True, False]))
     with pytest.raises(InfiniteDivergence):
         exact_objective(policy, s, TargetSpec("forward", 1.0))
 
@@ -282,7 +280,7 @@ def test_forward_objective_rejects_partial_policy():
 def test_public_functions_reject_a_policy_of_the_wrong_length(n):
     s = scenario_by_name("fig2_two_mode")
     assert s.n == 100
-    policy = uniform_policy(n)
+    policy = SoftmaxPolicy(np.zeros(n))
     calls = [
         lambda: exact_gradient(policy, s, TargetSpec("reverse", 0.1)),
         lambda: exact_gradient(policy, s, TargetSpec("forward", 0.1)),
@@ -293,7 +291,6 @@ def test_public_functions_reject_a_policy_of_the_wrong_length(n):
         lambda: mc_gradient_reverse(policy, s, 0.1, 8, "none", 0),
         lambda: mc_gradient_forward(policy, s, 0.1, 8, 0, sampled_regularizer=True),
         lambda: kl_gradient_to_target(policy, reverse_kl_target(s, 0.1)),
-        lambda: matching_step_sft(policy, reverse_kl_target(s, 0.1), 8, 0),
     ]
     for call in calls:
         with pytest.raises(InvalidDistribution, match="^length mismatch$"):
@@ -351,7 +348,7 @@ def test_baseline_variants_agree():
 
 def test_point_mass_policy_has_zero_mc_gradient():
     s = make_scenario([1.0, 0.0], [0.7, 0.0])
-    policy = uniform_policy(2, np.array([True, False]))
+    policy = SoftmaxPolicy(np.zeros(2), np.array([True, False]))
     g = mc_gradient_reverse(policy, s, beta=0.5, batch=16, baseline="none", seed=0)
     # only accumulation round-off remains (sum of 16 identical terms / 16)
     np.testing.assert_allclose(g, 0.0, atol=1e-15)
@@ -359,7 +356,7 @@ def test_point_mass_policy_has_zero_mc_gradient():
 
 def test_mc_gradient_deterministic():
     s = make_scenario([0.2, 0.3, 0.5], [0.0, 1.0, 0.5])
-    policy = uniform_policy(3)
+    policy = SoftmaxPolicy(np.zeros(3))
     a = mc_gradient_reverse(policy, s, 0.5, 32, "batch_mean", seed=9)
     b = mc_gradient_reverse(policy, s, 0.5, 32, "batch_mean", seed=9)
     np.testing.assert_array_equal(a, b)
@@ -367,7 +364,7 @@ def test_mc_gradient_deterministic():
 
 def test_mc_reverse_rejects_off_support_samples():
     s = make_scenario([0.0, 1.0], [1.0, 0.0])
-    policy = uniform_policy(2)  # full support, can propose index 0
+    policy = SoftmaxPolicy(np.zeros(2))  # full support, can propose index 0
     with pytest.raises(InfiniteDivergence):
         mc_gradient_reverse(policy, s, 0.5, 64, "none", seed=1)
 
@@ -453,19 +450,12 @@ def test_mc_gradient_is_unbiased(spec, mc):
     assert np.all(z <= 3.5), z
 
 
-def test_matching_step_sft_point_mass_target():
-    target = make_scenario([0.0, 1.0], [0, 0]).reference
-    policy = uniform_policy(2)
-    g = matching_step_sft(policy, target, batch=8, seed=0)
-    np.testing.assert_allclose(g, [0.5, -0.5], atol=1e-12)
-
-
 def test_forward_estimators_reject_reference_mass_off_the_policy_support():
     # index 3 carries reference mass but no policy mass, so KL(ref || policy)
     # is infinite: the estimators raise as the exact gradient does, rather
     # than drop that mass
     s = make_scenario([0.25] * 4, [0.0, 1.0, 0.5, 0.2])
-    policy = uniform_policy(4, np.array([True, True, True, False]))
+    policy = SoftmaxPolicy(np.zeros(4), np.array([True, True, True, False]))
     spec = TargetSpec("forward", 0.5)
     rng = np.random.Generator(np.random.PCG64(0))
     calls = [
@@ -480,26 +470,6 @@ def test_forward_estimators_reject_reference_mass_off_the_policy_support():
         with pytest.raises(InfiniteDivergence,
                            match="^reference mass outside the policy support$"):
             call()
-    with pytest.raises(InfiniteDivergence, match="^target mass outside the policy support$"):
-        matching_step_sft(policy, s.reference, 8, 0)
-    # a masked index off the target's support is no loss: its gradient is 0
-    target = make_scenario([0.5, 0.5, 0.0, 0.0], [0.0] * 4).reference
-    g = matching_step_sft(policy, target, 8, 0)
-    assert g[3] == 0.0 and g.sum() == pytest.approx(0.0, abs=1e-15)
-
-
-def test_matching_step_sft_converges():
-    s = make_scenario([0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.5, -0.5])
-    target = reverse_kl_target(s, 0.5)
-    policy = uniform_policy(4)
-    state = AdamState(np.zeros(4), np.zeros(4))
-    for step in range(600):
-        # descent on KL(target || policy): negate the estimated gradient
-        g = -matching_step_sft(policy, target, batch=256, seed=step)
-        state, logits = adam_step(state, policy.logits, g, lr=0.05)
-        policy = SoftmaxPolicy(logits, policy.support_mask)
-    tv = 0.5 * np.sum(np.abs(policy.probs() - target.probs))
-    assert tv <= 0.05
 
 
 # --------------------------------------------------------------------------
@@ -654,8 +624,8 @@ def test_train_and_mc_gradient_reject_the_same_augmentations(spec, mc, mara):
     with pytest.raises(ValueError, match=message):
         TrainConfig(spec, gradient_mode=mc, mara=mara)
     with pytest.raises(ValueError, match=message):
-        mc_gradient(uniform_policy(s.n), s, spec, mc, np.random.Generator(np.random.PCG64(0)),
-                    mara)
+        mc_gradient(SoftmaxPolicy(np.zeros(s.n)), s, spec, mc,
+                    np.random.Generator(np.random.PCG64(0)), mara)
 
 
 def test_train_trace_length_matches_steps(two_point):
