@@ -6,9 +6,7 @@ parse error, 3 domain-negative result (e.g. no finite flip coefficient).
 
 from __future__ import annotations
 
-import argparse
 import csv
-import json
 import os
 import sys
 from pathlib import Path
@@ -33,17 +31,14 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
-class _CliParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _resolve_scenario(ref: str):
     if ref in harness.SCENARIO_CONFIGS:
         return harness.scenario_by_name(ref)
     path = Path(ref)
     if not path.exists():
         raise ScenarioFormatError(f"no builtin scenario or file named {ref!r}")
+    import json
+
     try:
         return load_scenario(path)
     except json.JSONDecodeError as exc:
@@ -211,6 +206,13 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse loads only when a command line is parsed, not on import
+    import argparse
+
+    class _CliParser(argparse.ArgumentParser):
+        def error(self, message):
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
     parser = _CliParser(prog="kllab")
     sub = parser.add_subparsers(dest="command", required=True)
 

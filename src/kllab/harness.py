@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import time
@@ -343,6 +342,8 @@ def _batches(cells) -> List[tuple]:
 
 def _run_alone(batch) -> List[RunRecord]:
     """``batch`` in a process of its own, whose death fails the batch."""
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
         try:
             return alone.submit(_run_batch, batch).result()
@@ -355,6 +356,8 @@ def _collect(future, batch) -> List[RunRecord]:
     """The batch's records; a dead worker (BrokenProcessPool) breaks the
     whole pool, so each cell of a batch it took down runs again alone, and
     only a cell that kills its own worker too fails."""
+    import concurrent.futures
+
     try:
         return future.result()
     except concurrent.futures.BrokenExecutor:
@@ -373,6 +376,9 @@ def run_sweep(*specs: SweepSpec, workers: int = 1) -> List[RunRecord]:
     if workers == 1 or len(batches) == 1:
         parts = [_run_batch(b) for b in batches]
     else:
+        # the pool's modules load only when a sweep uses one
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_batch, b) for b in batches]
             parts = [_collect(f, b) for f, b in zip(futures, batches)]

@@ -23,7 +23,6 @@ of modes, despite the name).
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import sys
@@ -31,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-# _all and _sum are NumPy's reductions without the Python wrappers of np.all and
-# np.sum, which cost more than reducing a hundred floats
-from .dist import Categorical, RewardVector, Scenario, _all, _sum, from_probs, normalize
+# _all is NumPy's reduction without the Python wrapper of np.all, which costs
+# more than reducing a hundred booleans
+from .dist import Categorical, RewardVector, Scenario, _all, from_probs, normalize
 from .errors import InvalidDistribution
 
 
@@ -72,14 +71,50 @@ def _numbers(values, message: str) -> np.ndarray:
 
 def _bumps(shape: str, centers, widths, scales):
     """The bump parameters as float arrays: lists of numbers of equal length,
-    every width positive (a zero width divides by zero)."""
+    every width positive and large enough that 2*w**2 is not 0 (a bump
+    divides by it)."""
     message = f"{shape} parameters must be lists of numbers"
     centers, widths, scales = (_numbers(a, message) for a in (centers, widths, scales))
     if not (len(centers) == len(widths) == len(scales)):
         raise ScenarioFormatError(f"{shape} parameter lists must have equal length")
     if not _all(widths > 0):
         raise ScenarioFormatError(f"{shape} widths must be positive")
+    # a width past 1e154 squares to inf, and its bump is flat at its scale
+    with np.errstate(over="ignore"):
+        if not _all(2.0 * widths**2 > 0):
+            raise ScenarioFormatError(f"{shape} widths must be large enough that 2*w**2 "
+                                      "is not 0 (w >= about 1.57e-162)")
     return centers, widths, scales
+
+
+def _bump_sum(n: int, centers, widths, scales) -> np.ndarray:
+    """``sum_b scales[b] * exp(-(x - centers[b])**2 / (2 * widths[b]**2))`` at
+    each index x of 0..n-1, one n-wide row per bump added in bump order.
+
+    Each row is computed in place, stage by stage. The terms are those of
+    the broadcast formula ``scales * np.exp(-((x - centers) ** 2) / (2.0 *
+    widths**2))`` and, below eight bumps, so is their sum along the bump
+    axis, bit for bit. An overflow is exact here: a far center's square is
+    inf and its term 0, a huge width's square is inf and its term the scale.
+    """
+    x = np.arange(n, dtype=float)
+    rows = np.empty((len(centers), n))
+    with np.errstate(over="ignore"):
+        for row, c, den, scale in zip(rows, centers.tolist(), (-2.0 * widths**2).tolist(),
+                                      scales.tolist()):
+            np.subtract(x, c, out=row)
+            np.square(row, out=row)
+            np.divide(row, den, out=row)
+            np.exp(row, out=row)
+            np.multiply(row, scale, out=row)
+    # from 0.0, as NumPy's sum starts (a -0.0 term sums to 0.0), into a fresh
+    # array, so that the rows' block is freed on return: glibc's mmap
+    # threshold follows the largest freed block, and at large n this one
+    # keeps the solvers' later arrays on the heap (see README, Library)
+    total = np.zeros(n)
+    for row in rows:
+        total += row
+    return total
 
 
 def reference_uniform(n: int) -> Categorical:
@@ -96,22 +131,12 @@ def reference_half_support(n: int, decay: float = 0.095) -> Categorical:
 
 def reference_mixture(n: int, centers, widths, weights) -> Categorical:
     """Full-support mixture of Gaussian bumps on the index line."""
-    centers, widths, weights = _bumps("mixture", centers, widths, weights)
-    x = np.arange(n)[:, None]
-    masses = _sum(
-        weights * np.exp(-((x - centers) ** 2) / (2.0 * widths**2)), axis=1
-    )
-    return from_probs(masses)
+    return from_probs(_bump_sum(n, *_bumps("mixture", centers, widths, weights)))
 
 
 def rewards_two_mode(n: int, centers, widths, heights) -> RewardVector:
     """Sum of Gaussian reward bumps over the index line."""
-    centers, widths, heights = _bumps("two_mode", centers, widths, heights)
-    x = np.arange(n)[:, None]
-    values = _sum(
-        heights * np.exp(-((x - centers) ** 2) / (2.0 * widths**2)), axis=1
-    )
-    return RewardVector(values)
+    return RewardVector(_bump_sum(n, *_bumps("two_mode", centers, widths, heights)))
 
 
 def _build_reference(n: int, spec) -> Categorical:
@@ -164,12 +189,16 @@ def scenario_from_dict(cfg: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    import json
+
     with open(path) as fh:
         cfg = json.load(fh)
     return scenario_from_dict(cfg)
 
 
 def dump_scenario(s: Scenario, path) -> None:
+    import json
+
     cfg = {
         "name": s.name,
         "n": s.n,

@@ -1,4 +1,4 @@
-"""Peak traced allocation of the analytic solvers at large n.
+"""Peak traced allocation of the analytic solvers and the bump shapes at large n.
 
 Each bound is in n-wide float arrays (8 n bytes) of the call's peak
 ``tracemalloc`` allocation, its returned arrays included, at n = 65536. The
@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from kllab import dist, mara, targets
+from kllab import dist, mara, scenario_io, targets
 from kllab.scenario_io import scenario_from_dict
 
 N = 65536
@@ -30,14 +30,14 @@ def _scenario(reference, rewards):
 
 # half the indices masked; the best reward on the support (interior) or off
 # it (boundary regime)
-INTERIOR = _scenario({"shape": "half_support", "decay": 0.095 / STRETCH},
-                     _two_mode([18, 38], [0.75, 1.0]))
+FIG2_REWARDS = _two_mode([18, 38], [0.75, 1.0])
+INTERIOR = _scenario({"shape": "half_support", "decay": 0.095 / STRETCH}, FIG2_REWARDS)
 BOUNDARY = _scenario({"shape": "half_support", "decay": 0.05 / STRETCH},
                      _two_mode([20, 70], [0.8, 1.0]))
 # full support, two treated modes above tau = 0.5
-MARA = _scenario({"shape": "mixture", "centers": [15 * STRETCH, 35 * STRETCH],
-                  "widths": [4.0 * STRETCH] * 2, "weights": [0.88, 0.12]},
-                 _two_mode([15, 35], [1.0, 1.0]))
+MIXTURE = {"shape": "mixture", "centers": [15 * STRETCH, 35 * STRETCH],
+           "widths": [4.0 * STRETCH] * 2, "weights": [0.88, 0.12]}
+MARA = _scenario(MIXTURE, _two_mode([15, 35], [1.0, 1.0]))
 TAU = 0.5
 
 
@@ -72,8 +72,15 @@ def test_the_scenarios_are_in_their_regimes():
     (dist.normalize, (INTERIOR.reference.log_weights,), 1.75),
     (dist.normalize, (MARA.reference.log_weights,), 2.25),
     (mara.anchored_reference, (MARA, TAU, mara.global_anchor(MARA, TAU)), 3.25),
+    # measured at 4.00 and 4.13 arrays: the index line, the two bumps' rows
+    # and their sum (a broadcast (n, 2) formula peaked at 5.13)
+    (scenario_io.rewards_two_mode,
+     (N, FIG2_REWARDS["centers"], FIG2_REWARDS["widths"], FIG2_REWARDS["heights"]), 4.25),
+    (scenario_io.reference_mixture,
+     (N, MIXTURE["centers"], MIXTURE["widths"], MIXTURE["weights"]), 4.25),
 ], ids=["forward-interior", "forward-boundary", "global-anchor", "mara-target",
         "reverse-interior", "generalized-interior", "generalized-mara",
-        "normalize-interior", "normalize-mara", "anchored-reference"])
+        "normalize-interior", "normalize-mara", "anchored-reference",
+        "two-mode-rewards", "mixture-reference"])
 def test_solver_peak_allocation(fn, args, bound):
     assert _peak_arrays(fn, *args) <= bound

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -16,6 +19,17 @@ def test_all_names_resolve_and_none_is_a_module():
     assert len(set(kllab.__all__)) == len(kllab.__all__)
     for name in kllab.__all__:
         assert not isinstance(getattr(kllab, name), types.ModuleType), name
+
+
+def test_importing_the_cli_loads_no_pool_json_or_argparse():
+    # each loads inside the function that uses it: a worker pool, a scenario
+    # file, a command line; every start that imports kllab.cli skips them
+    env = {**os.environ, "PYTHONPATH": str(Path(kllab.__file__).parents[1])}
+    script = ("import sys, kllab, kllab.cli; "
+              "print(sorted({'concurrent.futures', 'json', 'argparse'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_readme_library_names_are_exported():
