@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 internal failure or a file error, 2 usage or config
-parse error, 3 domain-negative result (e.g. no finite flip coefficient).
+parse error, 3 domain-negative result (e.g. no finite flip coefficient, or
+rewards past the scale that training can take).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .errors import KllabError, NoFiniteFlip, UndefinedRatio
+from .errors import KllabError, NoFiniteFlip, UndefinedRatio, UntrainableScale
 from .mara import BatchPercentile, Constant, MaraConfig, augment_rewards
 from .scenario_io import ScenarioFormatError, load_scenario
 from .targets import (
@@ -292,7 +293,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # InvalidCoefficient and ScenarioFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoFiniteFlip, UndefinedRatio) as exc:
+    except (NoFiniteFlip, UndefinedRatio, UntrainableScale) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (KllabError, OSError) as exc:

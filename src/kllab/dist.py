@@ -19,11 +19,12 @@ from .errors import InfiniteDivergence, InvalidDistribution
 # Normalized masses must sum to 1 within this tolerance.
 NORMALIZATION_TOL = 1e-12
 
-# the reductions that np.sum, np.max, np.any and np.all make, without their
-# Python wrappers, which cost more than reducing a hundred floats; the sums
-# are the same pairwise sums, bit for bit
+# the reductions that np.sum, np.max, np.min, np.any and np.all make, without
+# their Python wrappers, which cost more than reducing a hundred floats; the
+# sums are the same pairwise sums, bit for bit
 _sum = np.add.reduce
 _max = np.maximum.reduce
+_min = np.minimum.reduce
 _any = np.logical_or.reduce
 _all = np.logical_and.reduce
 
@@ -181,17 +182,23 @@ def draw(table, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RewardVector:
-    """One finite reward per support index."""
+    """One finite reward per support index. ``scale``, the largest |r|, is
+    the package's one float-limit rule: for c > 0 some r / c overflows
+    exactly when the Python float ``scale / c`` does (same rounding)."""
 
     values: np.ndarray
+    scale: float = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("rewards must be a non-empty 1-d vector")
-        if not _all(np.isfinite(v)):
+        # NaN if any entry is, inf if one is
+        scale = max(float(_max(v)), -float(_min(v)))
+        if not scale < math.inf:
             raise ValueError("rewards must be finite")
         object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "scale", scale)
 
     __reduce__ = _reduce_through_init
 

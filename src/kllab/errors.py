@@ -42,3 +42,8 @@ class InvalidPartition(KllabError):
 
 class NonFiniteGradient(KllabError):
     """A gradient contained NaN or inf; the run is halted."""
+
+
+class UntrainableScale(KllabError):
+    """Rewards so large that Adam's squared gradient could overflow; the run
+    is refused before its first step."""

@@ -182,12 +182,11 @@ def mara_target(s: Scenario, beta: float, tau: float, anchor: int) -> Categorica
     check_coefficients("reverse", beta)
     _check_anchor(s, tau, anchor)
     r, lref = s.rewards.values, s.reference.log_weights
-    try:
-        with np.errstate(over="raise"):
-            # one buffer: the tilt r / beta + lref (masked indices keep their
-            # -inf reference log-mass), then the anchor's log-mass where treated
-            log_masses = np.divide(r, beta)
-    except FloatingPointError:
+    # one buffer: the tilt r / beta + lref (masked indices keep their -inf
+    # reference log-mass), then the anchor's log-mass where treated
+    if s.rewards.scale / beta < math.inf:
+        log_masses = np.divide(r, beta)
+    else:
         # a reward near the float limit: the tilt counts on the support's
         # untreated indices alone, all below the anchor, shifted by its reward
         keep = s.reference.support_mask & ~_treated(s, tau, slice(None))

@@ -30,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-# _all is NumPy's reduction without the Python wrapper of np.all, which costs
-# more than reducing a hundred booleans
-from .dist import Categorical, RewardVector, Scenario, _all, from_probs, normalize
+# _all and _any are NumPy's reductions without the Python wrappers of np.all
+# and np.any, which cost more than reducing a hundred booleans
+from .dist import Categorical, RewardVector, Scenario, _all, _any, from_probs, normalize
 from .errors import InvalidDistribution
 
 
@@ -81,9 +81,17 @@ def _bumps(shape: str, centers, widths, scales):
         raise ScenarioFormatError(f"{shape} widths must be positive")
     # a width past 1e154 squares to inf, and its bump is flat at its scale
     with np.errstate(over="ignore"):
-        if not _all(2.0 * widths**2 > 0):
+        den = 2.0 * widths**2
+        if not _all(den > 0):
             raise ScenarioFormatError(f"{shape} widths must be large enough that 2*w**2 "
                                       "is not 0 (w >= about 1.57e-162)")
+        # a center whose square is inf makes (x - c)**2 inf at every index
+        # (n is far below its float spacing): with a width whose 2*w**2 is inf
+        # too, the bump's terms would be inf / inf
+        if _any((centers**2 == np.inf) & (den == np.inf)):
+            raise ScenarioFormatError(
+                f"{shape} centers and widths must not both overflow on one bump (a center"
+                " past about 1.34e154 with a width past about 9.48e153): its terms are inf / inf")
     return centers, widths, scales
 
 

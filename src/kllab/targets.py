@@ -15,14 +15,15 @@ reverse-KL optimum, and the coefficient at which two indices trade places.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-# _all, _any, _max and _sum are NumPy's reductions without the Python
-# wrappers of np.all, np.any, np.max and np.sum, which cost more than
+# _all, _any, _max, _min and _sum are NumPy's reductions without the Python
+# wrappers of np.all, np.any, np.max, np.min and np.sum, which cost more than
 # reducing a hundred floats
-from .dist import Categorical, Scenario, _all, _any, _max, _sum, normalize
+from .dist import Categorical, Scenario, _all, _any, _max, _min, _sum, normalize
 from .errors import (
     InvalidCoefficient,
     NoFiniteFlip,
@@ -99,10 +100,9 @@ def generalized_target(s: Scenario, beta: float, eta: float) -> Categorical:
     check_coefficients("generalized", beta, eta)
     total = beta + eta
     r = s.rewards.values
-    try:
-        with np.errstate(over="raise"):
-            tilt = r / total
-    except FloatingPointError:
+    if s.rewards.scale / total < math.inf:
+        tilt = r / total
+    else:
         # a finite reward near the float limit: off the support the tilt
         # does not count, and on it a shift by the largest reward there
         # leaves the distribution as it is
@@ -219,6 +219,24 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
     return float(_midpoint(lo, hi))
 
 
+def _float_limit(beta: float, gap: float, w_min: float, scale: float):
+    """The context of a forward solve: one that ignores overflow and division
+    by zero if its floats can reach the float limit, else none. Each weight
+    lies in [w_min, beta] and they sum to about beta. Each lam - R is below
+    (beta + 1 + scale) 2**63: lam stays within (beta + 1 + eps) 2**60 of
+    lower, eps = 1e-12 max(1, |lower|), and R >= -scale. It is at least
+    ``gap`` at a closed lower end (gap > 0); above an open one the bracket
+    search steps down to lower + eps / 4**60, eps >= 1e-12, or stops a float
+    above lower (quartered: a margin for rounding). Python rounds as NumPy
+    does, and each bound is monotone."""
+    g = min(gap, 1.0) if gap > 0 else 1e-12 * 0.25**61
+    # the masses w / (lam - R), Newton's w / (lam - R)**2, their sums, and
+    # the smallest mass
+    if 4.0 * beta / g / g < math.inf and w_min / ((beta + 1.0 + scale) * 2.0**63) > 0.0:
+        return nullcontext()
+    return np.errstate(over="ignore", divide="ignore")
+
+
 def _on_support_log_masses(lam: float, w, ref_probs, rewards) -> np.ndarray:
     """The logs of ``w / (lam - R)``, ``w = beta * ref``. Indices where
     ``lam - R`` rounds to 0 (``lam`` within a float of the best reward)
@@ -226,13 +244,12 @@ def _on_support_log_masses(lam: float, w, ref_probs, rewards) -> np.ndarray:
     gap = lam - rewards
     tied = gap == 0.0
     if not _any(tied):
-        masses = np.divide(w, gap, out=gap)
-    else:
-        masses = np.zeros(gap.size)
-        free = ~tied
-        masses[free] = w[free] / gap[free]
-        leftover = max(0.0, 1.0 - float(_sum(masses)))
-        masses[tied] = leftover * ref_probs[tied] / _sum(ref_probs[tied])
+        return np.log(np.divide(w, gap, out=gap), out=gap)
+    masses = np.zeros(gap.size)
+    free = ~tied
+    masses[free] = w[free] / gap[free]
+    leftover = max(0.0, 1.0 - float(_sum(masses)))
+    masses[tied] = leftover * ref_probs[tied] / _sum(ref_probs[tied])
     with np.errstate(divide="ignore"):  # a zero mass is a masked index
         return np.log(masses, out=masses)
 
@@ -255,9 +272,9 @@ def _forward_log_masses(s: Scenario, beta: float):
 
     boundary = False
     off_mass = 0.0
-    # near beta's float limit w / (lam - R) overflows, reads as mass >= 1 and
-    # grows the bracket until it fails with SolverFailure
-    with np.errstate(over="ignore"):
+    # near the float limit an overflowing w / (lam - R) reads as mass >= 1
+    # and grows the bracket until it fails with SolverFailure
+    with _float_limit(beta, r_max_out - r_max_in, float(_min(w)), s.rewards.scale):
         if r_max_out > r_max_in:
             at_out = _mass_terms(r_max_out, w, r_on)
             z_out = at_out[0]
@@ -269,10 +286,11 @@ def _forward_log_masses(s: Scenario, beta: float):
                 lam = _solve_lambda(beta, w, r_on, r_max_out, at_out)
         else:
             lam = _solve_lambda(beta, w, r_on, r_max_in)
+        log_on = _on_support_log_masses(lam, w, ref_probs, r_on)
     # np.full's allocation and fill, without its Python wrapper
     log_masses = np.empty(s.n)
     log_masses.fill(-np.inf)
-    log_masses[mask] = _on_support_log_masses(lam, w, ref_probs, r_on)
+    log_masses[mask] = log_on
     if boundary:
         argmax_out = off & (values == r_max_out)
         log_masses[argmax_out] = np.log(off_mass / np.count_nonzero(argmax_out))

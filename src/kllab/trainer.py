@@ -71,7 +71,7 @@ from .dist import (
     Categorical, RewardVector, Scenario, _any, _frozen, _reduce_through_init, _sum, cdf_table,
     draw, normalize,
 )
-from .errors import InfiniteDivergence, InvalidDistribution, NonFiniteGradient
+from .errors import InfiniteDivergence, InvalidDistribution, NonFiniteGradient, UntrainableScale
 from .mara import MaraConfig
 from .targets import TargetSpec, analytic_target
 
@@ -79,6 +79,12 @@ from .targets import TargetSpec, analytic_target
 # the support columns, so that the block and the temporaries of its
 # reductions stay small; from k = 8192 columns on, a block is one row
 _BLOCK_BYTES = 1 << 16
+
+# the largest |r| a run trains on: Adam squares each gradient entry, whose
+# rewards' part is at most twice the rewards' scale (a Monte-Carlo
+# coefficient less its baseline), and (2 * 2**510)**2 = 2**1022 stays below
+# the float limit with room for the regularizer's part
+_TRAINABLE_SCALE = 2.0**510
 
 
 # --------------------------------------------------------------------------
@@ -721,6 +727,15 @@ def _policy_support(s: Scenario, spec: TargetSpec) -> np.ndarray:
     return np.asarray(s.reference.support_mask)
 
 
+def _trainable(rewards: RewardVector) -> RewardVector:
+    """``rewards``, unless their scale is past what Adam can train on."""
+    if not rewards.scale <= _TRAINABLE_SCALE:
+        raise UntrainableScale(
+            f"rewards reach {rewards.scale:.6g} in absolute value, past the trainable scale"
+            f" 2**510 (about {_TRAINABLE_SCALE:.3g}): Adam's squared gradient could overflow")
+    return rewards
+
+
 def _training_problem(s: Scenario, cfgs, cols: Optional[np.ndarray]):
     """What the batch ``cfgs`` on ``s`` trains toward: its ``_Problem`` on the
     columns ``cols``, a target per row, the above-threshold column positions
@@ -728,7 +743,9 @@ def _training_problem(s: Scenario, cfgs, cols: Optional[np.ndarray]):
     when no index qualifies). An anchored run reads at ``slice(None)`` the
     view that the Monte-Carlo step reads at its batch: ``reward_view`` per
     row (reverse, which ``RewardVector`` checks finite), or
-    ``anchored_rewards`` and ``anchored_reference``, shared by every row."""
+    ``anchored_rewards`` and ``anchored_reference``, shared by every row.
+    The rewards a run trains on, a view included, must be :func:`_trainable`;
+    they are checked before any target is solved."""
     specs, mara = [c.objective for c in cfgs], cfgs[0].mara
     above = anchor = rewards = reference = None
     if mara is not None:
@@ -737,15 +754,16 @@ def _training_problem(s: Scenario, cfgs, cols: Optional[np.ndarray]):
         above = np.flatnonzero((r if cols is None else r[cols]) >= tau)
         anchor = mara_mod.global_anchor(s, tau)
     if anchor is None:
+        _trainable(s.rewards)
         targets = [analytic_target(s, sp) for sp in specs]
     elif specs[0].kind == "forward":
         reference = mara_mod.anchored_reference(s, tau, anchor)
-        anchored = RewardVector(mara_mod.anchored_rewards(s, tau, anchor, slice(None)))
+        anchored = _trainable(RewardVector(mara_mod.anchored_rewards(s, tau, anchor, slice(None))))
         targets = [analytic_target(Scenario(reference, anchored), sp) for sp in specs]
         rewards = anchored.values
     else:
         views = [mara_mod.reward_view(s, sp.beta, tau, anchor, slice(None)) for sp in specs]
-        rewards = _per_row([RewardVector(v).values for v in views])
+        rewards = _per_row([_trainable(RewardVector(v)).values for v in views])
         targets = [mara_mod.mara_target(s, sp.beta, tau, anchor) for sp in specs]
     return _Problem(s, specs, cols, rewards, reference), targets, above, anchor
 

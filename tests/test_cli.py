@@ -148,6 +148,46 @@ def test_target_forward_solver_failure_prints_only_its_error():
     assert proc.stderr == "error: the multiplier's bracket ceiling is not finite\n"
 
 
+def _cli_with_warnings_as_errors(*argv):
+    """The CLI in a child process where a RuntimeWarning is an error, so that
+    no warning filter of the test run hides one printed beside the output."""
+    env = {**os.environ, "PYTHONPATH": str(Path(kllab.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "kllab.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_train_past_the_trainable_scale_exits_3_with_only_its_error(tmp_path):
+    # Adam's second moment once overflowed here: a warning, then exit 0 at
+    # final TV 0.38
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"name": "f", "n": 3, "reference": [0.2, 0.3, 0.5],
+                                "rewards": [1e308, 0.5, 1e308]}))
+    out = tmp_path / "out"
+    proc = _cli_with_warnings_as_errors("train", "--scenario", str(path), "--beta", "0.5",
+                                        "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: rewards reach 1e+308 in absolute value, past the trainable"
+                           " scale 2**510 (about 3.35e+153): Adam's squared gradient could"
+                           " overflow\n")
+    assert not out.exists()
+
+
+def test_a_bump_both_far_and_wide_exits_2_with_only_its_error(tmp_path):
+    path = tmp_path / "far-wide.json"
+    path.write_text(json.dumps({"n": 4, "reference": {"shape": "uniform"},
+                                "rewards": {"shape": "two_mode", "centers": [1e200],
+                                            "widths": [1e200], "heights": [1]}}))
+    proc = _cli_with_warnings_as_errors("target", "--scenario", str(path), "--kind", "reverse",
+                                        "--beta", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: two_mode centers and widths must not both overflow")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_generalized_eta_zero_matches_reverse(capsys):
     code_g, out_g, _ = run(
         capsys, "target", "--scenario", "two_point", "--kind", "generalized",

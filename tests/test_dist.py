@@ -1,4 +1,6 @@
+import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -224,8 +226,66 @@ def test_sample_never_emits_masked():
 
 
 def test_reward_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        RewardVector(np.array([0.0, np.inf]))
+    for values in ([0.0, np.inf], [-np.inf, 0.0], [np.nan], [1.0, np.nan, 2.0],
+                   [np.nan, np.inf], [-np.inf, np.inf], [1e308, np.nan, -1e308]):
+        with pytest.raises(ValueError, match="^rewards must be finite$"):
+            RewardVector(np.array(values))
+
+
+@pytest.mark.parametrize("values, scale", [
+    ([0.0], 0.0), ([-3.0, 2.0], 3.0), ([2.0, 0.5], 2.0), ([-1e-300], 1e-300),
+    ([1e308, 0.5, -1.7e308], 1.7e308), ([sys.float_info.max], sys.float_info.max),
+])
+def test_reward_vector_scale_is_the_largest_magnitude_as_a_python_float(values, scale):
+    rewards = RewardVector(np.array(values))
+    assert type(rewards.scale) is float and rewards.scale == scale
+    # derived from the values alone: no caller sets it
+    with pytest.raises(TypeError):
+        RewardVector(np.array(values), scale=0.0)
+
+
+def test_reward_vector_scale_survives_pickling():
+    rewards = RewardVector(np.array([0.5, -1.7e308, 2.0]))
+    # unpickling calls the constructor on the values, which derives the scale again
+    assert rewards.__reduce__() == (RewardVector, (rewards.values,))
+    copy = pickle.loads(pickle.dumps(rewards))
+    assert copy.scale == rewards.scale == 1.7e308
+    assert copy.values.tobytes() == rewards.values.tobytes()
+    s = Scenario(from_probs([0.5, 0.5, 0.0]), rewards)
+    assert pickle.loads(pickle.dumps(s)).rewards.scale == 1.7e308
+
+
+def _rule_matches_numpy(r, total):
+    with np.errstate(over="ignore"):
+        quotients = np.array(r) / total
+    return math.isfinite(RewardVector(np.array(r)).scale / total) == bool(
+        np.isfinite(quotients).all())
+
+
+FINITE = st.floats(min_value=-1.7e308, max_value=1.7e308, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(FINITE, min_size=1, max_size=20), st.floats(min_value=1e-300, max_value=1e308))
+def test_the_scale_rule_decides_overflow_as_numpy_does(r, total):
+    # the premise of the float-limit rule: one Python division by a positive
+    # total overflows exactly when some reward's NumPy division does
+    assert _rule_matches_numpy(r, total)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(FINITE, min_size=1, max_size=20),
+       st.floats(min_value=1e8, max_value=1.7e308), st.integers(min_value=-4, max_value=4))
+def test_the_scale_rule_decides_overflow_at_its_boundary(r, top, ulps):
+    # totals a few floats either side of the one at which the largest
+    # reward's quotient reaches the float limit
+    r = r + [top]
+    total = max(r, key=abs) / sys.float_info.max
+    total = abs(total)
+    for _ in range(abs(ulps)):
+        total = math.nextafter(total, math.inf if ulps > 0 else 0.0)
+    if 1e-300 <= total <= 1e308:
+        assert _rule_matches_numpy(r, total)
 
 
 def test_scenario_reference_probs_is_cached_and_read_only():

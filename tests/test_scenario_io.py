@@ -130,6 +130,34 @@ def test_a_width_whose_square_underflows_is_a_usage_error(shape, width):
         scenario_from_dict({"n": 4, "reference": reference, "rewards": rewards})
 
 
+def _bump_config(shape, bumps):
+    if shape == "mixture":
+        return {"n": 4, "reference": {"shape": "mixture", **bumps, "weights": [1.0, 2.0]},
+                "rewards": [0.0] * 4}
+    return {"n": 4, "reference": {"shape": "uniform"},
+            "rewards": {"shape": "two_mode", **bumps, "heights": [1.0, 2.0]}}
+
+
+@pytest.mark.parametrize("shape", ["mixture", "two_mode"])
+@pytest.mark.parametrize("center, width", [(1e200, 1e200), (-1e200, 1e200), (1e308, 1e308),
+                                           (1.3407807929942598e154, 9.481e153)])
+def test_a_bump_both_far_and_wide_is_a_usage_error(shape, center, width):
+    # (x - c)**2 and 2*w**2 both overflow, so each of its terms is inf / inf
+    cfg = _bump_config(shape, {"centers": [1, center], "widths": [1.0, width]})
+    with pytest.raises(ScenarioFormatError,
+                       match=f"^{shape} centers and widths must not both overflow on one bump"):
+        scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize("shape", ["mixture", "two_mode"])
+def test_a_bump_just_inside_either_limit_builds(shape):
+    # the largest center whose square is finite, with a huge width; and the
+    # largest width whose 2*w**2 is finite, with a far center
+    for center, width in [(1.3407807929942596e154, 1e200), (1e200, 9.48e153)]:
+        s = scenario_from_dict(_bump_config(shape, {"centers": [1, center], "widths": [1.0, width]}))
+        assert np.isfinite(s.rewards.values).all() and s.reference.support_mask.any()
+
+
 def test_the_smallest_width_that_squares_builds_a_spike():
     # 2 w**2 is subnormal; every index but the center divides to -inf
     r = rewards_two_mode(4, centers=[1], widths=[1.5717277847026288e-162], heights=[3.0])

@@ -6,15 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kllab
 from conftest import make_scenario, random_scenario
 from kllab import targets
 from kllab.dist import RewardVector, Scenario, from_probs, normalize
 from kllab.errors import InvalidCoefficient, NoFiniteFlip, SolverFailure, UndefinedRatio
-from kllab.harness import SweepSpec, scenario_by_name
-from kllab.mara import Constant, MaraConfig, mara_target
+from kllab.harness import SCENARIO_CONFIGS, SweepSpec, scenario_by_name
+from kllab.mara import Constant, MaraConfig, global_anchor, mara_target
 from kllab.targets import (
     TargetSpec,
     analytic_target,
@@ -616,3 +616,162 @@ def test_ratio_consistency(seed):
         direct = g.log_weights[i] - g.log_weights[j]
         closed = log_prob_ratio(s, beta, int(i), int(j))
         assert closed == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# the float-limit rule: RewardVector.scale decides where a tilt overflows
+
+
+def _trapped_generalized(s, beta, eta):
+    """generalized_target as it trapped the float limit before the rule:
+    the oracle of the rule's tilt, bit for bit."""
+    total = beta + eta
+    r = s.rewards.values
+    try:
+        with np.errstate(over="raise"):
+            tilt = r / total
+    except FloatingPointError:
+        support = s.reference.support_mask if beta > 0 else np.ones(s.n, dtype=bool)
+        with np.errstate(over="ignore"):
+            tilt = np.where(support, r / total, 0.0)
+            if not np.all(np.isfinite(tilt)):
+                tilt = np.where(support, (r - np.max(r[support])) / total, 0.0)
+    if beta == 0:
+        return normalize(tilt)
+    tilt += (beta / total) * s.reference.log_weights
+    tilt[~s.reference.support_mask] = -np.inf
+    return normalize(tilt)
+
+
+def _trapped_mara(s, beta, tau, anchor):
+    """mara_target as it trapped the float limit before the rule."""
+    r, lref = s.rewards.values, s.reference.log_weights
+    treated = (r >= tau) & s.reference.support_mask
+    try:
+        with np.errstate(over="raise"):
+            log_masses = np.divide(r, beta)
+    except FloatingPointError:
+        keep = s.reference.support_mask & ~treated
+        with np.errstate(over="ignore"):
+            log_masses = np.where(keep, r - r[anchor], 0.0) / beta
+    log_masses += lref
+    np.copyto(log_masses, log_masses[anchor], where=treated)
+    return normalize(log_masses)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).log_weights.tobytes()
+    except Exception as exc:  # the same error, type and message, on both sides
+        return type(exc).__name__, str(exc)
+
+
+LIMIT_CASES = [
+    ([0.2, 0.3, 0.5], [1e308, 0.5, 1.0]),
+    ([0.0, 0.4, 0.6], [1e308, 0.5, 1.0]),
+    ([0.2, 0.3, 0.5], [1e308, 0.5, 1e308]),
+    ([0.2, 0.3, 0.4, 0.0, 0.1], [1e308, 0.5, 1e308, 1e308, -1e308]),
+    ([0.0, 1.0, 1.0, 1.0], [0.0, 1.7e308, 1.7e308, -1.7e308]),
+]
+
+
+def _oracle_scenarios():
+    for name in list(SCENARIO_CONFIGS) + ["two_point"]:
+        yield scenario_by_name(name)
+    for masses, rewards in LIMIT_CASES:
+        yield make_scenario(masses, rewards)
+    rng = np.random.Generator(np.random.PCG64(29))
+    for _ in range(40):
+        s = random_scenario(rng, n_max=24)
+        # toward the limit, past it for the larger betas below
+        r = np.clip(s.rewards.values * 10.0 ** rng.uniform(150, 308.3), -1.7e308, 1.7e308)
+        yield Scenario(s.reference, RewardVector(r))
+
+
+def test_the_rule_gives_the_trapped_tilts_bit_for_bit():
+    checked = 0
+    # normalize warns when log-weights span more than the float range (the
+    # shift of the smallest by the largest overflows to -inf, a mass of 0
+    # either way): the same on both sides, and not this rule's
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "overflow encountered in subtract", RuntimeWarning)
+        for s in _oracle_scenarios():
+            r = s.rewards.values
+            tau = float(np.median(r))
+            anchor = global_anchor(s, tau)
+            for beta in (1e-6, 0.1, 1.0, 1e150, 1e300, 1.5e308):
+                for eta in (0.0, 0.05, 1e300):
+                    assert (_outcome(generalized_target, s, beta, eta)
+                            == _outcome(_trapped_generalized, s, beta, eta))
+                    checked += 1
+                if anchor is not None:
+                    assert (_outcome(mara_target, s, beta, tau, anchor)
+                            == _outcome(_trapped_mara, s, beta, tau, anchor))
+                    checked += 1
+    assert checked > 900
+
+
+EXTREME_LOG_MASSES = [0.0, -1.0, -30.0, -700.0, -745.5, -800.0, -1e5, -np.inf]
+EXTREME_REWARDS = [0.0, 5e-324, -5e-324, 1e-310, 1e-200, 0.5, 1.0, -1.0, 1.0 + 2**-52, 1e16,
+                   1e16 + 2, 1e150, -1e150, 1e300, -1e300, 1e308, 1.7e308, -1.7e308]
+EXTREME_BETAS = [5e-324, 1e-300, 1e-20, 1e-6, 0.1, 1.0, 1e20, 1e150, 1e250, 1e286, 1e300,
+                 1.5e308, 1.7e308]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(EXTREME_LOG_MASSES), st.sampled_from(EXTREME_REWARDS)),
+                min_size=1, max_size=5),
+       st.sampled_from(EXTREME_BETAS))
+# Newton's w / (lam - R)**2 overflows where w / (lam - R) does not; the first
+# step above an open end; a mass of 0 where lam is a float above the best reward
+@example([(0.0, 0.0), (-np.inf, 1e-200)], 1.0)
+@example([(0.0, 0.0)], 1e286)
+@example([(-30.0, -1e150)], 1e-300)
+def test_a_forward_solve_outside_the_float_limit_context_never_needs_it(cells, beta):
+    # the rule's context, where it chooses one, ignores overflow and a log
+    # of 0 inside the solve; without it, either would raise here
+    lw = np.array([c[0] for c in cells])
+    if not np.isfinite(lw).any():
+        lw[0] = 0.0
+    s = Scenario(normalize(lw), RewardVector(np.array([c[1] for c in cells])))
+    with np.errstate(over="raise", divide="raise", invalid="ignore"):
+        try:
+            targets._forward_log_masses(s, beta)
+        except SolverFailure:
+            pass
+        except ZeroDivisionError:
+            pass  # Newton's derivative underflowing to 0: an open fault of the solve
+
+
+def _count_errstate(monkeypatch):
+    """The np.errstate contexts made from here on."""
+    made, real = [], np.errstate
+
+    def counted(**kwargs):
+        made.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    return made
+
+
+def test_no_solve_makes_an_errstate_context_below_the_float_limit(monkeypatch):
+    # built first: a bump's formula and from_probs run in contexts of their own
+    scenarios = [scenario_by_name(name) for name in list(SCENARIO_CONFIGS) + ["two_point"]]
+    near = make_scenario([0.2, 0.3, 0.5], [1e308, 0.5, 1.0])
+    made = _count_errstate(monkeypatch)
+    for s in scenarios:
+        anchor = global_anchor(s, 0.5)
+        for beta in (0.01, 0.1, 1.0, 10.0):
+            reverse_kl_target(s, beta)
+            generalized_target(s, beta, 0.05)
+            forward_kl_target(s, beta)
+            if anchor is not None:
+                mara_target(s, beta, 0.5, anchor)
+    assert made == []
+    # near the limit the branch that the rule selects keeps its context
+    generalized_target(near, 0.5, 0.0)
+    assert made == [{"over": "ignore"}]
+    forward_kl_target(near, 0.5)
+    # then the tie's: lam is the best reward, within a float
+    assert made[1:] == [{"over": "ignore", "divide": "ignore"}, {"divide": "ignore"}]

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -7,7 +8,7 @@ from conftest import make_scenario, random_scenario
 from kllab import mara, trainer
 from kllab.dist import Categorical, RewardVector, Scenario, normalize
 from kllab.errors import (
-    InfiniteDivergence, InvalidDistribution, NonFiniteGradient, SolverFailure,
+    InfiniteDivergence, InvalidDistribution, NonFiniteGradient, SolverFailure, UntrainableScale,
 )
 from kllab.harness import MARA_TOY_TAU, scenario_by_name
 from kllab.mara import (
@@ -525,14 +526,51 @@ def test_adam_step_leaves_its_inputs_and_equals_the_textbook_step():
 # training loop
 
 
-def test_train_names_a_non_finite_gradient_over_all_indices():
-    # the policy's support is indices 1..3; the gradient overflows at index
+def test_train_names_a_non_finite_gradient_over_all_indices(monkeypatch):
+    # the policy's support is indices 1..3; the gradient turns NaN at index
     # 3, which is column 2 of the support
-    s = make_scenario([0.0, 1.0, 1.0, 1.0], [0.0, 1.7e308, 1.7e308, -1.7e308])
+    s = make_scenario([0.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0])
     cfg = TrainConfig(TargetSpec("reverse", 1.0), Exact(), steps=3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteGradient, match=r"coordinates \[3\]$"):
-            train(s, cfg)
+    _poisoned_gradient(monkeypatch, "_gradient", 2, 2, np.nan)
+    with pytest.raises(NonFiniteGradient, match=r"coordinates \[3\]$"):
+        train(s, cfg)
+
+
+@pytest.mark.parametrize("mode", [Exact(), MonteCarlo(8)], ids=["exact", "mc"])
+@pytest.mark.parametrize("spec", [TargetSpec("reverse", 0.5), TargetSpec("forward", 0.5),
+                                  TargetSpec("generalized", 0.5, 0.1)], ids=lambda sp: sp.kind)
+def test_train_refuses_rewards_past_the_trainable_scale(mode, spec):
+    # Adam's squared gradient could overflow (it did at 1e308, and those
+    # logits stopped moving): the run is refused before its first step
+    s = make_scenario([0.2, 0.3, 0.5], [1e308, 0.5, 1e308])
+    with pytest.raises(UntrainableScale, match=r"^rewards reach 1e\+308 in absolute value, past"
+                                               r" the trainable scale 2\*\*510"):
+        train(s, TrainConfig(spec, mode, steps=5))
+    s = make_scenario([0.0, 1.0, 1.0, 1.0], [0.0, 1.7e308, 1.7e308, -1.7e308])
+    with pytest.raises(UntrainableScale, match="^rewards reach 1.7e"):
+        train(s, TrainConfig(spec, mode, steps=5))
+
+
+def test_the_trainable_scale_is_two_to_the_510():
+    cfg = TrainConfig(TargetSpec("reverse", 0.5), Exact(), steps=5)
+    train(make_scenario([0.5, 0.5], [-(2.0**510), 0.0]), cfg)
+    past = make_scenario([0.5, 0.5], [-math.nextafter(2.0**510, math.inf), 0.0])
+    with pytest.raises(UntrainableScale):
+        train(past, cfg)
+
+
+@pytest.mark.parametrize("mode", [Exact(), MonteCarlo(8)], ids=["exact", "mc"])
+def test_a_reward_view_past_the_trainable_scale_refuses_its_row_alone(mode):
+    # index 1 is treated: its view is the anchor's reward plus beta times
+    # log(0.9 / 0.0999), past 2**510 at beta 2e153 though every raw reward is <= 1
+    s = make_scenario([0.9, 0.0999, 0.0001], [1.0, 1.0, 0.0])
+    cfgs = [TrainConfig(TargetSpec("reverse", b), mode, MaraConfig(Constant(0.5), b), steps=20,
+                        learning_rate=0.05, seed=i) for i, b in enumerate([0.1, 2e153, 0.5])]
+    outcomes = train_cells(s, cfgs)
+    assert [type(o).__name__ for o in outcomes] == ["TrainResult", "UntrainableScale",
+                                                    "TrainResult"]
+    for outcome, cfg in zip(outcomes, cfgs):
+        assert _fingerprint(outcome) == _fingerprint(_alone(s, cfg))
 
 
 def _poisoned_gradient(monkeypatch, name, step, column, value):
@@ -1243,21 +1281,26 @@ def test_a_batched_mara_run_equals_its_cells_trained_alone(monkeypatch):
                 assert _fingerprint(outcome) == _fingerprint(train(s, cfg)), cfg
 
 
-def test_rows_that_raise_leave_the_others_bit_for_bit():
-    # a reward near the float limit: a batch that samples it twice sums to
-    # inf, so the row whose stream does so fails at its own step
+def test_rows_that_raise_leave_the_others_bit_for_bit(monkeypatch):
+    # the Monte-Carlo estimates of two rows turn NaN, each at a step of its
+    # own, so each fails at that step, in the batch and alone
     n = 40
-    s = make_scenario(np.linspace(1.0, 2.0, n), [1e308] + list(np.linspace(0.0, 1.0, n - 1)))
+    s = make_scenario(np.linspace(1.0, 2.0, n), np.linspace(0.0, 1.0, n))
     cfgs = [TrainConfig(TargetSpec("reverse", 0.5 + 0.1 * seed), MonteCarlo(4, "none"),
                         steps=40, learning_rate=0.05, seed=seed) for seed in range(8)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        batched = train_cells(s, cfgs)
-        alone = [_alone(s, cfg) for cfg in cfgs]
+    faults = [(cfgs[2].objective.beta, 9, "nan"), (cfgs[5].objective.beta, 27, "nan")]
+    monkeypatch.setattr(trainer, "_mc_gradient", _poisoned_mc_gradient(faults))
+    batched = train_cells(s, cfgs)
+    alone = []
+    for cfg in cfgs:
+        monkeypatch.setattr(trainer, "_mc_gradient", _poisoned_mc_gradient(faults))
+        alone.append(_alone(s, cfg))
     assert [type(o).__name__ for o in alone] == [
         "TrainResult", "TrainResult", "NonFiniteGradient", "TrainResult",
         "TrainResult", "NonFiniteGradient", "TrainResult", "TrainResult"]
     for a, b in zip(batched, alone):
         assert _fingerprint(a) == _fingerprint(b)
+    monkeypatch.undo()
     # forward's multiplier bracket overflows at a beta near the float limit,
     # so that row fails before the first step, without a warning
     s = make_scenario(np.linspace(1.0, 2.0, n), np.linspace(0.0, 1.0, n))
