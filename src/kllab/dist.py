@@ -8,6 +8,8 @@ indices are exact (log-mass ``-inf``), never a tiny epsilon.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
@@ -104,10 +106,15 @@ def normalize(log_weights) -> Categorical:
     if lw.ndim == 0:
         # Categorical's rule; the buffer below would be a scalar, not an array
         raise InvalidDistribution("log_weights must be a non-empty 1-d vector")
-    shifted = np.subtract(lw, top)
-    # the log-sum-exp of lw, its terms written into the buffer
-    lse = top + np.log(_sum(np.exp(shifted, out=shifted), axis=None))
-    np.subtract(lw, lse, out=shifted)
+    # lw - top overflows to -inf, the log of a zero term, only if the lowest
+    # finite log-weight less top does: decided in Python floats, which round
+    # as NumPy does, so that the plain path makes no errstate
+    edge = not math.isfinite(-sys.float_info.max - float(top))
+    with np.errstate(over="ignore") if edge else nullcontext():
+        shifted = np.subtract(lw, top)
+        # the log-sum-exp of lw, its terms written into the buffer
+        lse = top + np.log(_sum(np.exp(shifted, out=shifted), axis=None))
+        np.subtract(lw, lse, out=shifted)
     # one exact renormalization pass to land within NORMALIZATION_TOL; the
     # entries off the support are -inf (lw <= lse), and -inf minus a finite
     # shift stays -inf, so the pass runs over the whole buffer

@@ -118,13 +118,6 @@ def scenario_by_name(name: str) -> Scenario:
     return scenario_from_dict(SCENARIO_CONFIGS[name])
 
 
-def builtin_scenarios() -> List[Scenario]:
-    """The five named 100-token scenarios."""
-    return [
-        scenario_by_name(k) for k in SCENARIO_CONFIGS if k != "two_point"
-    ]
-
-
 MODE_FLOOR_FRAC = 0.3
 
 # every peak's run is first searched this deep on each side in one gather;

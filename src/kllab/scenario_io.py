@@ -1,4 +1,4 @@
-"""Scenario (de)serialization and named reference/reward shapes.
+"""Scenario configs (JSON) and named reference/reward shapes.
 
 Config format (JSON)::
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -79,7 +78,7 @@ def _bumps(shape: str, centers, widths, scales):
         raise ScenarioFormatError(f"{shape} parameter lists must have equal length")
     if not _all(widths > 0):
         raise ScenarioFormatError(f"{shape} widths must be positive")
-    # a width past 1e154 squares to inf, and its bump is flat at its scale
+    # a width past about 9.48e153 makes 2*w**2 inf, which _bump_sum works around
     with np.errstate(over="ignore"):
         den = 2.0 * widths**2
         if not _all(den > 0):
@@ -99,20 +98,27 @@ def _bump_sum(n: int, centers, widths, scales) -> np.ndarray:
     """``sum_b scales[b] * exp(-(x - centers[b])**2 / (2 * widths[b]**2))`` at
     each index x of 0..n-1, one n-wide row per bump added in bump order.
 
-    Each row is computed in place, stage by stage. The terms are those of
-    the broadcast formula ``scales * np.exp(-((x - centers) ** 2) / (2.0 *
-    widths**2))`` and, below eight bumps, so is their sum along the bump
-    axis, bit for bit. An overflow is exact here: a far center's square is
-    inf and its term 0, a huge width's square is inf and its term the scale.
+    Each row is computed in place, stage by stage. Where ``2 * w**2`` is
+    finite, the terms are those of the broadcast formula ``scales *
+    np.exp(-((x - centers) ** 2) / (2.0 * widths**2))`` and, below eight
+    bumps, so is their sum along the bump axis, bit for bit; a far center's
+    square overflows, exactly, and its term is 0. Where ``2 * w**2``
+    overflows (a width past about 9.48e153), the exponent is computed as
+    ``((x - c) / w)**2 / 2``, which does not.
     """
     x = np.arange(n, dtype=float)
     rows = np.empty((len(centers), n))
     with np.errstate(over="ignore"):
-        for row, c, den, scale in zip(rows, centers.tolist(), (-2.0 * widths**2).tolist(),
-                                      scales.tolist()):
+        for row, c, w, den, scale in zip(rows, centers.tolist(), widths.tolist(),
+                                         (-2.0 * widths**2).tolist(), scales.tolist()):
             np.subtract(x, c, out=row)
-            np.square(row, out=row)
-            np.divide(row, den, out=row)
+            if den == -math.inf:
+                np.divide(row, w, out=row)
+                np.square(row, out=row)
+                np.divide(row, -2.0, out=row)
+            else:
+                np.square(row, out=row)
+                np.divide(row, den, out=row)
             np.exp(row, out=row)
             np.multiply(row, scale, out=row)
     # from 0.0, as NumPy's sum starts (a -0.0 term sums to 0.0), into a fresh
@@ -203,14 +209,3 @@ def load_scenario(path) -> Scenario:
         cfg = json.load(fh)
     return scenario_from_dict(cfg)
 
-
-def dump_scenario(s: Scenario, path) -> None:
-    import json
-
-    cfg = {
-        "name": s.name,
-        "n": s.n,
-        "reference": s.reference_probs.tolist(),
-        "rewards": s.rewards.values.tolist(),
-    }
-    Path(path).write_text(json.dumps(cfg, indent=2) + "\n")

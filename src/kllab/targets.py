@@ -114,8 +114,11 @@ def generalized_target(s: Scenario, beta: float, eta: float) -> Categorical:
     if beta == 0:
         return normalize(tilt)
     # in place, to keep one length-n array fewer alive: the tilt is this
-    # call's own
-    tilt += (beta / total) * s.reference.log_weights
+    # call's own. A weight that underflows to 0 adds nothing on the support,
+    # and would make 0 * -inf off it
+    weight = beta / total
+    if weight:
+        tilt += weight * s.reference.log_weights
     tilt[~s.reference.support_mask] = -np.inf
     return normalize(tilt)
 
@@ -204,8 +207,10 @@ def _solve_lambda(beta: float, w, rewards, lower: float, at_lower=None) -> float
                 lo = x
             else:
                 hi = x
-        # F's derivative is -sum(q / gap); the quotient overwrites gap
-        nxt = x + f * (f - 1.0) / float(_sum(np.divide(q, gap, out=gap)))
+        # F's derivative is -sum(q / gap); the quotient overwrites gap. Where
+        # that sum underflows to 0 the step is NaN, and a bisection step follows
+        slope = float(_sum(np.divide(q, gap, out=gap)))
+        nxt = x + f * (f - 1.0) / slope if slope else math.nan
         if nxt == x:
             # Newton has stopped moving (F is flat to the last bit here):
             # step toward the open side, one float and then twice as far
@@ -237,10 +242,12 @@ def _float_limit(beta: float, gap: float, w_min: float, scale: float):
     return np.errstate(over="ignore", divide="ignore")
 
 
-def _on_support_log_masses(lam: float, w, ref_probs, rewards) -> np.ndarray:
-    """The logs of ``w / (lam - R)``, ``w = beta * ref``. Indices where
-    ``lam - R`` rounds to 0 (``lam`` within a float of the best reward)
-    share the mass the others leave, in proportion to their reference mass."""
+def _on_support_log_masses(lam: float, w, rewards, s: Scenario) -> np.ndarray:
+    """The logs of ``w / (lam - R)``, ``w = beta * ref`` over the reference
+    support of ``s``. Indices where ``lam - R`` rounds to 0 (``lam`` within a
+    float of the best reward) share the mass the others leave, in proportion
+    to their reference mass; where each of those masses underflows to 0, in
+    proportion to the exponentials of their log-masses less their max."""
     gap = lam - rewards
     tied = gap == 0.0
     if not _any(tied):
@@ -249,7 +256,11 @@ def _on_support_log_masses(lam: float, w, ref_probs, rewards) -> np.ndarray:
     free = ~tied
     masses[free] = w[free] / gap[free]
     leftover = max(0.0, 1.0 - float(_sum(masses)))
-    masses[tied] = leftover * ref_probs[tied] / _sum(ref_probs[tied])
+    lref = s.reference.log_weights[s.reference.support_mask][tied]
+    share = np.exp(lref)
+    if not _sum(share):
+        share = np.exp(lref - _max(lref))
+    masses[tied] = leftover * share / _sum(share)
     with np.errstate(divide="ignore"):  # a zero mass is a masked index
         return np.log(masses, out=masses)
 
@@ -261,10 +272,10 @@ def _forward_log_masses(s: Scenario, beta: float):
     return, before the caller normalizes the log-masses."""
     mask = s.reference.support_mask
     values = s.rewards.values
-    # the gather is this call's own array: exponentiated in place
-    ref_probs = s.reference.log_weights[mask]
-    np.exp(ref_probs, out=ref_probs)
-    w = beta * ref_probs
+    # the gather is this call's own array: exponentiated and scaled in place
+    w = s.reference.log_weights[mask]
+    np.exp(w, out=w)
+    w *= beta
     r_on = values[mask]
     r_max_in = float(_max(r_on))
     off = ~mask
@@ -286,7 +297,7 @@ def _forward_log_masses(s: Scenario, beta: float):
                 lam = _solve_lambda(beta, w, r_on, r_max_out, at_out)
         else:
             lam = _solve_lambda(beta, w, r_on, r_max_in)
-        log_on = _on_support_log_masses(lam, w, ref_probs, r_on)
+        log_on = _on_support_log_masses(lam, w, r_on, s)
     # np.full's allocation and fill, without its Python wrapper
     log_masses = np.empty(s.n)
     log_masses.fill(-np.inf)

@@ -174,22 +174,6 @@ def _score(pos: np.ndarray, coef: np.ndarray, p: np.ndarray) -> np.ndarray:
     return _bincount_rows(pos, p.shape[-1], coef) / b - p * (_rsum(coef) / b)
 
 
-def _sample_coefficients(lp_ys, rewards, ref_lp, beta, eta):
-    """:func:`_coefficients` at sampled indices (``beta`` None without a
-    reverse-KL term); raises if an index lies outside the reference
-    support, where log(p / ref) is infinite. At beta = 0 the reference
-    plays no part, so such samples are allowed (as in the exact
-    gradient)."""
-    log_ratio = None
-    if beta is not None:
-        # a log-mass is finite or -inf, so one min finds an index off the
-        # support, and NaN fails the comparison too
-        if not np.minimum.reduce(ref_lp, axis=None) > -np.inf:
-            raise InfiniteDivergence("sampled index outside the reference support")
-        log_ratio = lp_ys - ref_lp
-    return _coefficients(rewards, lp_ys, log_ratio, beta, eta)
-
-
 def _per_row(values: list):
     """A value per row as the kernels take it: the value itself for one row,
     else a column of floats or a stack of arrays."""
@@ -199,9 +183,10 @@ def _per_row(values: list):
 
 
 def _apply_baseline(coef: np.ndarray, baseline: str) -> np.ndarray:
-    """``batch_mean`` and ``leave_one_out`` are one estimator, since
-    (c_i - mean c) b/(b-1) = c_i - (sum c - c_i)/(b-1); mean subtraction
-    shrinks the expectation by (b-1)/b, and the b/(b-1) factor restores it."""
+    """``batch_mean`` is the leave-one-out baseline (Kool, van Hoof and
+    Welling 2019), since (c_i - mean c) b/(b-1) = c_i - (sum c - c_i)/(b-1);
+    mean subtraction shrinks the expectation by (b-1)/b, and the b/(b-1)
+    factor restores it."""
     if baseline == "none":
         return coef
     b = coef.shape[-1]
@@ -349,8 +334,10 @@ def _mc_gradient(prob: _Problem, lp, p, mc: "MonteCarlo", rngs, maras, table=Non
                 mara_mod.anchored_reference(s, a.threshold_used, a.anchor_index).probs)
                 for a in augs])
         return _forward_gradient(_score(pos, rewards, p), ref_mass, p, prob.beta), anchors
-    coef = _sample_coefficients(_gather(lp, pos), rewards, s.reference.log_weights[ys],
-                                prob.beta if prob.kl_term else None, prob.eta)
+    # the support rule keeps every column on the reference support
+    lp_ys = _gather(lp, pos)
+    log_ratio = lp_ys - s.reference.log_weights[ys] if prob.kl_term else None
+    coef = _coefficients(rewards, lp_ys, log_ratio, prob.beta, prob.eta)
     return _score(pos, _apply_baseline(coef, mc.baseline), p), anchors
 
 
@@ -445,7 +432,9 @@ def _check_supports(policy: SoftmaxPolicy, cols: Optional[np.ndarray], s: Scenar
     """Raise unless the objective is finite: forward needs the reference
     support inside the policy's, which a full policy support (``cols``
     None) holds; a reverse-KL term needs the policy's inside the
-    reference's, which a full reference support holds."""
+    reference's, which a full reference support holds. Run before any
+    draw, it is the estimators' reference-support rule too: every sample
+    then lies where log(p / ref) is finite."""
     ref = s.reference.support_mask
     if spec.kind == "forward":
         if cols is not None and _any(ref & ~policy.support_mask):
@@ -486,7 +475,7 @@ def kl_gradient_to_target(policy: SoftmaxPolicy, target: Categorical) -> np.ndar
 # --------------------------------------------------------------------------
 # Monte-Carlo estimators
 
-BASELINES = ("none", "batch_mean", "leave_one_out")
+BASELINES = ("none", "batch_mean")
 
 
 @dataclass(frozen=True)
@@ -534,13 +523,18 @@ def reverse_coefficients(
     and the reference log-masses ``ref_logprobs`` hold one entry per
     sample in ``ys``.
 
-    At beta = 0 the reference plays no part, so samples outside its
-    support are allowed (as in the exact gradient).
+    Raises at beta > 0 if a sample lies outside the reference support,
+    where log(p / ref) is infinite; at beta = 0 the reference plays no
+    part, so such samples are allowed (as in the exact gradient).
     """
     for a in (rewards, ref_logprobs):
         _check_length(np.size(a), np.size(ys))
-    return _sample_coefficients(policy.log_probs()[ys], rewards, ref_logprobs,
-                                beta if beta > 0 else None, None)
+    lp_ys = policy.log_probs()[ys]
+    # a log-mass is finite or -inf, so one min finds an index off the
+    # support, and NaN fails the comparison too
+    if beta > 0 and not np.minimum.reduce(ref_logprobs, axis=None) > -np.inf:
+        raise InfiniteDivergence("sampled index outside the reference support")
+    return _coefficients(rewards, lp_ys, lp_ys - ref_logprobs if beta > 0 else None, beta, None)
 
 
 def mc_gradient(
@@ -720,8 +714,9 @@ class TrainResult:
 
 
 def _policy_support(s: Scenario, spec: TargetSpec) -> np.ndarray:
-    """Where the trained policy may put mass: the reference support under a
-    reverse-KL term, every index otherwise."""
+    """Where the trained policy may put mass, its columns: the reference
+    support under a reverse-KL term, so that every sample lies on it, and
+    every index otherwise."""
     if spec.kind == "forward" or spec.beta == 0:
         return np.ones(s.n, dtype=bool)
     return np.asarray(s.reference.support_mask)

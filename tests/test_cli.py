@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +581,44 @@ def test_sweep_unknown_preset_exits_2(capsys):
     code, _, err = run(capsys, "sweep", "--preset", "nope")
     assert code == 2
     assert "invalid choice: 'nope'" in err
+
+
+def test_train_rejects_leave_one_out_as_a_baseline_name(capsys, tmp_path):
+    # batch_mean is the leave-one-out baseline, under one name
+    code, out, err = run(capsys, "train", "--scenario", "two_point", "--beta", "1",
+                         "--mode", "mc", "--baseline", "leave_one_out", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "invalid choice: 'leave_one_out' (choose from" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# solves at the edges of the float range, each once ending in a traceback
+# or a RuntimeWarning: (reference, rewards, target arguments, masses)
+FLOAT_EDGE_TARGETS = {
+    "newton-slope-underflows": ([1e-304, 1e-300, 1], [-1e300, -1, 1e300],
+                                ["--kind", "forward", "--beta", "0.1"], [0.0, 0.0, 1.0]),
+    "tilt-spans-the-float-range": ([0.2, 0.3, 0.4, 0, 0.1], [1e308, 0.5, 1e308, 1e308, -1e308],
+                                   ["--kind", "reverse", "--beta", "1"],
+                                   [0.5, 0.0, 0.5, 0.0, 0.0]),
+    "tilt-weight-underflows": ([0.5, 0.5, 0], [0, 1, 0.5],
+                               ["--kind", "generalized", "--beta", "5e-324", "--eta", "10"],
+                               [0.475020812521, 0.524979187479, 0.0]),
+    "tied-masses-underflow": ({"shape": "half_support", "decay": 1000}, [0, 1, 0, 0],
+                              ["--kind", "forward", "--beta", "0.1"], [0.1, 0.9, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_EDGE_TARGETS)
+def test_targets_at_the_float_edges_exit_0_without_a_warning(capsys, tmp_path, name):
+    reference, rewards, args, masses = FLOAT_EDGE_TARGETS[name]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"n": len(rewards), "reference": reference, "rewards": rewards}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "target", "--scenario", str(path), *args)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+    assert [float(row[1]) for row in rows] == masses
 
 
 def _summary_rows(out_dir):

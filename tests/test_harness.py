@@ -19,7 +19,6 @@ from kllab.harness import (
     SweepSpec,
     _run_batch,
     answer_entropy,
-    builtin_scenarios,
     emit_report,
     equal_reward_gate,
     exact_tv_gate,
@@ -44,10 +43,10 @@ LN2 = 0.6931471805599453
 
 
 def test_builtin_scenarios_are_valid():
-    scenarios = builtin_scenarios()
-    assert len(scenarios) == 5
+    scenarios = [scenario_by_name(name) for name in SCENARIO_CONFIGS]
+    assert len(scenarios) == 6
     for s in scenarios:
-        assert s.n == 100
+        assert s.n == (2 if s.name == "two_point" else 100)
         assert abs(s.reference.probs.sum() - 1.0) <= 1e-12
         assert np.all(np.isfinite(s.rewards.values))
 

@@ -7,7 +7,6 @@ import pytest
 from kllab.scenario_io import (
     ScenarioFormatError,
     _bump_sum,
-    dump_scenario,
     load_scenario,
     reference_half_support,
     reference_mixture,
@@ -113,6 +112,22 @@ def test_a_far_center_or_a_huge_width_is_exact_without_a_warning():
     assert flat.tobytes() == (1.0 + peak).tobytes()  # the wide bump adds its height
     d = reference_mixture(4, centers=[1, 1e200], widths=[1e200, 1], weights=[1.0, 2.0])
     np.testing.assert_array_equal(d.probs, np.full(4, 0.25))
+
+
+def test_a_wide_bump_near_its_center_is_exact():
+    # 2 * w**2 overflows; ((x - c) / w)**2 / 2 is 0.5 at every index
+    r = rewards_two_mode(4, centers=[1e154], widths=[1e154], heights=[1.0]).values
+    assert r.tolist() == [math.exp(-0.5)] * 4
+    # the same bumps scaled down by 2**600 have a finite 2 * w**2
+    rng = np.random.default_rng(154)
+    for _ in range(200):
+        width = 10.0 ** rng.uniform(153.98, 200.0)
+        center = rng.uniform(-1e154, 1e154)  # its square is finite: not far and wide
+        got = _bump_sum(6, np.array([center]), np.array([width]), np.array([2.0]))
+        small = 2.0**-600
+        x = np.arange(6) * small
+        want = 2.0 * np.exp(-((x - center * small) ** 2) / (2.0 * (width * small) ** 2))
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 @pytest.mark.parametrize("shape", ["mixture", "two_mode"])
@@ -262,7 +277,9 @@ def test_a_name_with_dots_inside_is_accepted():
 def test_round_trip(tmp_path):
     s = make_scenario([0.2, 0.3, 0.5], [1.0, -0.5, math.pi], name="rt")
     path = tmp_path / "rt.json"
-    dump_scenario(s, path)
+    cfg = {"name": s.name, "n": s.n, "reference": s.reference_probs.tolist(),
+           "rewards": s.rewards.values.tolist()}
+    path.write_text(json.dumps(cfg, indent=2) + "\n")
     back = load_scenario(path)
     assert back.name == "rt"
     np.testing.assert_allclose(back.reference.probs, s.reference.probs, atol=1e-15)

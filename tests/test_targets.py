@@ -12,9 +12,12 @@ import kllab
 from conftest import make_scenario, random_scenario
 from kllab import targets
 from kllab.dist import RewardVector, Scenario, from_probs, normalize
-from kllab.errors import InvalidCoefficient, NoFiniteFlip, SolverFailure, UndefinedRatio
+from kllab.errors import (
+    InvalidCoefficient, KllabError, NoFiniteFlip, SolverFailure, UndefinedRatio,
+)
 from kllab.harness import SCENARIO_CONFIGS, SweepSpec, scenario_by_name
 from kllab.mara import Constant, MaraConfig, global_anchor, mara_target
+from kllab.scenario_io import scenario_from_dict
 from kllab.targets import (
     TargetSpec,
     analytic_target,
@@ -307,6 +310,88 @@ def test_forward_lambda_within_a_float_of_the_best_reward():
     np.testing.assert_allclose(g, [5e-5, 5e-5, 0.9999], rtol=1e-9)
     stat = s.rewards.values[:2] + 1e-4 * s.reference.probs[:2] / g[:2]
     np.testing.assert_allclose(stat, sol.lam, rtol=0, atol=1e-8)
+
+
+def test_forward_solve_bisects_where_newtons_slope_underflows():
+    # at the best reward's open end the terms q / gap of Newton's derivative
+    # underflow to 0; a bisection step takes the step's place, and the tie
+    # at the best reward takes the mass the others leave
+    s = Scenario(from_probs([1e-304, 1e-300, 1.0]), RewardVector([-1e300, -1.0, 1e300]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = forward_kl_target(s, 0.1)
+    assert sol.lam == 1e300 and not sol.boundary_case
+    assert sol.distribution.probs.tolist() == [0.0, 0.0, 1.0]
+
+
+def _extreme_forward_case(rng):
+    """Up to five indices, log-masses down to -1e5 (some 0 or -inf),
+    rewards of either sign up to 1.7e308 and a beta from 1e-300 to 1e300."""
+    n = int(rng.integers(1, 6))
+    lw = -(10.0 ** rng.uniform(-3.0, 5.0, n))
+    lw[rng.random(n) < 0.1] = 0.0
+    lw[rng.random(n) < 0.15] = -np.inf
+    if not np.isfinite(lw).any():
+        lw[0] = 0.0
+    rewards = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 308.23, n)
+    s = Scenario(normalize(lw), RewardVector(np.clip(rewards, -1.7e308, 1.7e308)))
+    return s, float(10.0 ** rng.uniform(-300.0, 300.0))
+
+
+def test_forward_solves_at_the_float_extremes_end_in_a_target_or_a_documented_error():
+    # on these cases Newton's derivative once underflowed to 0 in about 19 %
+    # of the solves, which then ended in a bare ZeroDivisionError, and the
+    # tie branch divided 0 by 0 in about 4 %; no warning may occur
+    rng = np.random.Generator(np.random.PCG64(30))
+    outcomes = {"target": 0, "error": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3000):
+            s, beta = _extreme_forward_case(rng)
+            try:
+                sol = forward_kl_target(s, beta)
+            except KllabError:
+                outcomes["error"] += 1
+                continue
+            assert sol.distribution.probs.sum() == pytest.approx(1.0, abs=1e-12)
+            outcomes["target"] += 1
+    assert outcomes["target"] > 2500, outcomes
+
+
+def test_a_tie_whose_reference_masses_all_underflow_shares_by_log_mass():
+    # half_support at decay 1000 puts exp(-1000), 0 as a float, on index 1:
+    # lam is the best reward, 1, and index 1 takes what index 0 leaves
+    s = scenario_from_dict({"n": 4, "reference": {"shape": "half_support", "decay": 1000},
+                            "rewards": [0, 1, 0, 0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = forward_kl_target(s, 0.1)
+    assert sol.lam == 1.0
+    np.testing.assert_allclose(sol.distribution.probs, [0.1, 0.9, 0.0, 0.0], rtol=0, atol=1e-15)
+    assert sol.distribution.support_mask.tolist() == [True, True, False, False]
+
+
+def test_a_tilt_weight_that_underflows_adds_nothing_without_a_warning():
+    # beta / (beta + eta) is 0: the tilt is the rewards' alone, with 0 * -inf
+    # off the support left out
+    s = make_scenario([0.5, 0.5, 0.0], [0.0, 1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = generalized_target(s, 5e-324, 10.0)
+    assert g.log_weights.tobytes() == normalize([0.0, 0.1, -np.inf]).log_weights.tobytes()
+
+
+def test_a_reverse_tilt_spanning_the_float_range_normalizes_without_a_warning():
+    # log-weights from 1e308 down to -1e308: lw - top overflows to -inf, an
+    # exact zero term
+    s = make_scenario([0.2, 0.3, 0.4, 0.0, 0.1], [1e308, 0.5, 1e308, 1e308, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = reverse_kl_target(s, 1.0)
+    with np.errstate(over="ignore"):
+        want = reverse_kl_target(s, 1.0)
+    assert got.log_weights.tobytes() == want.log_weights.tobytes()
+    np.testing.assert_array_equal(got.probs, [0.5, 0.0, 0.5, 0.0, 0.0])
 
 
 def _mass(lam, beta, ref_probs, rewards):
@@ -739,8 +824,6 @@ def test_a_forward_solve_outside_the_float_limit_context_never_needs_it(cells, b
             targets._forward_log_masses(s, beta)
         except SolverFailure:
             pass
-        except ZeroDivisionError:
-            pass  # Newton's derivative underflowing to 0: an open fault of the solve
 
 
 def _count_errstate(monkeypatch):

@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario, random_scenario
 from kllab import mara, trainer
@@ -29,6 +30,7 @@ from kllab.targets import (
     reverse_kl_target,
 )
 from kllab.trainer import (
+    BASELINES,
     AdamState,
     Exact,
     MonteCarlo,
@@ -270,6 +272,87 @@ def test_estimators_reject_policy_mass_outside_the_reference_support_before_draw
     assert np.isfinite(g).all()
 
 
+@st.composite
+def _masked_reverse_kl_case(draw):
+    """A scenario with a random reference support, a policy with a random
+    support, an objective with a reverse-KL term and a seed."""
+    n = draw(st.integers(1, 8))
+
+    def support():
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        mask[draw(st.integers(0, n - 1))] = True
+        return mask
+
+    on = support()
+    # half the policies take the reference support, which a random one may
+    # also lie inside
+    policy_on = on if draw(st.booleans()) else support()
+    floats = st.floats(-4.0, 2.0)
+    lw = np.where(on, draw(st.lists(floats, min_size=n, max_size=n)), -np.inf)
+    rewards = draw(st.lists(floats, min_size=n, max_size=n))
+    logits = draw(st.lists(floats, min_size=n, max_size=n))
+    beta = draw(st.floats(0.01, 2.0))
+    spec = draw(st.sampled_from([TargetSpec("reverse", beta),
+                                 TargetSpec("generalized", beta, draw(st.floats(0.01, 0.5)))]))
+    s = Scenario(normalize(lw), RewardVector(np.array(rewards)))
+    return s, SoftmaxPolicy(np.array(logits), policy_on), spec, draw(st.integers(0, 999))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_masked_reverse_kl_case(), st.sampled_from(BASELINES))
+def test_the_support_rule_keeps_every_reverse_kl_sample_on_the_reference_support(case, baseline):
+    # the support rule is the only one: the estimators raise before any draw
+    # when the policy leaves the reference support, and otherwise, as in
+    # training, whose columns are that support, every drawn index lies on it
+    s, policy, spec, seed = case
+    on = s.reference.support_mask
+    drawn, real = [], trainer.draw
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "draw", lambda table, u: drawn.append(real(table, u)) or drawn[-1])
+        mc = MonteCarlo(4, baseline)
+        estimators = [lambda rng: mc_gradient(policy, s, spec, mc, rng)[0]]
+        if spec.kind == "reverse":
+            estimators.append(lambda rng: mc_gradient_reverse(policy, s, spec.beta, 4,
+                                                              baseline, seed))
+        cols = np.flatnonzero(policy.support_mask)
+        for estimate in estimators:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            if (policy.support_mask & ~on).any():
+                with pytest.raises(InfiniteDivergence,
+                                   match="^policy mass outside the reference support$"):
+                    estimate(rng)
+                assert drawn == []
+                assert rng.random() == np.random.Generator(np.random.PCG64(seed)).random()
+            else:
+                assert np.isfinite(estimate(rng)).all()
+                assert on[cols[drawn.pop()]].all() and drawn == []
+        cfg = TrainConfig(spec, mc, steps=3, learning_rate=0.05, seed=seed)
+        cells = trainer._Cells(s, [cfg])
+        assert np.array_equal(np.arange(s.n) if cells.cols is None else cells.cols,
+                              np.flatnonzero(on))
+        result = cells.run()[0]
+        assert len(drawn) == 3 and all(pos.max() < cells.k for pos in drawn)
+        assert np.array_equal(result.final_policy.support_mask, on)
+
+
+def test_reverse_coefficients_reject_an_index_off_the_reference_support():
+    # the one caller whose indices and reference log-masses come from outside
+    s = make_scenario([0.5, 0.5, 0.0], [0.0, 1.0, 0.5])
+    policy = SoftmaxPolicy(np.array([0.3, -0.2, 0.1]))
+    ys = np.array([0, 2, 1])
+    r, lref = s.rewards.values[ys], s.reference.log_weights[ys]
+    for bad in (lref, np.array([np.nan, -0.5, -0.5])):
+        with pytest.raises(InfiniteDivergence,
+                           match="^sampled index outside the reference support$"):
+            reverse_coefficients(policy, ys, r, bad, 0.5)
+    # at beta = 0 the reference plays no part
+    np.testing.assert_array_equal(reverse_coefficients(policy, ys, r, lref, 0.0), r)
+    on = np.array([0, 1, 1])
+    np.testing.assert_array_equal(
+        reverse_coefficients(policy, on, s.rewards.values[on], s.reference.log_weights[on], 0.5),
+        s.rewards.values[on] - 0.5 * (policy.log_probs()[on] - s.reference.log_weights[on]))
+
+
 def test_forward_objective_rejects_partial_policy():
     s = make_scenario([0.5, 0.5], [0.0, 1.0])
     policy = SoftmaxPolicy(np.zeros(2), np.array([True, False]))
@@ -340,11 +423,22 @@ def test_gradient_identity_with_kl_to_target():
 
 
 def test_baseline_variants_agree():
+    # batch_mean is the leave-one-out baseline: c_i less the mean of the others
     rng = np.random.Generator(np.random.PCG64(4))
     coef = rng.normal(size=32)
     a = _apply_baseline(coef, "batch_mean")
-    b = _apply_baseline(coef, "leave_one_out")
+    b = coef - (coef.sum() - coef) / (coef.size - 1)
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def test_leave_one_out_is_no_second_baseline_name():
+    assert BASELINES == ("none", "batch_mean")
+    for call in (lambda: MonteCarlo(8, "leave_one_out"),
+                 lambda: mc_gradient_reverse(SoftmaxPolicy(np.zeros(2)),
+                                             make_scenario([0.5, 0.5], [0.0, 1.0]),
+                                             0.5, 8, "leave_one_out", 0)):
+        with pytest.raises(ValueError, match="^unknown baseline 'leave_one_out'$"):
+            call()
 
 
 def test_point_mass_policy_has_zero_mc_gradient():
@@ -385,14 +479,13 @@ def test_baselines_leave_expectation_unchanged():
     spec = TargetSpec("reverse", 0.5)
     exact = exact_gradient(policy, s, spec)
     trials, batch = 8000, 16
-    for baseline in ("batch_mean", "leave_one_out"):
-        grads = np.array([
-            mc_gradient_reverse(policy, s, 0.5, batch, baseline, seed)
-            for seed in range(trials)
-        ])
-        mean = grads.mean(axis=0)
-        se = grads.std(axis=0, ddof=1) / np.sqrt(trials)
-        assert np.all(np.abs(mean - exact) <= 3.5 * se + 1e-12)
+    grads = np.array([
+        mc_gradient_reverse(policy, s, 0.5, batch, "batch_mean", seed)
+        for seed in range(trials)
+    ])
+    mean = grads.mean(axis=0)
+    se = grads.std(axis=0, ddof=1) / np.sqrt(trials)
+    assert np.all(np.abs(mean - exact) <= 3.5 * se + 1e-12)
 
 
 def test_baseline_reduces_variance():
@@ -432,7 +525,7 @@ def test_mc_forward_regularizer_variants():
         (TargetSpec("reverse", 0.5), MonteCarlo(16, "batch_mean")),
         (TargetSpec("forward", 0.5), MonteCarlo(16)),
         (TargetSpec("forward", 0.5), MonteCarlo(16, sampled_regularizer=True)),
-        (TargetSpec("generalized", 0.5, 0.3), MonteCarlo(16, "leave_one_out")),
+        (TargetSpec("generalized", 0.5, 0.3), MonteCarlo(16, "batch_mean")),
     ],
     ids=["reverse", "forward", "forward-sampled", "generalized"],
 )
@@ -630,8 +723,6 @@ def test_train_config_validation():
             TrainConfig(spec, learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(spec, mara=MaraConfig(Constant(0.5), beta=0.5))
-    with pytest.raises(ValueError):
-        MonteCarlo(batch=1, baseline="leave_one_out")
     with pytest.raises(ValueError):
         MonteCarlo(batch=1)
     with pytest.raises(ValueError):
@@ -980,8 +1071,9 @@ def _oracle_scenario(name):
         ("mara_toy", TargetSpec("forward", 0.1), MonteCarlo(32), _MARA),
         ("mara_toy", TargetSpec("forward", 0.1), MonteCarlo(32),
          MaraConfig(BatchPercentile(0.5), beta=0.1)),
+        # batch_mean is the leave-one-out baseline
         ("fig2_two_mode", TargetSpec("generalized", 0.1, 0.05),
-         MonteCarlo(32, "leave_one_out"), None),
+         MonteCarlo(32, "batch_mean"), None),
         ("fig2_two_mode", TargetSpec("generalized", 0.0, 0.1), Exact(), None),
         ("fig2_two_mode", TargetSpec("reverse", 0.1), MonteCarlo(32, "none"), None),
         ("mara_toy", TargetSpec("reverse", 0.1), MonteCarlo(32),
@@ -1108,7 +1200,7 @@ def test_public_functions_equal_the_full_length_formulas_byte_for_byte():
                 assert _same(got, want), (case, spec, public.__name__)
                 checked += 1
                 raised += isinstance(want, str)
-            for mc in (MonteCarlo(6, "none"), MonteCarlo(6, "leave_one_out"),
+            for mc in (MonteCarlo(6, "none"), MonteCarlo(6, "batch_mean"),
                        MonteCarlo(6, sampled_regularizer=True)):
                 got = _outcome(mc_gradient, policy, s, spec, mc,
                                np.random.Generator(np.random.PCG64(case)))
@@ -1218,7 +1310,7 @@ def _random_batch(rng):
     if rng.random() < 0.4:
         mode = Exact()
     else:
-        baseline = str(rng.choice(["none", "batch_mean", "leave_one_out"]))
+        baseline = str(rng.choice(["none", "batch_mean"]))
         sampled = kind == "forward" and rng.random() < 0.5
         mode = MonteCarlo(int(rng.integers(2, 17)), baseline, sampled)
     rule = None
@@ -1316,9 +1408,8 @@ def test_rows_that_raise_leave_the_others_bit_for_bit(monkeypatch):
 
 def _poisoned_mc_gradient(faults):
     """``trainer._mc_gradient`` that, on the ``step``-th call of a run, turns
-    the estimate of the rows at beta b NaN (fault "nan") or raises as a
-    batch that sampled outside the reference support does (fault "off"),
-    for each (b, step, fault) in ``faults``. A run is told apart by its list
+    the estimate of the rows at beta b NaN (fault "nan") or raises (fault
+    "raise"), for each (b, step, fault) in ``faults``. A run is told apart by its list
     of generators, kept alive here so that its id is not reused."""
     real, runs = trainer._mc_gradient, {}
 
@@ -1332,7 +1423,7 @@ def _poisoned_mc_gradient(faults):
                 if fault == "nan":
                     g.reshape(len(rngs), -1)[hit] = np.nan
                 elif hit.any():
-                    raise InfiniteDivergence("sampled index outside the reference support")
+                    raise InfiniteDivergence("a stand-in failure mid-run")
         return g, anchors
 
     return poisoned
@@ -1343,7 +1434,7 @@ def test_rows_that_fail_mid_run_leave_their_anchors_and_targets_to_the_others(mo
     betas = [0.05, 0.1, 0.2, 0.4, 0.8]
     cfgs = [TrainConfig(TargetSpec("reverse", b), MonteCarlo(16), MaraConfig(Constant(0.5), b),
                         steps=30, learning_rate=0.05, seed=i) for i, b in enumerate(betas)]
-    faults = [(0.1, 5, "nan"), (0.4, 12, "off")]
+    faults = [(0.1, 5, "nan"), (0.4, 12, "raise")]
     monkeypatch.setattr(trainer, "_mc_gradient", _poisoned_mc_gradient(faults))
     batched = train_cells(s, cfgs)
     alone = []
