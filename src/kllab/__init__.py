@@ -27,7 +27,7 @@ from .mara import (
     select_anchor,
 )
 from .targets import (
-    ForwardSolution,
+    Solution,
     TargetSpec,
     analytic_target,
     flip_beta,
@@ -59,7 +59,7 @@ __all__ = [
     "normalize", "tv_distance",
     "AugmentedBatch", "BatchPercentile", "Constant", "MaraConfig",
     "augment_ref_view", "augment_rewards", "mara_target", "select_anchor",
-    "ForwardSolution", "TargetSpec", "analytic_target", "flip_beta",
+    "Solution", "TargetSpec", "analytic_target", "flip_beta",
     "forward_kl_target", "generalized_target", "log_prob_ratio",
     "reverse_kl_target",
     "Exact", "MonteCarlo", "SoftmaxPolicy", "Trace", "TrainConfig",

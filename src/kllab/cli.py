@@ -16,14 +16,7 @@ from . import harness
 from .errors import KllabError, NoFiniteFlip, UndefinedRatio, UntrainableScale
 from .mara import BatchPercentile, Constant, MaraConfig, augment_rewards
 from .scenario_io import ScenarioFormatError, load_scenario
-from .targets import (
-    KINDS,
-    TargetSpec,
-    analytic_target,
-    flip_beta,
-    forward_kl_target,
-    log_prob_ratio,
-)
+from .targets import KINDS, TargetSpec, analytic_target, flip_beta, log_prob_ratio
 from .trainer import BASELINES, Exact, MonteCarlo, TrainConfig, train
 
 EXIT_OK = 0
@@ -75,20 +68,19 @@ def _print_distribution(dist, rewards=None):
 
 def cmd_target(args) -> int:
     s = _resolve_scenario(args.scenario)
-    spec = TargetSpec(args.kind, args.beta, args.eta)
-    if args.kind == "forward":
-        sol = forward_kl_target(s, args.beta)
+    sol = analytic_target(s, TargetSpec(args.kind, args.beta, args.eta))
+    if sol.lam is not None:
         print(f"# lambda = {sol.lam:.12g}")
         print(f"# boundary_case = {str(sol.boundary_case).lower()}")
         print(f"# off_support_mass = {sol.off_support_mass:.12g}")
-        dist = sol.distribution
-    else:
-        dist = analytic_target(s, spec)
+    dist = sol.distribution
     _print_distribution(dist, s.rewards.values)
     if args.out:
         from .svg import Chart
 
-        chart = Chart(f"{s.name} / {args.kind} beta={args.beta:g}", "index", "mass")
+        # eta is 0 outside the generalized kind, and then left out
+        eta = f" eta={args.eta:g}" if args.eta else ""
+        chart = Chart(f"{s.name} / {args.kind} beta={args.beta:g}{eta}", "index", "mass")
         xs = list(range(s.n))
         chart.add_bars("target", xs, dist.probs.tolist())
         chart.add_line("reference", xs, s.reference_probs.tolist())

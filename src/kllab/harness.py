@@ -481,11 +481,12 @@ def exact_tv_gate(records: Sequence[RunRecord]) -> List[SummaryCheck]:
 
 
 def mc_tv_gate(records: Sequence[RunRecord]) -> List[SummaryCheck]:
-    """Unaugmented Monte Carlo cells end within ``MC_MEAN_TV_MAX``, in the seed mean."""
+    """Unaugmented Monte Carlo cells end within ``MC_MEAN_TV_MAX``, in the seed mean:
+    the mean over the seeds of one scenario, objective, beta and eta."""
     tvs: Dict[tuple, List[float]] = {}
     for r in records:
         if r.seed != EXACT_SEED and not r.mara_enabled:
-            tvs.setdefault((r.scenario, r.objective, r.beta), []).append(r.final_tv)
+            tvs.setdefault((r.scenario, r.objective, r.beta, r.eta), []).append(r.final_tv)
     worst = float(np.max([np.mean(v) for v in tvs.values()])) if tvs else None
     return [SummaryCheck("monte-carlo convergence", f"max seed-mean TV {worst:.4f}",
                          f"mean TV <= {MC_MEAN_TV_MAX:g}", worst <= MC_MEAN_TV_MAX)] if tvs else []
@@ -499,7 +500,7 @@ def flip_gates(s: Scenario) -> List[SummaryCheck]:
     beta_star = flip_beta(s, *peaks)
     prefs = []
     for beta in FLIP_BRACKET:
-        t = analytic_target(s, TargetSpec("reverse", beta)).probs
+        t = analytic_target(s, TargetSpec("reverse", beta)).distribution.probs
         prefs.append(float(_sum(t[modes[0]]) - _sum(t[modes[1]])))
     (lo, hi), (lo_pref, hi_pref) = FLIP_BRACKET, prefs
     return [
@@ -608,10 +609,12 @@ def emit_report(records: Sequence[RunRecord], out_dir,
         chart = Chart(
             f"{scenario} / {objective}", "beta", "mass / distance"
         )
-        # a point averages the runs of one augmentation setting, unaugmented first
-        for tau_rule in sorted({r.tau_rule for r in group}):
-            runs = _group(group, tau_rule=tau_rule)
+        # a point averages the runs of one augmentation setting and one eta,
+        # unaugmented first; a nonzero eta names its series
+        for tau_rule, eta in sorted({(r.tau_rule, r.eta) for r in group}):
+            runs = _group(group, tau_rule=tau_rule, eta=eta)
             prefix = "MARA " if tau_rule else ""
+            suffix = f" eta={eta:g}" if eta else ""
             betas = sorted({r.beta for r in runs})
             for label, attr in (("mode 1 mass", "mode1_mass"),
                                 ("mode 2 mass", "mode2_mass"),
@@ -620,7 +623,7 @@ def emit_report(records: Sequence[RunRecord], out_dir,
                     float(np.mean([getattr(r, attr) for r in runs if r.beta == b]))
                     for b in betas
                 ]
-                chart.add_line(prefix + label, betas, ys)
+                chart.add_line(prefix + label + suffix, betas, ys)
         # the analytic targets are those of the unaugmented objective
         betas = sorted({r.beta for r in group if not r.mara_enabled})
         if betas and scenario in SCENARIO_CONFIGS and objective in ("reverse", "forward"):
@@ -629,7 +632,7 @@ def emit_report(records: Sequence[RunRecord], out_dir,
             if len(modes) == 2:
                 t1, t2 = [], []
                 for b in betas:
-                    t = analytic_target(s, TargetSpec(objective, b)).probs
+                    t = analytic_target(s, TargetSpec(objective, b)).distribution.probs
                     t1.append(float(_sum(t[modes[0]])))
                     t2.append(float(_sum(t[modes[1]])))
                 chart.add_line("target mode 1", betas, t1, color="#17becf")

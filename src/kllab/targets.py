@@ -65,17 +65,24 @@ class TargetSpec:
 
 
 @dataclass(frozen=True)
-class ForwardSolution:
-    """Forward-KL optimum plus its normalization multiplier.
+class Solution:
+    """An objective's optimum and what its solve found besides.
 
-    ``boundary_case`` marks the regime where the multiplier is pinned to
-    the best off-support reward and leftover mass sits off-support.
+    ``lam`` is the forward-KL normalization multiplier (None for the tilt
+    families, which have none), and ``off_support_mass`` the mass the
+    forward optimum puts off the reference support (0 elsewhere).
     """
 
     distribution: Categorical
-    lam: float
-    off_support_mass: float
-    boundary_case: bool
+    lam: float | None = None
+    off_support_mass: float = 0.0
+
+    @property
+    def boundary_case(self) -> bool:
+        """The forward regime where the multiplier is pinned to the best
+        off-support reward and the leftover mass sits there: the only one
+        with mass off the support."""
+        return self.off_support_mass > 0
 
 
 def reverse_kl_target(s: Scenario, beta: float) -> Categorical:
@@ -267,8 +274,8 @@ def _on_support_log_masses(lam: float, w, rewards, s: Scenario) -> np.ndarray:
 
 def _forward_log_masses(s: Scenario, beta: float):
     """The unnormalized log-masses of the forward-KL optimum, ``-inf`` off
-    its support, with the multiplier, the off-support mass and whether the
-    boundary regime holds. The length-k arrays of the solve are freed on
+    its support, with the multiplier and the off-support mass (> 0 in the
+    boundary regime alone). The length-k arrays of the solve are freed on
     return, before the caller normalizes the log-masses."""
     mask = s.reference.support_mask
     values = s.rewards.values
@@ -281,7 +288,6 @@ def _forward_log_masses(s: Scenario, beta: float):
     off = ~mask
     r_max_out = float(_max(values, where=off, initial=-np.inf))
 
-    boundary = False
     off_mass = 0.0
     # near the float limit an overflowing w / (lam - R) reads as mass >= 1
     # and grows the bracket until it fails with SolverFailure
@@ -291,7 +297,7 @@ def _forward_log_masses(s: Scenario, beta: float):
             z_out = at_out[0]
             if z_out < 1.0:
                 lam = r_max_out
-                boundary = True
+                # positive, as z_out < 1: Solution.boundary_case reads the regime from it
                 off_mass = 1.0 - z_out
             else:
                 lam = _solve_lambda(beta, w, r_on, r_max_out, at_out)
@@ -302,13 +308,13 @@ def _forward_log_masses(s: Scenario, beta: float):
     log_masses = np.empty(s.n)
     log_masses.fill(-np.inf)
     log_masses[mask] = log_on
-    if boundary:
+    if off_mass:
         argmax_out = off & (values == r_max_out)
         log_masses[argmax_out] = np.log(off_mass / np.count_nonzero(argmax_out))
-    return log_masses, float(lam), off_mass, boundary
+    return log_masses, float(lam), off_mass
 
 
-def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
+def forward_kl_target(s: Scenario, beta: float) -> Solution:
     """Optimum of reward maximization with a forward-KL penalty.
 
     On-support masses are ``beta * reference / (lam - R)`` with ``lam``
@@ -319,11 +325,8 @@ def forward_kl_target(s: Scenario, beta: float) -> ForwardSolution:
     argmax set.
     """
     check_coefficients("forward", beta)
-    log_masses, lam, off_mass, boundary = _forward_log_masses(s, beta)
-    return ForwardSolution(
-        distribution=normalize(log_masses), lam=lam, off_support_mass=off_mass,
-        boundary_case=boundary,
-    )
+    log_masses, lam, off_mass = _forward_log_masses(s, beta)
+    return Solution(normalize(log_masses), lam, off_mass)
 
 
 def log_prob_ratio(s: Scenario, beta: float, i: int, j: int) -> float:
@@ -363,9 +366,9 @@ def flip_beta(s: Scenario, i: int, j: int) -> float:
     return beta_star
 
 
-def analytic_target(s: Scenario, spec: TargetSpec) -> Categorical:
-    """The optimum of ``spec``'s objective: the forward-KL distribution, or
-    the tempered tilt (reverse KL is its eta = 0 member)."""
+def analytic_target(s: Scenario, spec: TargetSpec) -> Solution:
+    """The optimum of ``spec``'s objective: the forward-KL solve, or the
+    tempered tilt (reverse KL is its eta = 0 member) with no multiplier."""
     if spec.kind == "forward":
-        return forward_kl_target(s, spec.beta).distribution
-    return generalized_target(s, spec.beta, spec.eta)
+        return forward_kl_target(s, spec.beta)
+    return Solution(generalized_target(s, spec.beta, spec.eta))

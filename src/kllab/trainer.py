@@ -750,11 +750,11 @@ def _training_problem(s: Scenario, cfgs, cols: Optional[np.ndarray]):
         anchor = mara_mod.global_anchor(s, tau)
     if anchor is None:
         _trainable(s.rewards)
-        targets = [analytic_target(s, sp) for sp in specs]
+        targets = [analytic_target(s, sp).distribution for sp in specs]
     elif specs[0].kind == "forward":
         reference = mara_mod.anchored_reference(s, tau, anchor)
         anchored = _trainable(RewardVector(mara_mod.anchored_rewards(s, tau, anchor, slice(None))))
-        targets = [analytic_target(Scenario(reference, anchored), sp) for sp in specs]
+        targets = [analytic_target(Scenario(reference, anchored), sp).distribution for sp in specs]
         rewards = anchored.values
     else:
         views = [mara_mod.reward_view(s, sp.beta, tau, anchor, slice(None)) for sp in specs]

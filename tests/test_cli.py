@@ -18,7 +18,9 @@ from kllab.harness import (
     EXACT_SEED, RunRecord, SweepSpec, mode_sets, records_to_csv, scenario_by_name,
 )
 from kllab.mara import BatchPercentile, Constant, MaraConfig
-from kllab.targets import TargetSpec
+from kllab.targets import (
+    TargetSpec, forward_kl_target, generalized_target, reverse_kl_target,
+)
 from kllab.trainer import MonteCarlo, TrainConfig, train
 
 
@@ -49,6 +51,57 @@ def test_target_forward_prints_multiplier(capsys):
     assert "# lambda = " in out
     lam = float(out.splitlines()[0].split("=")[1])
     assert lam == pytest.approx(1.0 + np.sqrt(2) / 2, abs=1e-9)
+
+
+def _target_stdout(s, kind, beta, eta):
+    """What ``kllab target`` prints, built from the family's own solver: the
+    forward solve's multiplier, regime and off-support mass as ``#`` lines,
+    then the distribution beside the rewards."""
+    lines = []
+    if kind == "forward":
+        sol = forward_kl_target(s, beta)
+        lines += [f"# lambda = {sol.lam:.12g}",
+                  f"# boundary_case = {str(sol.boundary_case).lower()}",
+                  f"# off_support_mass = {sol.off_support_mass:.12g}"]
+        dist = sol.distribution
+    elif kind == "reverse":
+        dist = reverse_kl_target(s, beta)
+    else:
+        dist = generalized_target(s, beta, eta)
+    lines.append("index,mass,log_mass,reward")
+    lines += [f"{i},{m:.12g},{lw:.12g},{r:.12g}" for i, (m, lw, r) in
+              enumerate(zip(dist.probs, dist.log_weights, s.rewards.values))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind, eta", [("reverse", 0.0), ("forward", 0.0), ("generalized", 0.4)])
+def test_target_stdout_of_each_kind_on_every_builtin(capsys, kind, eta):
+    for name in harness.SCENARIO_CONFIGS:
+        s = scenario_by_name(name)
+        for beta in (0.1, 1.0):
+            code, out, err = run(capsys, "target", "--scenario", name, "--kind", kind,
+                                 "--beta", repr(beta), "--eta", repr(eta))
+            assert (code, err) == (0, ""), name
+            assert out == _target_stdout(s, kind, beta, eta), (name, beta)
+            # only the forward solve has a multiplier to print
+            assert out.startswith("#") is (kind == "forward")
+    if kind == "forward":
+        _, out, _ = run(capsys, "target", "--scenario", "two_point", "--kind", "forward",
+                        "--beta", "1")
+        assert out.splitlines()[:3] == [
+            "# lambda = 1.70710678119", "# boundary_case = false", "# off_support_mass = 0"]
+
+
+@pytest.mark.parametrize("kind, eta, title", [
+    ("reverse", "0", "two_point / reverse beta=1"),
+    ("generalized", "0.4", "two_point / generalized beta=1 eta=0.4"),
+])
+def test_target_chart_title_names_a_nonzero_eta(capsys, tmp_path, kind, eta, title):
+    path = tmp_path / "t.svg"
+    code, _, _ = run(capsys, "target", "--scenario", "two_point", "--kind", kind,
+                     "--beta", "1", "--eta", eta, "--out", str(path))
+    assert code == 0
+    assert f">{title}</text>" in path.read_text()
 
 
 def test_target_forward_beta_zero_is_usage_error(capsys):
@@ -293,6 +346,31 @@ def test_flip_beta_same_index_exits_3(capsys):
     assert "identical indices" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ratio", "--scenario", "fig2_two_mode", "--beta", "1", "--i", "60", "--j", "18"],
+    ["flip-beta", "--scenario", "fig2_two_mode", "--i", "18", "--j", "60"],
+], ids=["ratio", "flip-beta"])
+def test_a_masked_index_exits_3(capsys, argv):
+    # fig2's reference masks its second half, index 60 among it
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: both indices must carry reference mass\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--scenario", "two_point", "--beta", "1", "--mode", "mc", "--batch", "0",
+      "--steps", "1"], "batch must be >= 1"),
+    (["augment", "--scenario", "mara_toy", "--beta", "1", "--tau", "0.5", "--indices", ","],
+     "batch must be nonempty"),
+    (["sweep", "--workers", "0"], "workers must be >= 1"),
+], ids=["train-batch-0", "augment-no-indices", "sweep-workers-0"])
+def test_an_empty_batch_or_pool_exits_2_before_any_file(capsys, tmp_path, monkeypatch,
+                                                        argv, message):
+    monkeypatch.setenv("KLLAB_OUT", str(tmp_path / "out"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run(
         capsys, "target", "--scenario", "two_point", "--kind", "reverse",
@@ -356,12 +434,18 @@ def test_malformed_config_reports_position(capsys, tmp_path):
     {"n": 10, "reference": {"shape": "mixture", "centers": [2, 7], "widths": [1, 2],
                             "weights": [1.5, True]},
      "rewards": [0.0] * 10},
+    # neither a list nor a shape object, or a shape that is not known
+    {"n": 2, "reference": "uniform", "rewards": [0.0, 1.0]},
+    {"n": 2, "reference": {"decay": 0.1}, "rewards": [0.0, 1.0]},
+    {"n": 2, "reference": {"shape": "uniform"}, "rewards": 1.0},
+    {"n": 2, "reference": {"shape": "uniform"}, "rewards": {"shape": "zipf"}},
 ], ids=["n-zero", "all-zero-reference", "mixture-zero-width", "two-mode-negative-width",
         "two-mode-string-widths", "two-mode-number-centers", "two-mode-null-heights",
         "mixture-string-width-entry", "n-null", "n-fractional", "n-boolean",
         "half-support-null-decay", "top-level-array", "half-support-too-large-decay",
         "rewards-too-large-entry", "reference-too-large-entry", "reference-boolean-entry",
-        "two-mode-boolean-center", "mixture-boolean-weight"])
+        "two-mode-boolean-center", "mixture-boolean-weight", "reference-string",
+        "reference-without-shape", "rewards-number", "rewards-unknown-shape"])
 @pytest.mark.filterwarnings("error")  # a zero width must not reach NumPy's division
 def test_malformed_scenario_values_are_usage_errors(capsys, tmp_path, cfg):
     path = tmp_path / "bad.json"

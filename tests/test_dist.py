@@ -225,6 +225,22 @@ def test_sample_never_emits_masked():
     assert not np.any(ys == 1)
 
 
+def test_from_probs_rejects_a_negative_mass():
+    with pytest.raises(InvalidDistribution, match="^negative mass$"):
+        from_probs([0.5, -0.1, 0.6])
+
+
+@pytest.mark.parametrize("measure", [kl, tv_distance])
+def test_measures_reject_unequal_lengths(measure):
+    with pytest.raises(InvalidDistribution, match="^length mismatch$"):
+        measure(from_probs([0.5, 0.5]), from_probs([0.2, 0.3, 0.5]))
+
+
+def test_reward_vector_rejects_a_2d_array():
+    with pytest.raises(ValueError, match="^rewards must be a non-empty 1-d vector$"):
+        RewardVector(np.zeros((2, 2)))
+
+
 def test_reward_vector_rejects_non_finite():
     for values in ([0.0, np.inf], [-np.inf, 0.0], [np.nan], [1.0, np.nan, 2.0],
                    [np.nan, np.inf], [-np.inf, np.inf], [1e308, np.nan, -1e308]):

@@ -34,7 +34,7 @@ from kllab.harness import (
     sort_records,
     summary_checks,
 )
-from kllab.mara import Constant, MaraConfig
+from kllab.mara import BatchPercentile, Constant, MaraConfig
 from kllab.scenario_io import scenario_from_dict
 from kllab.targets import TargetSpec, flip_beta
 from kllab.trainer import Exact, MonteCarlo, TrainConfig
@@ -505,6 +505,54 @@ def test_chart_points_never_average_augmentation_settings(tmp_path, monkeypatch)
     assert [ys for label, ys in plotted if label == "mode 1 mass"] == [[pytest.approx(0.85)]]
     # the target lines belong to the unaugmented objective
     assert any(label == "target mode 1" for label, _ in plotted)
+
+
+def _two_eta_mc_records():
+    """Generalized Monte Carlo cells that differ only in eta: three seeds at
+    eta 0.05 end at TV 0.02, three at eta 2 at TV 0.25."""
+    return [_record(objective="generalized", beta=0.1, eta=eta, seed=seed, final_tv=tv)
+            for eta, tv in ((0.05, 0.02), (2.0, 0.25)) for seed in (0, 1, 2)]
+
+
+def test_mc_tv_gate_keeps_cells_of_another_eta_apart():
+    # merged, the six seeds average to 0.135 and pass; the eta = 2 cells fail alone
+    records = _two_eta_mc_records()
+    (check,) = mc_tv_gate(records)
+    assert check.measured == "max seed-mean TV 0.2500" and not check.passed
+    (check,) = mc_tv_gate([r for r in records if r.eta == 0.05])
+    assert check.measured == "max seed-mean TV 0.0200" and check.passed
+
+
+def test_chart_draws_a_series_for_each_eta(tmp_path):
+    records = [replace(r, beta=beta) for r in _two_eta_mc_records() for beta in (0.1, 0.5)]
+    emit_report(records, tmp_path)
+    text = (tmp_path / "fig2_two_mode_generalized.svg").read_text()
+    # mode 1, mode 2 and TV for each eta, and no analytic target lines
+    assert text.count("<polyline") == 6
+    for eta in ("0.05", "2"):
+        assert f">mode 1 mass eta={eta}</text>" in text
+        assert f">TV to target eta={eta}</text>" in text
+
+
+def test_reporting_failure_paths(tmp_path):
+    with pytest.raises(KeyError, match="unknown scenario 'nope'"):
+        scenario_by_name("nope")
+    with pytest.raises(ValueError, match="^no records to report$"):
+        emit_report([], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="^chart has no data$"):
+        svg.Chart("empty", "x", "y").render()
+
+
+def test_a_batch_percentile_rule_survives_the_records_round_trip():
+    mara = MaraConfig(BatchPercentile(0.7), beta=0.1)
+    cfg = TrainConfig(TargetSpec("reverse", 0.1), gradient_mode=Exact(), steps=2,
+                      seed=EXACT_SEED, mara=mara)
+    spec = SweepSpec(scenario_by_name("mara_toy"), [TargetSpec("reverse", 0.1)], [0.1],
+                     [EXACT_SEED], cfg)
+    records = run_sweep(spec)
+    assert [(r.tau_rule, r.status) for r in records] == [("percentile:0.7", "ok")]
+    assert records_from_csv(records_to_csv(records)) == records
 
 
 def test_summary_checks_flag_failures():

@@ -674,17 +674,36 @@ def test_flip_beta_same_index_raises():
         flip_beta(s, 1, 1)
 
 
-def test_analytic_target_dispatch(two_point):
-    rev = analytic_target(two_point, TargetSpec("reverse", 0.7))
-    np.testing.assert_array_equal(rev.probs, reverse_kl_target(two_point, 0.7).probs)
-    fwd = analytic_target(two_point, TargetSpec("forward", 0.7))
-    np.testing.assert_array_equal(
-        fwd.probs, forward_kl_target(two_point, 0.7).distribution.probs
-    )
-    gen = analytic_target(two_point, TargetSpec("generalized", 0.3, 0.4))
-    np.testing.assert_array_equal(
-        gen.probs, generalized_target(two_point, 0.3, 0.4).probs
-    )
+def _same_bytes(a, b):
+    return (a.log_weights.tobytes() == b.log_weights.tobytes()
+            and a.support_mask.tobytes() == b.support_mask.tobytes())
+
+
+def test_analytic_target_dispatch():
+    # every family on every built-in scenario: the dispatch returns its
+    # solver's distribution byte for byte, with the forward solve's
+    # multiplier and regime, and no multiplier or off-support mass for a tilt
+    regimes = set()
+    for name in SCENARIO_CONFIGS:
+        s = scenario_by_name(name)
+        for beta in (0.1, 0.7):
+            sol = analytic_target(s, TargetSpec("forward", beta))
+            fwd = forward_kl_target(s, beta)
+            assert isinstance(sol, targets.Solution)
+            assert _same_bytes(sol.distribution, fwd.distribution)
+            assert (sol.lam, sol.off_support_mass, sol.boundary_case) == (
+                fwd.lam, fwd.off_support_mass, fwd.boundary_case)
+            regimes.add(sol.boundary_case)
+            tilts = [(TargetSpec("reverse", beta), reverse_kl_target(s, beta))]
+            for b, eta in ((beta, 0.4), (0.0, beta)):
+                tilts.append((TargetSpec("generalized", b, eta), generalized_target(s, b, eta)))
+            for spec, dist in tilts:
+                sol = analytic_target(s, spec)
+                assert _same_bytes(sol.distribution, dist), (name, spec)
+                assert sol.lam is None and sol.off_support_mass == 0.0
+                assert sol.boundary_case is False
+    # fwd_off_support at beta 0.1 is in the boundary regime, the rest interior
+    assert regimes == {False, True}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

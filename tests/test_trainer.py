@@ -418,6 +418,13 @@ def test_gradient_identity_with_kl_to_target():
         np.testing.assert_allclose(g, -beta * g_kl, atol=1e-9)
 
 
+def test_kl_gradient_to_target_rejects_policy_mass_off_the_target_support():
+    # a full-support policy against fig2's reverse target, masked on its second half
+    s = scenario_by_name("fig2_two_mode")
+    with pytest.raises(InfiniteDivergence, match="^policy mass outside the target support$"):
+        kl_gradient_to_target(SoftmaxPolicy(np.zeros(s.n)), reverse_kl_target(s, 0.1))
+
+
 # --------------------------------------------------------------------------
 # Monte-Carlo estimators
 
@@ -986,7 +993,7 @@ def _reference_train(s, cfg):
         tau = resolve_threshold(cfg.mara.threshold_rule, r)
         anchor = global_anchor(s, tau)
     if anchor is None:
-        target, scenario = analytic_target(s, spec), s
+        target, scenario = analytic_target(s, spec).distribution, s
     elif spec.kind == "reverse":
         target = mara_target(s, spec.beta, tau, anchor)
         r, lref = s.rewards.values, s.reference.log_weights
