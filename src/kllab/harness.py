@@ -624,19 +624,23 @@ def emit_report(records: Sequence[RunRecord], out_dir,
                     for b in betas
                 ]
                 chart.add_line(prefix + label + suffix, betas, ys)
-        # the analytic targets are those of the unaugmented objective
-        betas = sorted({r.beta for r in group if not r.mara_enabled})
-        if betas and scenario in SCENARIO_CONFIGS and objective in ("reverse", "forward"):
+        # the analytic targets are those of the unaugmented objective: a
+        # pair for each eta, named as its trained series are
+        plain = [r for r in group if not r.mara_enabled]
+        if plain and scenario in SCENARIO_CONFIGS:
             s = scenario_by_name(scenario)
             modes = mode_sets(s)[:2]
             if len(modes) == 2:
-                t1, t2 = [], []
-                for b in betas:
-                    t = analytic_target(s, TargetSpec(objective, b)).distribution.probs
-                    t1.append(float(_sum(t[modes[0]])))
-                    t2.append(float(_sum(t[modes[1]])))
-                chart.add_line("target mode 1", betas, t1, color="#17becf")
-                chart.add_line("target mode 2", betas, t2, color="#bcbd22")
+                for eta in sorted({r.eta for r in plain}):
+                    betas = sorted({r.beta for r in plain if r.eta == eta})
+                    suffix = f" eta={eta:g}" if eta else ""
+                    t1, t2 = [], []
+                    for b in betas:
+                        t = analytic_target(s, TargetSpec(objective, b, eta)).distribution.probs
+                        t1.append(float(_sum(t[modes[0]])))
+                        t2.append(float(_sum(t[modes[1]])))
+                    chart.add_line("target mode 1" + suffix, betas, t1, color="#17becf")
+                    chart.add_line("target mode 2" + suffix, betas, t2, color="#bcbd22")
         path = out / f"{scenario}_{objective}.svg"
         path.write_text(chart.render())
         manifest.append(path)

@@ -23,7 +23,7 @@ import numpy as np
 # _all, _any, _max, _min and _sum are NumPy's reductions without the Python
 # wrappers of np.all, np.any, np.max, np.min and np.sum, which cost more than
 # reducing a hundred floats
-from .dist import Categorical, Scenario, _all, _any, _max, _min, _sum, normalize
+from .dist import Categorical, Scenario, _all, _any, _exp_at, _max, _min, _sum, normalize
 from .errors import (
     InvalidCoefficient,
     NoFiniteFlip,
@@ -105,29 +105,36 @@ def generalized_target(s: Scenario, beta: float, eta: float) -> Categorical:
     the entropy-only target is a full-support softmax of ``R / eta``.
     """
     check_coefficients("generalized", beta, eta)
-    total = beta + eta
-    r = s.rewards.values
+    return normalize(_tilt_log_masses(s, beta, beta + eta))
+
+
+def _tilt_log_masses(s: Scenario, beta: float, total: float) -> np.ndarray:
+    """The unnormalized log-masses of the tilt, built on the reference
+    support (everywhere at beta = 0) and ``-inf`` off it. Its length-k
+    arrays are freed on return, before the caller normalizes."""
+    support = s.reference.support if beta > 0 else slice(None)
+    r = s.rewards.values[support]
     if s.rewards.scale / total < math.inf:
         tilt = r / total
     else:
-        # a finite reward near the float limit: off the support the tilt
-        # does not count, and on it a shift by the largest reward there
-        # leaves the distribution as it is
-        support = s.reference.support_mask if beta > 0 else np.ones(s.n, dtype=bool)
+        # a finite reward near the float limit: a shift by the largest
+        # reward counted leaves the distribution as it is
         with np.errstate(over="ignore"):
-            tilt = np.where(support, r / total, 0.0)
+            tilt = r / total
             if not _all(np.isfinite(tilt)):
-                tilt = np.where(support, (r - _max(r[support])) / total, 0.0)
+                tilt = (r - _max(r)) / total
     if beta == 0:
-        return normalize(tilt)
-    # in place, to keep one length-n array fewer alive: the tilt is this
-    # call's own. A weight that underflows to 0 adds nothing on the support,
-    # and would make 0 * -inf off it
+        return tilt
+    # in place: the tilt is this call's own. A weight that underflows to 0
+    # adds nothing
     weight = beta / total
     if weight:
-        tilt += weight * s.reference.log_weights
-    tilt[~s.reference.support_mask] = -np.inf
-    return normalize(tilt)
+        tilt += weight * s.reference.log_weights[support]
+    # np.full's allocation and fill, without its Python wrapper
+    log_masses = np.empty(s.n)
+    log_masses.fill(-np.inf)
+    log_masses[support] = tilt
+    return log_masses
 
 
 def _mass_terms(lam: float, w, rewards):
@@ -263,7 +270,7 @@ def _on_support_log_masses(lam: float, w, rewards, s: Scenario) -> np.ndarray:
     free = ~tied
     masses[free] = w[free] / gap[free]
     leftover = max(0.0, 1.0 - float(_sum(masses)))
-    lref = s.reference.log_weights[s.reference.support_mask][tied]
+    lref = s.reference.log_weights[s.reference.support][tied]
     share = np.exp(lref)
     if not _sum(share):
         share = np.exp(lref - _max(lref))
@@ -277,15 +284,14 @@ def _forward_log_masses(s: Scenario, beta: float):
     its support, with the multiplier and the off-support mass (> 0 in the
     boundary regime alone). The length-k arrays of the solve are freed on
     return, before the caller normalizes the log-masses."""
-    mask = s.reference.support_mask
+    support = s.reference.support
     values = s.rewards.values
-    # the gather is this call's own array: exponentiated and scaled in place
-    w = s.reference.log_weights[mask]
-    np.exp(w, out=w)
+    # this call's own array, scaled in place
+    w = _exp_at(s.reference.log_weights, support)
     w *= beta
-    r_on = values[mask]
+    r_on = values[support]
     r_max_in = float(_max(r_on))
-    off = ~mask
+    off = ~s.reference.support_mask
     r_max_out = float(_max(values, where=off, initial=-np.inf))
 
     off_mass = 0.0
@@ -307,7 +313,7 @@ def _forward_log_masses(s: Scenario, beta: float):
     # np.full's allocation and fill, without its Python wrapper
     log_masses = np.empty(s.n)
     log_masses.fill(-np.inf)
-    log_masses[mask] = log_on
+    log_masses[support] = log_on
     if off_mass:
         argmax_out = off & (values == r_max_out)
         log_masses[argmax_out] = np.log(off_mass / np.count_nonzero(argmax_out))

@@ -39,6 +39,9 @@ MIXTURE = {"shape": "mixture", "centers": [15 * STRETCH, 35 * STRETCH],
            "widths": [4.0 * STRETCH] * 2, "weights": [0.88, 0.12]}
 MARA = _scenario(MIXTURE, _two_mode([15, 35], [1.0, 1.0]))
 TAU = 0.5
+# every other index masked: a support that is no run, so it is indexed
+# through its mask
+SCATTERED = _scenario([1.0 - i % 2 for i in range(N)], FIG2_REWARDS)
 
 
 def _peak_arrays(fn, *args):
@@ -55,6 +58,8 @@ def _peak_arrays(fn, *args):
 
 
 def test_the_scenarios_are_in_their_regimes():
+    assert isinstance(INTERIOR.reference.support, slice)
+    assert SCATTERED.reference.support is SCATTERED.reference.support_mask
     assert not targets.forward_kl_target(INTERIOR, 0.1).boundary_case
     assert targets.forward_kl_target(BOUNDARY, 0.1).boundary_case
     assert mara.global_anchor(MARA, TAU) is not None
@@ -72,6 +77,9 @@ def test_the_scenarios_are_in_their_regimes():
     (dist.normalize, (INTERIOR.reference.log_weights,), 1.75),
     (dist.normalize, (MARA.reference.log_weights,), 2.25),
     (mara.anchored_reference, (MARA, TAU, mara.global_anchor(MARA, TAU)), 3.25),
+    # measured at 1.63 and 2.63 arrays, as on a run of the same length
+    (dist.normalize, (SCATTERED.reference.log_weights,), 1.75),
+    (targets.reverse_kl_target, (SCATTERED, 0.1), 2.75),
     # measured at 4.00 and 4.13 arrays: the index line, the two bumps' rows
     # and their sum (a broadcast (n, 2) formula peaked at 5.13)
     (scenario_io.rewards_two_mode,
@@ -81,6 +89,10 @@ def test_the_scenarios_are_in_their_regimes():
 ], ids=["forward-interior", "forward-boundary", "global-anchor", "mara-target",
         "reverse-interior", "generalized-interior", "generalized-mara",
         "normalize-interior", "normalize-mara", "anchored-reference",
-        "two-mode-rewards", "mixture-reference"])
+        "normalize-scattered", "reverse-scattered", "two-mode-rewards",
+        "mixture-reference"])
 def test_solver_peak_allocation(fn, args, bound):
-    assert _peak_arrays(fn, *args) <= bound
+    peak = _peak_arrays(fn, *args)
+    # shown by pytest -rP: the headroom under each bound
+    print(f"peak {peak:.3f} arrays, bound {bound}")
+    assert peak <= bound

@@ -661,6 +661,24 @@ def test_report_on_a_malformed_boolean_exits_2(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("objective, beta, eta, message", [
+    ("reverse", 0.5, 0.3, "reverse takes no eta"),
+    ("generalized", 0.0, 0.0, "beta + eta must be > 0"),
+])
+def test_report_on_coefficients_that_no_objective_admits_exits_2(
+        capsys, tmp_path, objective, beta, eta, message):
+    # the chart's analytic target is solved at each record's own beta and eta
+    records = tmp_path / "records.csv"
+    records.write_text(records_to_csv([RunRecord(
+        scenario="fig2_two_mode", objective=objective, beta=beta, eta=eta, seed=-1,
+        mara_enabled=False, tau_rule="", final_tv=0.01, answer_entropy=0.5,
+        mode1_mass=0.5, mode2_mass=0.5, anchor_churn=0, steps=1, wall_ms=0,
+    )]))
+    code, _, err = run(capsys, "report", "--records", str(records),
+                       "--out", str(tmp_path / "out"))
+    assert code == 2 and err == f"error: {message}\n"
+
+
 def test_sweep_unknown_preset_exits_2(capsys):
     code, _, err = run(capsys, "sweep", "--preset", "nope")
     assert code == 2

@@ -1,10 +1,11 @@
+import contextlib
 import math
 import pickle
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kllab.dist import (
     NORMALIZATION_TOL,
@@ -94,6 +95,125 @@ def test_normalize_equals_its_formula_byte_for_byte():
                   bool(np.abs(lw[mask]).max() > 1e200)))
     assert {(True, True, True, False), (False, True, False, True),
             (False, False, False, False), (False, False, True, False)} <= seen
+
+
+def _oracle_normalize(log_weights):
+    """``normalize`` as written before the support index: every entry
+    exponentiated, then ``Categorical``'s checks, which find the support
+    again from the result. Returns the log-masses and the support mask, or
+    raises what ``normalize`` raises. The one change: the test for a finite
+    entry reduces over every axis, so that a 2-d input with no finite entry
+    is an ``InvalidDistribution``, not NumPy's ambiguous-truth ValueError."""
+    lw = np.asarray(log_weights, dtype=float)
+    top = np.maximum.reduce(lw, axis=None) if lw.size else math.nan
+    if not math.isfinite(top):
+        if not np.logical_or.reduce(np.isfinite(lw), axis=None):
+            raise InvalidDistribution("no finite log-weight to normalize")
+        raise InvalidDistribution("log_weights must be finite or -inf")
+    if lw.ndim == 0:
+        raise InvalidDistribution("log_weights must be a non-empty 1-d vector")
+    edge = not math.isfinite(-sys.float_info.max - float(top))
+    with np.errstate(over="ignore") if edge else contextlib.nullcontext():
+        shifted = np.subtract(lw, top)
+        lse = top + np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=None))
+        np.subtract(lw, lse, out=shifted)
+    terms = shifted[np.isfinite(shifted)]
+    shifted -= np.log(np.add.reduce(np.exp(terms, out=terms)))
+    if shifted.ndim != 1:
+        raise InvalidDistribution("log_weights must be a non-empty 1-d vector")
+    mask = np.isfinite(shifted)
+    total = np.add.reduce(np.exp(shifted[mask]))
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise InvalidDistribution(f"masses sum to {total!r}, not 1")
+    return shifted, mask
+
+
+SHAPES = ("contiguous", "scattered", "full", "single", "all -inf", "nan", "+inf",
+          "0-d", "2-d", "edge")
+# the largest floats, where lw - top and lw - lse can overflow to -inf
+NEAR_LIMIT = st.one_of(st.floats(min_value=1.7e308, max_value=sys.float_info.max),
+                       st.floats(min_value=-sys.float_info.max, max_value=-1.7e308))
+
+
+@st.composite
+def log_weight_inputs(draw):
+    """A log-weight input of one of ``SHAPES``, with its shape. Up to 300
+    entries, so that the log-sum-exp's pairwise sum runs in blocks: a sum
+    over the span alone would differ from the sum over all n in the last
+    bit."""
+    shape = draw(st.sampled_from(SHAPES))
+    n = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    lw = rng.normal(size=n) * draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3, 1e300]))
+    at = draw(st.integers(min_value=0, max_value=n - 1))
+    if shape == "contiguous":
+        lo, hi = sorted((at, draw(st.integers(min_value=0, max_value=n - 1))))
+        lw[:lo] = -np.inf
+        lw[hi + 1:] = -np.inf
+    elif shape == "scattered":
+        lw[rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))] = -np.inf
+    elif shape in ("single", "all -inf"):
+        kept = lw[at]
+        lw[:] = -np.inf
+        if shape == "single":
+            lw[at] = kept
+    elif shape in ("nan", "+inf"):
+        lw[at] = np.nan if shape == "nan" else np.inf
+    elif shape == "0-d":
+        lw = np.array(draw(st.sampled_from([lw[0], -np.inf, np.inf, np.nan])))
+    elif shape == "2-d":
+        lw = np.array([lw, rng.permutation(lw)])
+        lw[0, at] = draw(st.sampled_from([lw[0, at], -np.inf, np.nan]))
+    elif shape == "edge":
+        entry = NEAR_LIMIT | st.sampled_from([0.0, -np.inf, -1e308, 1e308])
+        lw = np.array(draw(st.lists(entry, min_size=1, max_size=24)))
+    return shape, lw
+
+
+@settings(derandomize=True, max_examples=300)
+@given(log_weight_inputs())
+# one input of each shape, drawn or not: the edge case loses its two lowest
+# entries, which lw - lse takes to -inf
+@example(("contiguous", np.array([-np.inf, 0.5, -2.0, -np.inf])))
+@example(("scattered", np.array([-1.0, -np.inf, 3.0, -np.inf, 0.0])))
+@example(("full", np.array([1e300, -1e300, 0.0])))
+@example(("single", np.array([-np.inf, 7.0, -np.inf])))
+@example(("all -inf", np.array([-np.inf, -np.inf])))
+@example(("nan", np.array([0.0, np.nan, -np.inf])))
+@example(("+inf", np.array([0.0, np.inf])))
+@example(("0-d", np.array(0.5)))
+@example(("0-d", np.array(np.nan)))
+@example(("2-d", np.zeros((2, 3))))
+@example(("2-d", np.array([[np.nan, 1.0], [-np.inf, 0.0]])))
+@example(("2-d", np.full((2, 2), -np.inf)))
+@example(("edge", np.array([1.7e308, -1.7e308, -1.79e308, 0.0, -np.inf])))
+def test_normalize_matches_the_algorithm_before_the_support_index(case):
+    # the log-masses, the support and each error, to the byte and the
+    # message; the result is what Categorical makes of its log-masses
+    shape, lw = case
+    before = lw.tobytes()
+    try:
+        want = _oracle_normalize(lw)
+    except InvalidDistribution as exc:
+        with pytest.raises(InvalidDistribution) as info:
+            normalize(lw)
+        assert str(info.value) == str(exc)
+        assert lw.tobytes() == before
+        return
+    d = normalize(lw)
+    assert lw.tobytes() == before
+    assert d.log_weights.tobytes() == want[0].tobytes()
+    assert d.support_mask.tobytes() == want[1].tobytes()
+    again = Categorical(d.log_weights)
+    assert again.log_weights.tobytes() == d.log_weights.tobytes()
+    assert again.support_mask.tobytes() == d.support_mask.tobytes()
+    finite = np.flatnonzero(d.support_mask)
+    run = finite[-1] - finite[0] + 1 == finite.size
+    for c in (d, again):
+        if run:
+            assert c.support == slice(int(finite[0]), int(finite[-1]) + 1)
+        else:
+            assert c.support is c.support_mask
 
 
 @pytest.mark.parametrize("lw, message", [

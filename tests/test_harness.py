@@ -527,11 +527,17 @@ def test_chart_draws_a_series_for_each_eta(tmp_path):
     records = [replace(r, beta=beta) for r in _two_eta_mc_records() for beta in (0.1, 0.5)]
     emit_report(records, tmp_path)
     text = (tmp_path / "fig2_two_mode_generalized.svg").read_text()
-    # mode 1, mode 2 and TV for each eta, and no analytic target lines
-    assert text.count("<polyline") == 6
+    # mode 1, mode 2 and TV for each eta, and a pair of analytic target lines
+    # for each eta
+    assert text.count("<polyline") == 10
     for eta in ("0.05", "2"):
         assert f">mode 1 mass eta={eta}</text>" in text
         assert f">TV to target eta={eta}</text>" in text
+        assert f">target mode 1 eta={eta}</text>" in text
+        assert f">target mode 2 eta={eta}</text>" in text
+    # trained lines first; then mode 1 and mode 2 of eta 0.05, then of eta 2
+    lines = text.split("<polyline")[1:]
+    assert lines[6] != lines[8] and lines[7] != lines[9]
 
 
 def test_reporting_failure_paths(tmp_path):
