@@ -130,11 +130,17 @@ def _tilt_log_masses(s: Scenario, beta: float, total: float) -> np.ndarray:
     weight = beta / total
     if weight:
         tilt += weight * s.reference.log_weights[support]
-    # np.full's allocation and fill, without its Python wrapper
-    log_masses = np.empty(s.n)
-    log_masses.fill(-np.inf)
-    log_masses[support] = tilt
-    return log_masses
+    return _on_support(s.n, support, tilt)
+
+
+def _on_support(n: int, support, log_masses) -> np.ndarray:
+    """A new length-``n`` row of ``log_masses`` at a support index and
+    ``-inf`` elsewhere: np.full's allocation and fill, without its Python
+    wrapper, then one scatter."""
+    row = np.empty(n)
+    row.fill(-np.inf)
+    row[support] = log_masses
+    return row
 
 
 def _mass_terms(lam: float, w, rewards):
@@ -310,10 +316,7 @@ def _forward_log_masses(s: Scenario, beta: float):
         else:
             lam = _solve_lambda(beta, w, r_on, r_max_in)
         log_on = _on_support_log_masses(lam, w, r_on, s)
-    # np.full's allocation and fill, without its Python wrapper
-    log_masses = np.empty(s.n)
-    log_masses.fill(-np.inf)
-    log_masses[support] = log_on
+    log_masses = _on_support(s.n, support, log_on)
     if off_mass:
         argmax_out = off & (values == r_max_out)
         log_masses[argmax_out] = np.log(off_mass / np.count_nonzero(argmax_out))
