@@ -231,6 +231,11 @@ def draw(table, u: np.ndarray) -> np.ndarray:
     return pos if active is None else active[pos]
 
 
+def _scale(v: np.ndarray) -> float:
+    """The largest |r| of rewards ``v``: NaN if any entry is, inf if one is."""
+    return max(float(_max(v)), -float(_min(v)))
+
+
 @dataclass(frozen=True)
 class RewardVector:
     """One finite reward per support index. ``scale``, the largest |r|, is
@@ -244,8 +249,7 @@ class RewardVector:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("rewards must be a non-empty 1-d vector")
-        # NaN if any entry is, inf if one is
-        scale = max(float(_max(v)), -float(_min(v)))
+        scale = _scale(v)
         if not scale < math.inf:
             raise ValueError("rewards must be finite")
         object.__setattr__(self, "values", _frozen(v))

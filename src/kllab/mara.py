@@ -19,9 +19,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dist import Categorical, Scenario, normalize
+from .dist import _PLAIN, Categorical, Scenario, _max, normalize
 from .errors import InvalidAnchor
-from .targets import check_coefficients
+from .targets import _tilt_log_masses, check_coefficients
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,13 @@ def reward_view(s: Scenario, beta: float, tau: float, anchor: int, idx) -> np.nd
     """Rewards at ``idx``, where treated the anchor's plus beta times the
     log reference ratio to the anchor."""
     r, lref = s.rewards.values, s.reference.log_weights
-    bonus = r[anchor] + beta * (lref[anchor] - lref[idx])
+    gap = lref[anchor] - lref[idx]
+    # no log-mass reaches 1, so |gap| <= bound and |bonus| <= scale + beta *
+    # bound: below the float limit no bonus overflows. A masked index in idx
+    # makes the bound inf; its bonus is an inf that np.where drops
+    bound = max(float(_max(gap, initial=0.0)), 1.0 - float(lref[anchor]))
+    with _PLAIN if s.rewards.scale + beta * bound < math.inf else np.errstate(over="ignore"):
+        bonus = r[anchor] + beta * gap
     return np.where(_treated(s, tau, idx), bonus, r[idx])
 
 
@@ -181,17 +187,8 @@ def mara_target(s: Scenario, beta: float, tau: float, anchor: int) -> Categorica
     """
     check_coefficients("reverse", beta)
     _check_anchor(s, tau, anchor)
-    r, lref = s.rewards.values, s.reference.log_weights
-    # one buffer: the tilt r / beta + lref (masked indices keep their -inf
-    # reference log-mass), then the anchor's log-mass where treated
-    if s.rewards.scale / beta < math.inf:
-        log_masses = np.divide(r, beta)
-    else:
-        # a reward near the float limit: the tilt counts on the support's
-        # untreated indices alone, all below the anchor, shifted by its reward
-        keep = s.reference.support_mask & ~_treated(s, tau, slice(None))
-        with np.errstate(over="ignore"):
-            log_masses = np.where(keep, r - r[anchor], 0.0) / beta
-    log_masses += lref
+    # the reverse tilt, shifted near the float limit by the anchor's reward:
+    # the anchor's log-mass stays its reference log-mass there
+    log_masses = _tilt_log_masses(s, beta, beta, s.rewards.values[anchor])
     np.copyto(log_masses, log_masses[anchor], where=_treated(s, tau, slice(None)))
     return normalize(log_masses)

@@ -108,35 +108,45 @@ def generalized_target(s: Scenario, beta: float, eta: float) -> Categorical:
     return normalize(_tilt_log_masses(s, beta, beta + eta))
 
 
-def _tilt_log_masses(s: Scenario, beta: float, total: float) -> np.ndarray:
-    """The unnormalized log-masses of the tilt, built on the reference
-    support (everywhere at beta = 0) and ``-inf`` off it. Its length-k
-    arrays are freed on return, before the caller normalizes."""
-    support = s.reference.support if beta > 0 else slice(None)
+def _tilt_log_masses(s: Scenario, beta: float, total: float, top=None) -> np.ndarray:
+    """The unnormalized log-masses of the tilt, ``-inf`` off the reference
+    support (every index at beta = 0). Where some ``r / total`` overflows,
+    the rewards are shifted by ``top``, or, if it is None and the plain tilt
+    is not finite, by the largest reward on the support."""
+    plain = s.rewards.scale / total < math.inf
+    weight = beta / total
+    # on the support's span, or on every index: at beta = 0, and where the
+    # support is no run, the tilt finite and the weight positive (weight *
+    # -inf is -inf off the support; cheaper than two gathers and a scatter)
+    support = s.reference.support
+    if beta == 0 or plain and weight and not isinstance(support, slice):
+        support = slice(None)
     r = s.rewards.values[support]
-    if s.rewards.scale / total < math.inf:
+    if plain:
         tilt = r / total
     else:
-        # a finite reward near the float limit: a shift by the largest
-        # reward counted leaves the distribution as it is
+        # a finite reward near the float limit: a shift by a constant
+        # leaves the distribution as it is
         with np.errstate(over="ignore"):
-            tilt = r / total
-            if not _all(np.isfinite(tilt)):
-                tilt = (r - _max(r)) / total
-    if beta == 0:
-        return tilt
-    # in place: the tilt is this call's own. A weight that underflows to 0
-    # adds nothing
-    weight = beta / total
+            if top is None:
+                tilt = r / total
+                top = None if _all(np.isfinite(tilt)) else _max(r)
+            if top is not None:
+                tilt = (r - top) / total
+    # in place: the tilt is this call's own. A weight of 0 adds nothing, and
+    # one of 1 (eta = 0) adds the log-masses as they are: 1 * x is x
     if weight:
-        tilt += weight * s.reference.log_weights[support]
+        lref = s.reference.log_weights[support]
+        tilt += lref if weight == 1.0 else weight * lref
     return _on_support(s.n, support, tilt)
 
 
 def _on_support(n: int, support, log_masses) -> np.ndarray:
-    """A new length-``n`` row of ``log_masses`` at a support index and
-    ``-inf`` elsewhere: np.full's allocation and fill, without its Python
-    wrapper, then one scatter."""
+    """A length-``n`` row of ``log_masses`` at a support index and ``-inf``
+    elsewhere: ``log_masses`` itself if it spans every index, else a new row
+    (np.full's allocation and fill, without its wrapper, then a scatter)."""
+    if log_masses.size == n:
+        return log_masses
     row = np.empty(n)
     row.fill(-np.inf)
     row[support] = log_masses

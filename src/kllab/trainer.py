@@ -68,8 +68,8 @@ from . import mara as mara_mod
 # _any and _sum are NumPy's reductions without the Python wrappers of np.any
 # and np.sum, which cost more than reducing a hundred floats
 from .dist import (
-    Categorical, RewardVector, Scenario, _any, _frozen, _reduce_through_init, _sum, cdf_table,
-    draw, normalize,
+    Categorical, RewardVector, Scenario, _any, _frozen, _reduce_through_init, _scale, _sum,
+    cdf_table, draw, normalize,
 )
 from .errors import InfiniteDivergence, InvalidDistribution, NonFiniteGradient, UntrainableScale
 from .mara import MaraConfig
@@ -722,13 +722,15 @@ def _policy_support(s: Scenario, spec: TargetSpec) -> np.ndarray:
     return np.asarray(s.reference.support_mask)
 
 
-def _trainable(rewards: RewardVector) -> RewardVector:
-    """``rewards``, unless their scale is past what Adam can train on."""
-    if not rewards.scale <= _TRAINABLE_SCALE:
+def _trainable(values: np.ndarray) -> np.ndarray:
+    """``values``, unless their scale (``RewardVector``'s rule, inf where a
+    reward view left the float range) is past what Adam can train on."""
+    scale = _scale(values)
+    if not scale <= _TRAINABLE_SCALE:
         raise UntrainableScale(
-            f"rewards reach {rewards.scale:.6g} in absolute value, past the trainable scale"
+            f"rewards reach {scale:.6g} in absolute value, past the trainable scale"
             f" 2**510 (about {_TRAINABLE_SCALE:.3g}): Adam's squared gradient could overflow")
-    return rewards
+    return values
 
 
 def _training_problem(s: Scenario, cfgs, cols: Optional[np.ndarray]):
@@ -737,10 +739,9 @@ def _training_problem(s: Scenario, cfgs, cols: Optional[np.ndarray]):
     and the global anchor (each None without augmentation, the anchor also
     when no index qualifies). An anchored run reads at ``slice(None)`` the
     view that the Monte-Carlo step reads at its batch: ``reward_view`` per
-    row (reverse, which ``RewardVector`` checks finite), or
-    ``anchored_rewards`` and ``anchored_reference``, shared by every row.
-    The rewards a run trains on, a view included, must be :func:`_trainable`;
-    they are checked before any target is solved."""
+    row (reverse), or ``anchored_rewards`` and ``anchored_reference``,
+    shared by every row. The rewards a run trains on, a view included, must
+    be :func:`_trainable`; they are checked before any target is solved."""
     specs, mara = [c.objective for c in cfgs], cfgs[0].mara
     above = anchor = rewards = reference = None
     if mara is not None:
@@ -749,16 +750,16 @@ def _training_problem(s: Scenario, cfgs, cols: Optional[np.ndarray]):
         above = np.flatnonzero((r if cols is None else r[cols]) >= tau)
         anchor = mara_mod.global_anchor(s, tau)
     if anchor is None:
-        _trainable(s.rewards)
+        _trainable(s.rewards.values)
         targets = [analytic_target(s, sp).distribution for sp in specs]
     elif specs[0].kind == "forward":
         reference = mara_mod.anchored_reference(s, tau, anchor)
-        anchored = _trainable(RewardVector(mara_mod.anchored_rewards(s, tau, anchor, slice(None))))
+        anchored = RewardVector(_trainable(mara_mod.anchored_rewards(s, tau, anchor, slice(None))))
         targets = [analytic_target(Scenario(reference, anchored), sp).distribution for sp in specs]
         rewards = anchored.values
     else:
         views = [mara_mod.reward_view(s, sp.beta, tau, anchor, slice(None)) for sp in specs]
-        rewards = _per_row([_trainable(RewardVector(v)).values for v in views])
+        rewards = _per_row([_trainable(v) for v in views])
         targets = [mara_mod.mara_target(s, sp.beta, tau, anchor) for sp in specs]
     return _Problem(s, specs, cols, rewards, reference), targets, above, anchor
 

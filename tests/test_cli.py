@@ -242,6 +242,24 @@ def test_a_bump_both_far_and_wide_exits_2_with_only_its_error(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_a_reward_view_past_the_float_range_is_untrainable_and_augments_to_inf(tmp_path):
+    # the bonus of the treated index 0, 1 + 1e306 * (log 0.5 - log 1e-300),
+    # is past the float limit at this admissible beta
+    path = tmp_path / "view-limit.json"
+    path.write_text(json.dumps({"n": 3, "reference": [1e-300, 0.5, 0.5], "rewards": [1, 1, 0]}))
+    for mode in ("exact", "mc"):
+        proc = _cli_with_warnings_as_errors("train", "--scenario", str(path), "--beta", "1e306",
+                                            "--tau", "0.5", "--mode", mode,
+                                            "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: rewards reach inf in absolute value")
+        assert proc.stderr.count("\n") == 1
+    proc = _cli_with_warnings_as_errors("augment", "--scenario", str(path), "--beta", "1e306",
+                                        "--tau", "0.5", "--indices", "0,1,2")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-3:] == ["0,1,inf", "1,1,1", "2,0,0"]
+
+
 def test_generalized_eta_zero_matches_reverse(capsys):
     code_g, out_g, _ = run(
         capsys, "target", "--scenario", "two_point", "--kind", "generalized",

@@ -37,7 +37,7 @@ from kllab.harness import (
 from kllab.mara import BatchPercentile, Constant, MaraConfig
 from kllab.scenario_io import scenario_from_dict
 from kllab.targets import TargetSpec, flip_beta
-from kllab.trainer import Exact, MonteCarlo, TrainConfig
+from kllab.trainer import Exact, MonteCarlo, TrainConfig, train
 
 LN2 = 0.6931471805599453
 
@@ -174,6 +174,11 @@ def test_answer_entropy_values():
     assert answer_entropy(skew, halves) == pytest.approx(
         0.5623351446188083, abs=1e-12
     )
+
+
+def test_answer_entropy_of_a_policy_with_no_mass_on_any_cell_is_0():
+    d = make_scenario([1.0, 0.0, 0.0], [0, 0, 0]).reference
+    assert answer_entropy(d, [np.array([1]), np.array([2])]) == 0.0
 
 
 def test_answer_entropy_rejects_overlap():
@@ -382,6 +387,21 @@ def test_failed_cell_is_recorded_not_raised(two_point):
     assert rec.final_tv == float("inf")
 
 
+def test_an_mc_mara_record_counts_the_anchor_changes_of_its_cell():
+    s = scenario_by_name("mara_toy")
+    cfg = TrainConfig(TargetSpec("reverse", 0.1), gradient_mode=MonteCarlo(batch=8), steps=30,
+                      mara=MaraConfig(Constant(harness.MARA_TOY_TAU), beta=0.1))
+    spec = SweepSpec(s, [TargetSpec("reverse", 0.1)], [0.1], [0, 1], cfg)
+    records = run_sweep(spec, workers=1)
+    cells = list(harness._sweep_cells(spec))
+    assert len(records) == len(cells) == 2
+    for record, (scenario, cell) in zip(records, cells):
+        history = train(scenario, cell).anchor_history
+        changes = sum(a != b for a, b in zip(history, history[1:]))
+        assert record.status == "ok" and record.seed == cell.seed
+        assert record.anchor_churn == changes > 0
+
+
 def test_records_csv_round_trip(two_point):
     records = run_sweep(_tiny_spec(two_point), workers=1)
     text = records_to_csv(records)
@@ -505,6 +525,28 @@ def test_chart_points_never_average_augmentation_settings(tmp_path, monkeypatch)
     assert [ys for label, ys in plotted if label == "mode 1 mass"] == [[pytest.approx(0.85)]]
     # the target lines belong to the unaugmented objective
     assert any(label == "target mode 1" for label, _ in plotted)
+
+
+def test_emit_report_draws_no_chart_for_an_objective_whose_cells_all_failed(tmp_path):
+    records = [_record(objective="forward", status="failed: SolverFailure: x", final_tv=np.inf),
+               _record(objective="forward", seed=0, status="failed: SolverFailure: y",
+                       final_tv=np.inf),
+               _record()]
+    names = sorted(p.name for p in emit_report(records, tmp_path))
+    assert names == ["fig2_two_mode_reverse.svg", "records.csv", "summary.md"]
+    assert not (tmp_path / "fig2_two_mode_forward.svg").exists()
+
+
+def test_a_chart_of_all_zero_values_widens_its_y_range():
+    chart = svg.Chart("zeros", "beta", "mass")
+    chart.add_line("zero", [0.1, 0.5], [0.0, 0.0])
+    text = chart.render()
+    # y runs from 0 to 1, and both points sit on the x axis
+    for tick in ("0", "0.25", "0.5", "0.75", "1"):
+        assert f'text-anchor="end">{tick}</text>' in text
+    bottom = svg.HEIGHT - svg.MARGIN_BOTTOM
+    assert text.count(f'cy="{bottom:.2f}"') == 2
+    assert "nan" not in text
 
 
 def _two_eta_mc_records():

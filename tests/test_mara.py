@@ -19,6 +19,7 @@ from kllab.mara import (
     reward_view,
     select_anchor,
 )
+from kllab.scenario_io import scenario_from_dict
 from kllab.targets import reverse_kl_target
 from kllab.trainer import SoftmaxPolicy, reverse_coefficients
 
@@ -255,6 +256,25 @@ def test_mara_target_of_an_overflowing_tilt_that_the_anchor_replaces():
     expected = np.array([0.5 * np.e**2, 0.3 * np.e, 0.5 * np.e**2])
     np.testing.assert_allclose(got.probs, expected / expected.sum(), rtol=1e-14)
     np.testing.assert_allclose(got.probs, [0.4503, 0.0994, 0.4503], atol=5e-5)
+
+
+def test_a_reward_view_past_the_float_range_is_inf_without_a_warning(monkeypatch):
+    # log-masses 0 and -1000, below log(5e-324): at beta 2e305 the bonus of
+    # the treated index 1 overflows although 745 * beta does not
+    s = scenario_from_dict({"n": 4, "reference": {"shape": "half_support", "decay": 1000},
+                            "rewards": [1, 1, 0, 0]})
+    assert reward_view(s, 2e305, 0.5, 0, np.arange(4)).tolist() == [1.0, np.inf, 0.0, 0.0]
+    assert reward_view(s, 2e305, 0.5, 0, slice(None)).tolist() == [1.0, np.inf, 0.0, 0.0]
+    # below the float limit the view makes no errstate context (the bumps of
+    # the scenario, built first, make their own)
+    toy = scenario_by_name("mara_toy")
+    anchor = global_anchor(toy, 0.5)
+    made, real = [], np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: made.append(kw) or real(**kw))
+    for beta in (0.01, 0.1, 1.0, 1e300):
+        reward_view(toy, beta, 0.5, anchor, slice(None))
+        reward_view(toy, beta, 0.5, anchor, np.array([anchor, 0, anchor]))
+    assert made == []
 
 
 def test_whole_support_views_validate_the_anchor():

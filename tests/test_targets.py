@@ -845,6 +845,26 @@ def test_a_forward_solve_outside_the_float_limit_context_never_needs_it(cells, b
             pass
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(EXTREME_LOG_MASSES), st.sampled_from(EXTREME_REWARDS)),
+                min_size=1, max_size=5),
+       st.sampled_from(EXTREME_BETAS))
+# the anchor (index 1) is not the best treated reward: a shift by the best
+# would take its log-mass to -inf
+@example([(-30.0, 1.7e308), (0.0, 1e308), (-1.0, 0.0)], 1e-20)
+def test_mara_target_at_the_float_extremes_is_the_trapped_tilt_bit_for_bit(cells, beta):
+    lw = np.array([c[0] for c in cells])
+    if not np.isfinite(lw).any():
+        lw[0] = 0.0
+    s = Scenario(normalize(lw), RewardVector(np.array([c[1] for c in cells])))
+    # every tau that some reward meets, each with its own treated set
+    for tau in set(s.rewards.values.tolist()):
+        anchor = global_anchor(s, tau)
+        if anchor is not None:
+            assert (_outcome(mara_target, s, beta, tau, anchor)
+                    == _outcome(_trapped_mara, s, beta, tau, anchor))
+
+
 def _count_errstate(monkeypatch):
     """The np.errstate contexts made from here on."""
     made, real = [], np.errstate
